@@ -17,10 +17,10 @@
 //! * [`GhdPlanner::spectrum`] enumerates every (min-width GHD, bag-ordering) combination — the
 //!   EH plan spectra of Figure 9.
 
-use crate::cost::{estimate_cost, CostModel};
-use crate::plan::{Plan, PlanNode};
-use crate::wco::wco_node_for_ordering;
 use graphflow_catalog::Catalogue;
+use graphflow_plan::cost::{estimate_cost, CostModel};
+use graphflow_plan::plan::{Plan, PlanNode};
+use graphflow_plan::wco::wco_node_for_ordering;
 use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
 use graphflow_query::QueryGraph;
 

@@ -14,14 +14,17 @@
 //!   expressed as database operator plans.
 //! * [`queryset`] — the random sparse/dense query generators used by the CFL comparison
 //!   (queries of 10/15/20 vertices over a labelled data graph).
-//!
-//! The EmptyHeaded baseline lives in `graphflow-plan::ghd` because it *is* a planner; its plans
-//! run on the regular execution engine.
+//! * [`ghd`] — the EmptyHeaded baseline (Section 8.4): a planner over minimum-width generalized
+//!   hypertree decompositions ranked by fractional edge cover (AGM bound), with lexicographic
+//!   ("bad") or Graphflow-chosen ("good") orderings per bag. It emits ordinary
+//!   `graphflow-plan` plan trees, which run on the regular execution engine.
 
 pub mod backtracking;
 pub mod bj_engine;
+pub mod ghd;
 pub mod queryset;
 
 pub use backtracking::{backtracking_count, BacktrackOptions};
 pub use bj_engine::{bj_engine_count, BjEngineOptions, BjEngineResult};
+pub use ghd::{GhdPlanner, OrderingPolicy};
 pub use queryset::{random_connected_query, QuerySetKind};

@@ -1,10 +1,10 @@
 //! Figure 9: EmptyHeaded plan spectra (every min-width GHD x every bag ordering) next to
 //! Graphflow's spectrum, for Q3, Q7 and Q8.
 
+use graphflow_baselines::ghd::GhdPlanner;
 use graphflow_bench::*;
 use graphflow_core::QueryOptions;
 use graphflow_datasets::Dataset;
-use graphflow_plan::ghd::GhdPlanner;
 use graphflow_plan::spectrum::{enumerate_spectrum, SpectrumLimits};
 use graphflow_query::patterns;
 

@@ -1,10 +1,10 @@
 //! Table 9: Graphflow (our optimizer's plan) vs EmptyHeaded with good orderings (EH-g) and bad
 //! orderings (EH-b) across benchmark queries, unlabelled and with 2 random edge labels.
 
+use graphflow_baselines::ghd::{GhdPlanner, OrderingPolicy};
 use graphflow_bench::*;
 use graphflow_core::{GraphflowDB, QueryOptions};
 use graphflow_datasets::Dataset;
-use graphflow_plan::ghd::{GhdPlanner, OrderingPolicy};
 use graphflow_query::patterns;
 
 fn run_cell(

@@ -187,9 +187,10 @@
 //! ## Execution options, deadlines and cancellation
 //!
 //! [`QueryOptions`] is a fluent builder covering every execution mode studied in the paper —
-//! fixed plans, adaptive query-vertex-ordering evaluation
-//! ([`adaptive`](QueryOptions::adaptive)), multi-threaded execution
-//! ([`threads`](QueryOptions::threads)) — plus the intersection cache toggle, output limits,
+//! fixed or adaptive query-vertex-ordering evaluation
+//! ([`adaptive`](QueryOptions::adaptive)) on one or many worker threads
+//! ([`threads`](QueryOptions::threads)), two independent settings of one executor — plus
+//! the intersection cache toggle, output limits,
 //! tuple collection, wall-clock deadlines ([`timeout`](QueryOptions::timeout), surfaced as
 //! [`Error::Timeout`]) and cooperative cancellation
 //! ([`cancel_token`](QueryOptions::cancel_token), surfaced as [`Error::Cancelled`];
@@ -202,9 +203,7 @@
 #![warn(missing_docs)]
 
 use graphflow_catalog::{Catalogue, CatalogueConfig};
-use graphflow_exec::{
-    execute_adaptive_with_sink, execute_parallel_with_sink, execute_with_sink, ExecOptions,
-};
+use graphflow_exec::{execute_with_sink, ExecOptions};
 use graphflow_graph::loader::LoadError;
 use graphflow_graph::{
     EdgeLabel, Graph, GraphBuilder, GraphView, PropError, PropValue, Snapshot, Update, VertexId,
@@ -279,8 +278,8 @@ pub enum Error {
     Parse(graphflow_query::ParseError),
     /// No plan exists for the query in the configured plan space.
     NoPlan,
-    /// The requested combination of [`QueryOptions`] is not executable (for example
-    /// `adaptive(true)` together with `threads(4)`).
+    /// The query cannot be executed the way it was asked to be (for example
+    /// [`PreparedQuery::stream_rows`] on a `RETURN` clause that must buffer its rows).
     InvalidOptions(String),
     /// A property write failed (type mismatch against an existing column, or the addressed
     /// vertex/edge does not exist); the underlying [`PropError`] is the
@@ -1150,11 +1149,26 @@ impl GraphflowDB {
     /// assert_eq!(rs.columns(), ["plan"]);
     /// ```
     pub fn query_with(&self, pattern: &str, options: QueryOptions) -> Result<ResultSet, Error> {
+        self.query_on(&self.snapshot(), pattern, options)
+    }
+
+    /// [`query_with`](GraphflowDB::query_with) against an explicit, caller-pinned snapshot
+    /// epoch instead of the database's current one — for callers that must name the epoch an
+    /// answer came from ([`Snapshot::version`]) before, or independently of, running it.
+    pub fn query_on(
+        &self,
+        snapshot: &Snapshot,
+        pattern: &str,
+        options: QueryOptions,
+    ) -> Result<ResultSet, Error> {
         let (mode, rest) = split_mode(pattern);
+        let prepared = self.prepare(rest)?;
         match mode {
-            QueryMode::Execute => self.prepare(rest)?.execute(options),
-            QueryMode::Explain => Ok(explain::result_set(&self.prepare(rest)?.explain())),
-            QueryMode::Profile => Ok(explain::result_set(&self.prepare(rest)?.profile(options)?)),
+            QueryMode::Execute => prepared.execute_on(snapshot, options),
+            QueryMode::Explain => Ok(explain::result_set(&prepared.explain())),
+            QueryMode::Profile => Ok(explain::result_set(
+                &prepared.profile_on(snapshot, options)?,
+            )),
         }
     }
 
@@ -1371,8 +1385,8 @@ impl GraphflowDB {
         })
     }
 
-    /// The one true execution path: validate options, arm the deadline, pick the executor,
-    /// wrap the sink with a vertex remap when the plan belongs to an isomorphic twin, stamp
+    /// The one true execution path: arm the deadline, hand the plan to the executor, wrap the
+    /// sink with a vertex remap when the plan belongs to an isomorphic twin, stamp
     /// plan-cache counters into the returned stats, and surface a tripped interrupt as a
     /// typed error. Every stage runs against the single pinned `view`, so one execution
     /// observes exactly one epoch.
@@ -1385,12 +1399,11 @@ impl GraphflowDB {
         options: QueryOptions,
         sink: &mut (dyn MatchSink + Send),
     ) -> Result<RuntimeStats, Error> {
-        options.validate()?;
         let metrics = &self.shared.metrics;
         metrics.queries_started.fetch_add(1, Ordering::Relaxed);
-        // The deadline is armed before pipeline compilation, so hash-join build work and
-        // (in the parallel executor) build-side materialisation count against the budget;
-        // planning happened at prepare time and is not covered.
+        // The deadline is armed before pipeline compilation, so hash-join build-side
+        // materialisation counts against the budget; planning happened at prepare time and is
+        // not covered.
         let deadline = options.timeout.map(|t| Instant::now() + t);
         let mut stats = match remap {
             Some(map) => {
@@ -1445,18 +1458,19 @@ impl GraphflowDB {
             count_tail: options.count_tail,
             profile: options.profile,
         };
+        // Adaptive stages re-cost orderings from catalogue estimates per tuple; the run holds
+        // its own shared reference (no lock), so a long adaptive query never stalls commits or
+        // other readers.
+        let catalogue = options.adaptive.then(|| self.catalogue());
         // Execution pins `view`: queries observe one delta epoch end to end.
-        if options.threads > 1 {
-            execute_parallel_with_sink(view, plan, exec_options, options.threads, sink)
-        } else if options.adaptive {
-            // The adaptive executor re-costs orderings from catalogue estimates per tuple;
-            // it runs against its own shared reference (no lock held), so a long adaptive
-            // query never stalls commits or other readers.
-            let catalogue = self.catalogue();
-            execute_adaptive_with_sink(view, &catalogue, plan, exec_options, sink)
-        } else {
-            execute_with_sink(view, plan, exec_options, sink)
-        }
+        execute_with_sink(
+            view,
+            plan,
+            catalogue.as_deref(),
+            options.threads,
+            exec_options,
+            sink,
+        )
     }
 }
 
@@ -1554,35 +1568,14 @@ mod tests {
             .run_query(&q, QueryOptions::new().adaptive(true))
             .unwrap();
         let parallel = db.run_query(&q, QueryOptions::new().threads(4)).unwrap();
+        let both = db
+            .run_query(&q, QueryOptions::new().adaptive(true).threads(4))
+            .unwrap();
         assert_eq!(fixed.count, expected);
         assert_eq!(adaptive.count, expected);
         assert_eq!(parallel.count, expected);
+        assert_eq!(both.count, expected);
         assert!(fixed.stats.icost > 0);
-    }
-
-    #[test]
-    fn adaptive_and_threads_together_are_rejected() {
-        let db = db();
-        let result = db.run(
-            "(a)->(b), (b)->(c), (a)->(c)",
-            QueryOptions::new().adaptive(true).threads(4),
-        );
-        assert!(matches!(result, Err(Error::InvalidOptions(_))));
-        let message = result.unwrap_err().to_string();
-        assert!(message.contains("adaptive"), "{message}");
-        // Each mode alone stays valid.
-        assert!(db
-            .run(
-                "(a)->(b), (b)->(c), (a)->(c)",
-                QueryOptions::new().adaptive(true)
-            )
-            .is_ok());
-        assert!(db
-            .run(
-                "(a)->(b), (b)->(c), (a)->(c)",
-                QueryOptions::new().threads(4)
-            )
-            .is_ok());
     }
 
     #[test]
@@ -1754,7 +1747,7 @@ mod tests {
                 .unwrap(),
             1
         );
-        // Pushdown is observable in the stats, and all three executors agree.
+        // Pushdown is observable in the stats, and every executor setting agrees.
         let filtered = db
             .run(
                 &format!("{triangle} WHERE a.age >= 30"),
@@ -1823,7 +1816,7 @@ mod tests {
 
         let expected = bare.count().unwrap();
         assert!(expected > 0);
-        // COUNT(*) agrees with the raw count across all three executors, and the serial /
+        // COUNT(*) agrees with the raw count under every executor setting, and the serial /
         // parallel runs bulk-count the final extension column instead of materialising it.
         for opts in [
             QueryOptions::new(),
@@ -2004,7 +1997,7 @@ mod tests {
         assert!(!db.insert_edge(0, 2, EdgeLabel(0)), "duplicate insert");
         assert_eq!(db.count(triangle).unwrap(), 1);
         assert_eq!(db.graph_version(), 1);
-        // All three executors see the same snapshot.
+        // Every executor setting sees the same snapshot.
         let adaptive = db
             .run(triangle, QueryOptions::new().adaptive(true))
             .unwrap();

@@ -12,15 +12,16 @@ use std::time::Duration;
 /// assert_eq!(opts.output_limit(), Some(1000));
 /// ```
 ///
-/// The default configuration is serial, fixed-plan execution with the intersection cache on,
-/// no output limit, no tuple collection, no timeout and no cancellation token.
+/// The default configuration is one-worker, fixed-plan execution with the intersection cache
+/// on, no output limit, no tuple collection, no timeout and no cancellation token.
 ///
-/// # Mode precedence
+/// # One executor, two settings
 ///
-/// [`adaptive`](QueryOptions::adaptive) and [`threads`](QueryOptions::threads)` > 1` select
-/// *different engines* (the per-tuple adaptive executor is inherently serial); requesting both
-/// at once is rejected with [`Error::InvalidOptions`](crate::Error::InvalidOptions) when the
-/// query runs, rather than silently ignoring one of them.
+/// [`adaptive`](QueryOptions::adaptive) and [`threads`](QueryOptions::threads) are
+/// independent: the first decides how chains of E/I operators are *compiled* (one fixed
+/// ordering, or a per-tuple choice among all orderings), the second how many workers *run*
+/// the compiled pipeline. Every combination goes through the same driver and returns the
+/// same matches.
 ///
 /// # Deadlines and cancellation
 ///
@@ -30,7 +31,7 @@ use std::time::Duration;
 /// [`Error::Timeout`](crate::Error::Timeout). [`cancel_token`](QueryOptions::cancel_token)
 /// attaches a [`CancellationToken`] that any thread can trip, turning the run into
 /// [`Error::Cancelled`](crate::Error::Cancelled). Both are polled cooperatively at batch
-/// granularity by all three executors.
+/// granularity by every worker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOptions {
     pub(crate) adaptive: bool,
@@ -73,19 +74,15 @@ impl QueryOptions {
 
     // --- builder setters -------------------------------------------------------------------
 
-    /// Use the adaptive executor (per-tuple query-vertex-ordering selection, paper Section 6).
-    ///
-    /// Incompatible with [`threads`](QueryOptions::threads)` > 1`; see the type-level docs on
-    /// mode precedence.
+    /// Compile chains of E/I operators into adaptive stages (per-tuple query-vertex-ordering
+    /// selection, paper Section 6). Composes with any [`threads`](QueryOptions::threads) count.
     pub fn adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
         self
     }
 
-    /// Number of worker threads (1 = serial execution; 0 is treated as 1).
-    ///
-    /// Incompatible with [`adaptive`](QueryOptions::adaptive); see the type-level docs on mode
-    /// precedence.
+    /// Number of workers (paper Section 7). 1 runs the whole query on the calling thread;
+    /// 0 is treated as 1.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -97,8 +94,8 @@ impl QueryOptions {
         self
     }
 
-    /// Stop execution after roughly this many results (exact in serial modes; parallel workers
-    /// stop at their next chunk boundary, so slightly more may be counted).
+    /// Stop execution after exactly this many results (workers claim output slots from one
+    /// shared counter, so the cut-off is exact at any thread count).
     pub fn limit(mut self, limit: u64) -> Self {
         self.output_limit = Some(limit);
         self
@@ -131,7 +128,7 @@ impl QueryOptions {
     /// Bound one execution's wall-clock time. The deadline is armed when the run starts —
     /// pipeline compilation and hash-join build work count against it, but planning does not
     /// (it happened at `prepare` time, possibly amortized away by the plan cache) — and is
-    /// polled cooperatively at batch granularity by every executor; a run that exceeds it
+    /// polled cooperatively at batch granularity by every worker; a run that exceeds it
     /// returns [`Error::Timeout`](crate::Error::Timeout) instead of a truncated result.
     pub fn timeout(mut self, timeout: Duration) -> Self {
         self.timeout = Some(timeout);
@@ -164,7 +161,7 @@ impl QueryOptions {
 
     // --- accessors -------------------------------------------------------------------------
 
-    /// Whether the adaptive executor was requested.
+    /// Whether adaptive stages were requested.
     pub fn is_adaptive(&self) -> bool {
         self.adaptive
     }
@@ -208,19 +205,6 @@ impl QueryOptions {
     pub fn profiles(&self) -> bool {
         self.profile
     }
-
-    /// Reject invalid option combinations (currently: `adaptive` together with multi-threaded
-    /// execution).
-    pub(crate) fn validate(&self) -> Result<(), crate::Error> {
-        if self.adaptive && self.threads > 1 {
-            return Err(crate::Error::InvalidOptions(format!(
-                "adaptive execution is serial: adaptive(true) cannot be combined with \
-                 threads({}); drop one of the two",
-                self.threads
-            )));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -261,16 +245,5 @@ mod tests {
         let cleared = opts.no_timeout();
         assert_eq!(cleared.timeout_duration(), None);
         assert!(QueryOptions::new().cancellation_token().is_none());
-    }
-
-    #[test]
-    fn adaptive_plus_threads_is_invalid() {
-        assert!(QueryOptions::new()
-            .adaptive(true)
-            .threads(4)
-            .validate()
-            .is_err());
-        assert!(QueryOptions::new().adaptive(true).validate().is_ok());
-        assert!(QueryOptions::new().threads(4).validate().is_ok());
     }
 }

@@ -90,7 +90,16 @@ impl PreparedQuery {
     /// limits all behave as in [`run`](PreparedQuery::run) — except that a cancelled or
     /// timed-out run surfaces as its usual error rather than a partial profile.
     pub fn profile(&self, options: QueryOptions) -> Result<QueryProfile, Error> {
-        let result = self.run(options.profile(true))?;
+        self.profile_on(&self.db.snapshot(), options)
+    }
+
+    /// [`profile`](PreparedQuery::profile) against an explicit, caller-pinned snapshot epoch.
+    pub fn profile_on(
+        &self,
+        snapshot: &Snapshot,
+        options: QueryOptions,
+    ) -> Result<QueryProfile, Error> {
+        let result = self.run_on(snapshot, options.profile(true))?;
         let catalogue = self.db.catalogue();
         let model = *self.db.shared.cost_model.read();
         Ok(QueryProfile::profiled(
@@ -193,6 +202,21 @@ impl PreparedQuery {
     where
         F: FnMut(graphflow_exec::Row) -> bool + Send,
     {
+        self.stream_rows_on(&self.db.snapshot(), options, emit)
+    }
+
+    /// [`stream_rows`](PreparedQuery::stream_rows) against an explicit, caller-pinned snapshot
+    /// epoch — a streaming server names the epoch in its response head before the first row
+    /// exists, so it must pin first and run on what it pinned.
+    pub fn stream_rows_on<F>(
+        &self,
+        snapshot: &Snapshot,
+        options: QueryOptions,
+        emit: F,
+    ) -> Result<RuntimeStats, Error>
+    where
+        F: FnMut(graphflow_exec::Row) -> bool + Send,
+    {
         let clause = self
             .query
             .return_clause()
@@ -206,10 +230,9 @@ impl PreparedQuery {
                     .into(),
             ));
         }
-        let view = self.db.snapshot();
-        let mut sink = graphflow_exec::RowStreamSink::new(view.clone(), spec, emit);
+        let mut sink = graphflow_exec::RowStreamSink::new(snapshot.clone(), spec, emit);
         self.db.execute_prepared_with_sink(
-            &view,
+            snapshot,
             &self.plan,
             self.remap.as_deref(),
             self.cache_hit,

@@ -1,23 +1,23 @@
 //! Adaptive WCO plan evaluation (Section 6 of the paper).
 //!
 //! A fixed plan picks one query-vertex ordering for each chain of E/I operators based on
-//! *average* statistics. The adaptive executor replaces every chain of two or more consecutive
-//! E/I operators with an [`AdaptiveStage`]: for each incoming partial match it re-estimates the
-//! i-cost of every ordering of the remaining query vertices using the *actual* adjacency-list
-//! sizes of the vertices bound by that match (the scaling rule of Example 6.2), and routes the
-//! match to the cheapest ordering. In WCO plans this means the first two query vertices are
-//! fixed (they come from the SCAN) and the rest are picked adaptively per scanned edge.
+//! *average* statistics. Adaptive compilation replaces every chain of two or more consecutive
+//! E/I operators with an [`AdaptiveStage`] — a stage kind any worker of the
+//! [driver](crate::driver) runs like any other: for each incoming partial match it
+//! re-estimates the i-cost of every ordering of the remaining query vertices using the
+//! *actual* adjacency-list sizes of the vertices bound by that match (the scaling rule of
+//! Example 6.2), and routes the match to the cheapest ordering. In WCO plans this means the
+//! first two query vertices are fixed (they come from the SCAN) and the rest are picked
+//! adaptively per scanned edge.
 
 use crate::pipeline::{
-    assemble_profile, compile, drive_pipeline_into_sink, run_stages, CompiledPipeline, ExecOptions,
-    ExecOutput, ExtendStage, Stage,
+    compile, merge_prof, run_stages, CompiledPipeline, ExecOptions, ExtendStage, Stage,
 };
 use crate::profile::OpCounters;
-use crate::sink::{CountingSink, MatchSink};
 use crate::stats::RuntimeStats;
 use graphflow_catalog::Catalogue;
 use graphflow_graph::{GraphView, VertexId};
-use graphflow_plan::plan::{Plan, PlanNode};
+use graphflow_plan::plan::PlanNode;
 use graphflow_query::extension::descriptors_for_extension;
 use graphflow_query::querygraph::singleton;
 use graphflow_query::QueryGraph;
@@ -67,6 +67,22 @@ impl AdaptiveStage {
     /// Number of candidate orderings.
     pub fn num_candidates(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// Fold the profile accumulators of a worker's clone of this stage into this one: the
+    /// stage's own counters, the per-candidate `chosen` tallies and every candidate step.
+    pub(crate) fn absorb_profile(&mut self, worker: &AdaptiveStage) {
+        if let (Some(mine), Some(theirs)) = (&mut self.prof, &worker.prof) {
+            mine.op.merge(&theirs.op);
+            for (mine, theirs) in mine.chosen.iter_mut().zip(&theirs.chosen) {
+                *mine += theirs;
+            }
+        }
+        for (mine, theirs) in self.candidates.iter_mut().zip(&worker.candidates) {
+            for (mine, theirs) in mine.steps.iter_mut().zip(&theirs.steps) {
+                merge_prof(&mut mine.prof, &theirs.prof);
+            }
+        }
     }
 }
 
@@ -189,13 +205,7 @@ fn run_candidate_steps<G: GraphView>(
             if let Some(p) = adaptive_prof.as_deref_mut() {
                 p.op.outputs += 1;
             }
-            let mut cont = on_result(&canonical);
-            if let Some(limit) = options.output_limit {
-                if stats.output_count >= limit {
-                    cont = false;
-                }
-            }
-            cont
+            on_result(&canonical)
         } else {
             stats.intermediate_tuples += 1;
             if let Some(p) = adaptive_prof.as_deref_mut() {
@@ -220,11 +230,7 @@ fn run_candidate_steps<G: GraphView>(
             .extension_set(graph, tuple, options.use_intersection_cache, stats)
             .len()
     };
-    if remaining.is_empty()
-        && rest.is_empty()
-        && options.count_tail
-        && options.output_limit.is_none()
-    {
+    if remaining.is_empty() && rest.is_empty() && options.count_tail {
         // COUNT(*) fast path (mirrors the fixed pipeline): the candidate's final column is
         // never read, so its set size is the result count for this prefix.
         stats.output_count += set_len as u64;
@@ -425,54 +431,11 @@ pub(crate) fn compile_adaptive<G: GraphView>(
     }
 }
 
-/// Execute a plan with adaptive query-vertex-ordering selection for every chain of two or more
-/// E/I operators (hash-join build sides are executed with their fixed orderings), counting
-/// results.
-pub fn execute_adaptive<G: GraphView>(
-    graph: &G,
-    catalogue: &Catalogue,
-    plan: &Plan,
-    options: ExecOptions,
-) -> ExecOutput {
-    let mut sink = CountingSink::new();
-    let stats = execute_adaptive_with_sink(graph, catalogue, plan, options, &mut sink);
-    ExecOutput {
-        count: stats.output_count,
-        stats,
-    }
-}
-
-/// Adaptive execution streaming every result tuple (in query-vertex order) into `sink`.
-pub fn execute_adaptive_with_sink<G: GraphView>(
-    graph: &G,
-    catalogue: &Catalogue,
-    plan: &Plan,
-    options: ExecOptions,
-    sink: &mut dyn MatchSink,
-) -> RuntimeStats {
-    let start = Instant::now();
-    let mut stats = RuntimeStats::default();
-    let q = &plan.query;
-    let mut pipeline = compile_adaptive(graph, q, &plan.root, catalogue, &options, &mut stats);
-    drive_pipeline_into_sink(
-        &mut pipeline,
-        graph,
-        &options,
-        &mut stats,
-        q.num_vertices(),
-        sink,
-    );
-    if options.profile {
-        stats.profile = Some(Box::new(assemble_profile(&pipeline)));
-    }
-    stats.elapsed = start.elapsed();
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::execute;
+    use crate::driver::{execute, execute_with_sink};
+    use crate::testutil::count;
     use graphflow_catalog::{count_matches, Catalogue};
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_plan::cost::CostModel;
@@ -504,7 +467,7 @@ mod tests {
                     continue;
                 };
                 let fixed = execute(&g, &plan);
-                let adaptive = execute_adaptive(&g, &cat, &plan, ExecOptions::default());
+                let adaptive = count(&g, &plan, Some(&cat), 1, ExecOptions::default());
                 assert_eq!(fixed.count, expected, "Q{j} fixed {sigma:?}");
                 assert_eq!(adaptive.count, expected, "Q{j} adaptive {sigma:?}");
             }
@@ -518,7 +481,7 @@ mod tests {
         let q = patterns::benchmark_query(10);
         let expected = count_matches(&g, &q);
         let plan = DpOptimizer::new(&cat).optimize(&q).unwrap();
-        let adaptive = execute_adaptive(&g, &cat, &plan, ExecOptions::default());
+        let adaptive = count(&g, &plan, Some(&cat), 1, ExecOptions::default());
         assert_eq!(adaptive.count, expected);
     }
 
@@ -579,7 +542,7 @@ mod tests {
         let q = patterns::diamond_x();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2, 3]).unwrap();
         let mut sink = crate::sink::CollectingSink::new(10);
-        let stats = execute_adaptive_with_sink(&g, &cat, &plan, ExecOptions::default(), &mut sink);
+        let stats = execute_with_sink(&g, &plan, Some(&cat), 1, ExecOptions::default(), &mut sink);
         assert_eq!(stats.output_count, 1);
         assert_eq!(sink.into_tuples(), vec![vec![0, 1, 2, 3]]);
     }

@@ -10,7 +10,7 @@
 //!   (Cypher semantics) and each group folds its `COUNT`/`SUM`/`MIN`/`MAX`/`AVG` accumulators
 //!   incrementally, so the match set is never buffered — memory is O(groups), not O(matches).
 //!
-//! Both sinks implement [`MatchSink::fork_partial`]: the parallel executor hands each worker
+//! Both sinks implement [`MatchSink::fork_partial`]: the driver hands each of several workers
 //! an empty twin that folds its share of the matches **thread-locally**, and the partials are
 //! merged once at the join barrier. A `RETURN COUNT(*)` clause reports
 //! `needs_tuples() == false`, composing with the executors' counting fast path (and the

@@ -12,7 +12,7 @@
 //! error instead of a silently truncated result.
 //!
 //! The token is a plain atomic flag behind an `Arc`: cloning it is how it crosses threads, and
-//! in the parallel executor every worker polls the *same* flag, so one `cancel()` stops all of
+//! every worker of a run polls the *same* flag, so one `cancel()` stops all of
 //! them within a batch each.
 
 use crate::stats::RuntimeStats;
@@ -81,7 +81,7 @@ impl CancellationToken {
 /// The executor-side interrupt state of one run: an optional [`CancellationToken`], an optional
 /// deadline, and the countdown that amortises the cost of consulting them.
 ///
-/// Cloning an `Interrupt` (the parallel executor clones one per worker) shares the token and
+/// Cloning an `Interrupt` (the driver builds one per worker) shares the token and
 /// deadline but gives the clone its own countdown, so workers never contend on the check state.
 #[derive(Debug, Clone)]
 pub struct Interrupt {

@@ -12,24 +12,28 @@
 //!   previous extension set when consecutive tuples access the same lists;
 //! * **HASH-JOIN** materialises its build side into a hash table keyed on the shared query
 //!   vertices and probes it with the other side;
-//! * the **adaptive executor** (Section 6) replaces chains of two or more E/I operators with a
+//! * an **adaptive stage** (Section 6) replaces a chain of two or more E/I operators with a
 //!   per-tuple choice among all remaining query-vertex orderings, re-costing each ordering from
-//!   the actual adjacency-list sizes of the tuple at hand;
-//! * the **parallel executor** (Section 7) schedules the driver SCAN as adaptive-size morsels
-//!   claimed from a shared cursor by a pool of worker threads, and splits heavy (hub-vertex)
-//!   extension sets into stealable sub-tasks; hash-join build sides are materialised once and
-//!   shared read-only.
+//!   the actual adjacency-list sizes of the tuple at hand.
 //!
-//! Results are **streamed**: every executor has a `*_with_sink` variant that delivers each
-//! match (in query-vertex order) to a [`MatchSink`] — counting, collecting, limit-N or
-//! user-callback — so unbounded result sets never need to be materialised. The plain
-//! `execute*` entry points are counting shorthands over the same machinery.
+//! There is **one executor**, [`execute_with_sink`], with two orthogonal settings. Whether E/I
+//! chains are compiled fixed or adaptive is a property of the compiled pipeline (pass a
+//! catalogue to get adaptive stages). How many workers run that pipeline is the thread count
+//! (Section 7): the [driver] schedules the SCAN as adaptive-size morsels claimed from a shared
+//! cursor and splits heavy (hub-vertex) extension sets into stealable sub-tasks; the calling
+//! thread is worker 0, extra workers get a clone of the pipeline, hash-join build sides are
+//! materialised once and shared read-only. One thread is simply the one-worker case.
+//!
+//! Results are **streamed**: each match is delivered (in query-vertex order) to a
+//! [`MatchSink`] — counting, collecting, limit-N or user-callback — so unbounded result sets
+//! never need to be materialised. [`execute`] is the counting shorthand over the same
+//! machinery.
 //!
 //! Every run returns [`RuntimeStats`] with the *actual* i-cost (Equation 1), the number of
 //! intermediate partial matches, and intersection-cache hit counts — the quantities reported in
 //! Tables 3–6 of the paper.
 //!
-//! All entry points are generic over [`GraphView`](graphflow_graph::GraphView): pass a frozen
+//! Both entry points are generic over [`GraphView`](graphflow_graph::GraphView): pass a frozen
 //! [`Graph`](graphflow_graph::Graph) (every adjacency access monomorphises to a borrowed CSR
 //! slice — the static fast path costs nothing) or a live
 //! [`Snapshot`](graphflow_graph::Snapshot) (vertices with pending deltas transparently merge
@@ -38,17 +42,40 @@
 pub mod adaptive;
 pub mod agg;
 pub mod cancel;
-pub mod parallel;
+pub mod driver;
 pub mod pipeline;
 pub mod profile;
 pub mod sink;
 pub mod stats;
 
-pub use adaptive::{execute_adaptive, execute_adaptive_with_sink};
 pub use agg::{AggregatingSink, ProjectingSink, Row, RowSpec, RowStreamSink, Value};
 pub use cancel::{CancellationToken, Interrupt, INTERRUPT_CHECK_INTERVAL};
-pub use parallel::{execute_parallel, execute_parallel_with_sink};
-pub use pipeline::{execute, execute_with_options, execute_with_sink, ExecOptions, ExecOutput};
+pub use driver::{execute, execute_with_sink};
+pub use pipeline::{ExecOptions, ExecOutput};
 pub use profile::{CandidateProfile, OpCounters, OpKind, OpProfile};
 pub use sink::{CallbackSink, CollectingSink, CountingSink, LimitSink, MatchSink, PartialSink};
 pub use stats::RuntimeStats;
+
+#[cfg(test)]
+pub(crate) mod testutil {
+    use crate::{execute_with_sink, CountingSink, ExecOptions, ExecOutput};
+    use graphflow_catalog::Catalogue;
+    use graphflow_graph::GraphView;
+    use graphflow_plan::plan::Plan;
+
+    /// Count a plan's results through the one executor under explicit settings.
+    pub(crate) fn count<G: GraphView>(
+        graph: &G,
+        plan: &Plan,
+        adaptive: Option<&Catalogue>,
+        threads: usize,
+        options: ExecOptions,
+    ) -> ExecOutput {
+        let mut sink = CountingSink::new();
+        let stats = execute_with_sink(graph, plan, adaptive, threads, options, &mut sink);
+        ExecOutput {
+            count: stats.output_count,
+            stats,
+        }
+    }
+}

@@ -1,20 +1,21 @@
-//! Plan compilation and serial execution.
+//! Plan compilation and the per-tuple stage loops.
 //!
 //! After hash-join build sides are materialised, every plan tree degenerates into a linear
 //! pipeline: one driver SCAN at the bottom followed by a sequence of stages, each of which is
-//! either an EXTEND/INTERSECT or a hash-table probe. The compiler walks the plan, materialises
-//! build sides bottom-up, and produces that pipeline; the executor then streams scan tuples
-//! through it depth-first, so no intermediate result is ever materialised outside of hash
-//! tables — the same discipline as the paper's Volcano-style engine.
+//! an EXTEND/INTERSECT, a hash-table probe or an adaptive chain. The compiler walks the plan,
+//! materialises build sides bottom-up, and produces that pipeline; the [driver](crate::driver)
+//! then streams scan tuples through `run_stages` depth-first, so no intermediate result is
+//! ever materialised outside of hash tables — the same discipline as the paper's
+//! Volcano-style engine.
 
 use crate::profile::{CandidateProfile, OpCounters, OpKind, OpProfile};
-use crate::sink::{CountingSink, MatchSink};
+use crate::sink::MatchSink;
 use crate::stats::RuntimeStats;
 use graphflow_graph::{
     multiway_intersect_views_counted, EdgeLabel, GraphView, KernelCounters, NbrList, PropValue,
     VertexId, VertexLabel,
 };
-use graphflow_plan::plan::{Plan, PlanNode};
+use graphflow_plan::plan::PlanNode;
 use graphflow_query::extension::AdjListDescriptor;
 use graphflow_query::querygraph::singleton;
 use graphflow_query::{CmpOp, PredTarget, QueryEdge, QueryGraph};
@@ -130,7 +131,8 @@ pub(crate) fn extension_preds(
 pub struct ExecOptions {
     /// Enable the E/I last-extension cache (Section 3.1). Table 3 of the paper toggles this.
     pub use_intersection_cache: bool,
-    /// Stop after producing this many results (used by the output-limited CFL comparison).
+    /// Stop after producing exactly this many results, at any worker count (used by the
+    /// output-limited CFL comparison).
     pub output_limit: Option<u64>,
     /// Cooperative cancellation: executors poll this token at batch granularity
     /// ([`INTERRUPT_CHECK_INTERVAL`](crate::INTERRUPT_CHECK_INTERVAL) units of work) and stop
@@ -146,7 +148,7 @@ pub struct ExecOptions {
     /// extension-set *size* to the output count in bulk instead of materialising one tuple
     /// per element (the set is computed — and predicate-filtered — either way; only the
     /// per-element tuple loop is skipped). Only sound when the sink reports
-    /// `needs_tuples() == false` and no `output_limit` is set; executors additionally guard
+    /// `needs_tuples() == false` and no `output_limit` is set; the driver additionally guards
     /// on the latter, and hash-join build sides always ignore the flag (their tuples feed
     /// the join table, not the output). `RuntimeStats::bulk_counted_extensions` counts the
     /// shortcut firing.
@@ -222,10 +224,8 @@ pub(crate) struct ScanStage {
 impl ScanStage {
     /// Scan-level admission of one candidate edge `(u, v, l)`: edge-label gate, endpoint
     /// vertex-label gate, antiparallel/multi-label co-edge filters, and pushed-down property
-    /// predicates — with exactly the counter bookkeeping the serial drive loop performs
-    /// (`tuples_in` lands after the edge-label gate; predicate evals/drops on the predicate
-    /// gate). Shared by the serial drive loop and the parallel morsel drive so both report
-    /// identical stats for identical work.
+    /// predicates (`tuples_in` lands after the edge-label gate; predicate evals/drops on the
+    /// predicate gate).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit<G: GraphView>(
         &self,
@@ -447,8 +447,8 @@ pub(crate) struct ProbeStage {
     /// Per-operator profile accumulator (present only under [`ExecOptions::profile`]).
     pub(crate) prof: Option<Box<OpCounters>>,
     /// The assembled profile of the materialised build side (filled at compile time under
-    /// [`ExecOptions::profile`]; shared unchanged by every parallel worker's pipeline clone
-    /// and therefore harvested once, from the compile-time template).
+    /// [`ExecOptions::profile`]; shared unchanged by every worker's pipeline clone and
+    /// therefore harvested once, from worker 0's pipeline).
     pub(crate) build_profile: Option<Box<OpProfile>>,
 }
 
@@ -590,6 +590,22 @@ pub(crate) fn compile<G: GraphView>(
     }
 }
 
+/// The sink a hash-join build side runs into: files every build tuple under its join key.
+struct TableBuilder {
+    key_vertices: Vec<usize>,
+    payload_vertices: Vec<usize>,
+    table: JoinTable,
+}
+
+impl MatchSink for TableBuilder {
+    fn on_match(&mut self, tuple: &[VertexId]) -> bool {
+        let key = self.key_vertices.iter().map(|&v| tuple[v]).collect();
+        let payloads = self.table.map.entry(key).or_default();
+        payloads.extend(self.payload_vertices.iter().map(|&v| tuple[v]));
+        true
+    }
+}
+
 /// Execute the build side of a hash join and materialise it into a [`JoinTable`]. Under
 /// [`ExecOptions::profile`] the second return value is the build side's assembled profile
 /// subtree (its result-tuple outputs folded into the build root's `tuples_out`, mirroring how
@@ -602,31 +618,25 @@ fn materialize<G: GraphView>(
     options: &ExecOptions,
     stats: &mut RuntimeStats,
 ) -> (JoinTable, Option<Box<OpProfile>>) {
-    let probe_set = probe.vertex_set();
-    let build_out = build.out().to_vec();
-    // Key = vertices shared with the probe side (in probe layout order is not required for the
-    // table itself; the probe stage builds its key in `key_vertices` order, so mirror that).
-    let key_vertices: Vec<usize> = probe
-        .out()
-        .iter()
-        .copied()
-        .filter(|&v| build.vertex_set() & singleton(v) != 0)
+    let in_set = |set: u32, v: usize| set & singleton(v) != 0;
+    // The driver delivers build tuples in query-vertex order, so key and payload columns are
+    // addressed by query vertex. Key = vertices shared with the probe side, in probe layout
+    // order (the probe stage builds its key in that order); payload = build-only vertices in
+    // build layout order (the order the probe appends them in).
+    let key_vertices = (probe.out().iter().copied())
+        .filter(|&v| in_set(build.vertex_set(), v))
         .collect();
-    let key_positions: Vec<usize> = key_vertices
-        .iter()
-        .map(|kv| {
-            build_out
-                .iter()
-                .position(|v| v == kv)
-                .expect("key in build layout")
-        })
+    let payload_vertices: Vec<usize> = (build.out().iter().copied())
+        .filter(|&v| !in_set(probe.vertex_set(), v))
         .collect();
-    let payload_positions: Vec<usize> = build_out
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| probe_set & singleton(v) == 0)
-        .map(|(i, _)| i)
-        .collect();
+    let mut builder = TableBuilder {
+        table: JoinTable {
+            map: FxHashMap::default(),
+            payload_width: payload_vertices.len(),
+        },
+        key_vertices,
+        payload_vertices,
+    };
 
     let mut inner_options = options.clone();
     inner_options.output_limit = None;
@@ -637,41 +647,24 @@ fn materialize<G: GraphView>(
     // query results, so they must not inflate `output_count`.
     let mut build_stats = RuntimeStats::default();
     let mut pipeline = compile(graph, q, build, &inner_options, &mut build_stats);
-    let mut table = JoinTable {
-        map: FxHashMap::default(),
-        payload_width: payload_positions.len(),
-    };
-    run_pipeline(
+    crate::driver::drive(
         &mut pipeline,
         graph,
+        q.num_vertices(),
         &inner_options,
+        None,
+        1,
         &mut build_stats,
-        &mut |tuple| {
-            let key: Vec<VertexId> = key_positions.iter().map(|&i| tuple[i]).collect();
-            let entry = table.map.entry(key).or_default();
-            for &i in &payload_positions {
-                entry.push(tuple[i]);
-            }
-            true
-        },
+        &mut builder,
     );
-    stats.icost += build_stats.icost;
-    stats.intermediate_tuples += build_stats.intermediate_tuples + build_stats.output_count;
-    stats.cache_hits += build_stats.cache_hits;
-    stats.cache_misses += build_stats.cache_misses;
-    stats.delta_merges += build_stats.delta_merges;
-    stats.kernel_merge += build_stats.kernel_merge;
-    stats.kernel_gallop += build_stats.kernel_gallop;
-    stats.kernel_block += build_stats.kernel_block;
-    stats.predicate_evals += build_stats.predicate_evals;
-    stats.predicate_drops += build_stats.predicate_drops;
-    stats.hash_build_tuples += build_stats.output_count + build_stats.hash_build_tuples;
-    stats.hash_probe_tuples += build_stats.hash_probe_tuples;
-    // An interrupt tripped while materialising leaves the table incomplete; the flags make
-    // the facade surface the run as cancelled/timed out instead of returning partial counts
-    // (the probe pipeline's own interrupt check stops the rest of the run promptly).
-    stats.cancelled |= build_stats.cancelled;
-    stats.timed_out |= build_stats.timed_out;
+    // Build-side results are hash-table entries: they roll up as intermediates and build
+    // tuples, never as outputs. The interrupt flags fold too: a tripped interrupt leaves the
+    // table incomplete, and the flags make the facade surface the run as cancelled/timed out
+    // instead of returning partial counts (the probe pipeline's own check stops the rest).
+    build_stats.intermediate_tuples += build_stats.output_count;
+    build_stats.hash_build_tuples += build_stats.output_count;
+    build_stats.output_count = 0;
+    stats.merge(&build_stats);
     let build_profile = if options.profile {
         let mut prof = assemble_profile(&pipeline);
         prof.counters.tuples_out += prof.counters.outputs;
@@ -680,108 +673,7 @@ fn materialize<G: GraphView>(
     } else {
         None
     };
-    (table, build_profile)
-}
-
-/// Stream every result tuple of a compiled pipeline into `on_result`; the callback returns
-/// `false` to stop execution early.
-pub(crate) fn run_pipeline<G: GraphView>(
-    pipeline: &mut CompiledPipeline,
-    graph: &G,
-    options: &ExecOptions,
-    stats: &mut RuntimeStats,
-    on_result: &mut dyn FnMut(&[VertexId]) -> bool,
-) {
-    let edges = graph.scan_edges(pipeline.scan.edge.label);
-    run_pipeline_on_range(pipeline, graph, &edges, options, stats, on_result);
-}
-
-/// Same as [`run_pipeline`] but over an explicit slice of candidate scan edges (used by the
-/// parallel executor to partition the scan).
-pub(crate) fn run_pipeline_on_range<G: GraphView>(
-    pipeline: &mut CompiledPipeline,
-    graph: &G,
-    scan_edges: &[(VertexId, VertexId, graphflow_graph::EdgeLabel)],
-    options: &ExecOptions,
-    stats: &mut RuntimeStats,
-    on_result: &mut dyn FnMut(&[VertexId]) -> bool,
-) {
-    // The per-result limit checks below fire after a result is delivered, so a limit of zero
-    // needs its own guard to deliver nothing.
-    if options.output_limit == Some(0) {
-        return;
-    }
-    // Short-circuit: if any hash-join build side (including those of bushy trees, materialised
-    // bottom-up at compile time) produced an empty table, no scan tuple can survive its probe
-    // stage — skip driving the scan entirely.
-    if pipeline
-        .stages
-        .iter()
-        .any(|s| matches!(s, Stage::Probe(p) if p.table.is_empty()))
-    {
-        return;
-    }
-    let interrupt = options.interrupt();
-    let interrupt = interrupt.as_ref();
-    // The scan stage is cloned for the drive loop, so its profile (when enabled) accrues in a
-    // local accumulator and is merged back into the pipeline's accumulator at the end. The
-    // scan's time covers the whole drive; assembly subtracts downstream self-times.
-    let profiling = pipeline.scan.prof.is_some();
-    let run_t0 = if profiling {
-        Some(Instant::now())
-    } else {
-        None
-    };
-    let mut scan_prof = OpCounters::default();
-    let scan = pipeline.scan.clone();
-    let mut tuple: Vec<VertexId> = Vec::with_capacity(pipeline.out_layout.len());
-    'scan: for &(u, v, l) in scan_edges {
-        if let Some(interrupt) = interrupt {
-            if interrupt.should_stop(stats) {
-                break 'scan;
-            }
-        }
-        if !scan.admit(graph, u, v, l, stats, &mut scan_prof, profiling) {
-            continue;
-        }
-        tuple.clear();
-        tuple.push(u);
-        tuple.push(v);
-        if pipeline.stages.is_empty() {
-            stats.output_count += 1;
-            if profiling {
-                scan_prof.outputs += 1;
-            }
-            if !on_result(&tuple) {
-                break 'scan;
-            }
-            if let Some(limit) = options.output_limit {
-                if stats.output_count >= limit {
-                    break 'scan;
-                }
-            }
-        } else {
-            stats.intermediate_tuples += 1;
-            if profiling {
-                scan_prof.tuples_out += 1;
-            }
-            if !run_stages(
-                &mut pipeline.stages,
-                graph,
-                &mut tuple,
-                options,
-                interrupt,
-                stats,
-                on_result,
-            ) {
-                break 'scan;
-            }
-        }
-    }
-    if let Some(p) = &mut pipeline.scan.prof {
-        scan_prof.time_ns = run_t0.expect("set with prof").elapsed().as_nanos() as u64;
-        p.merge(&scan_prof);
-    }
+    (builder.table, build_profile)
 }
 
 /// Recursive depth-first evaluation of the stage pipeline. Returns `false` to stop.
@@ -803,7 +695,7 @@ pub(crate) fn run_stages<G: GraphView>(
             let set = stage.extension_set(graph, tuple, options.use_intersection_cache, stats);
             set.len()
         };
-        if is_last && options.count_tail && options.output_limit.is_none() {
+        if is_last && options.count_tail {
             // COUNT(*) fast path: the final column's values are never read, so the
             // (already predicate-filtered) set size is the number of results.
             let Stage::Extend(stage) = &mut stages[0] else {
@@ -867,13 +759,7 @@ pub(crate) fn run_stages<G: GraphView>(
                         if let Some(p) = prof.as_deref_mut() {
                             p.outputs += 1;
                         }
-                        let mut cont = on_result(tuple);
-                        if let Some(limit) = options.output_limit {
-                            if stats.output_count >= limit {
-                                cont = false;
-                            }
-                        }
-                        cont
+                        on_result(tuple)
                     } else {
                         stats.intermediate_tuples += 1;
                         if let Some(p) = prof.as_deref_mut() {
@@ -903,10 +789,10 @@ pub(crate) fn run_stages<G: GraphView>(
 /// extension set. `stages[0]` must be an [`ExtendStage`] whose set buffer is already populated
 /// — either computed by [`ExtendStage::extension_set`] for the current tuple, or installed
 /// from a stolen heavy-split segment with [`ExtendStage::install_candidates`]. Split out of
-/// [`run_stages`] so the parallel executor's two-level morsel scheduler can run sub-ranges of
-/// one (hub-vertex) extension set on different workers; counter attribution is unchanged —
+/// [`run_stages`] so the driver's two-level morsel scheduler can run sub-ranges of one
+/// (hub-vertex) extension set on different workers; counter attribution is unchanged —
 /// every processed candidate books its `intermediate_tuples`/`outputs` in the executing
-/// worker's pipeline clone, so the positional profile merge stays exact.
+/// worker's own pipeline, so the positional profile merge stays exact.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_extend_candidates<G: GraphView>(
     stages: &mut [Stage],
@@ -938,13 +824,7 @@ pub(crate) fn run_extend_candidates<G: GraphView>(
             if let Some(p) = &mut stage.prof {
                 p.outputs += 1;
             }
-            let mut cont = on_result(tuple);
-            if let Some(limit) = options.output_limit {
-                if stats.output_count >= limit {
-                    cont = false;
-                }
-            }
-            cont
+            on_result(tuple)
         } else {
             stats.intermediate_tuples += 1;
             if let Some(p) = &mut stage.prof {
@@ -1095,148 +975,53 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
     node
 }
 
-/// Flatten a pipeline's profile accumulators into a positional list (scan first, then each
-/// stage in order; adaptive stages contribute their own accumulator followed by every
-/// candidate step's). Hash-join build subtrees are compile-time state shared by every clone of
-/// the pipeline, so they are *not* flattened — the template keeps the only copy.
-pub(crate) fn flatten_profs(pipeline: &CompiledPipeline) -> Vec<OpCounters> {
-    let mut out = Vec::new();
-    out.push(pipeline.scan.prof.as_deref().cloned().unwrap_or_default());
-    for s in &pipeline.stages {
-        match s {
-            Stage::Extend(e) => out.push(e.prof.as_deref().cloned().unwrap_or_default()),
-            Stage::Probe(p) => out.push(p.prof.as_deref().cloned().unwrap_or_default()),
-            Stage::Adaptive(a) => {
-                // Parallel pipelines never contain adaptive stages (only `compile_adaptive`
-                // builds them, and adaptive execution is single-threaded); this arm exists
-                // only to keep the walk positional. Candidate step counters collapse into
-                // the stage's slot.
-                let mut op = a.prof.as_deref().map(|p| p.op.clone()).unwrap_or_default();
-                for cand in &a.candidates {
-                    for step in &cand.steps {
-                        if let Some(p) = &step.prof {
-                            op.merge(p);
-                        }
-                    }
-                }
-                out.push(op);
+/// Fold `other` into `mine` when profiling is on (both slots are then `Some`).
+pub(crate) fn merge_prof(mine: &mut Option<Box<OpCounters>>, other: &Option<Box<OpCounters>>) {
+    if let (Some(mine), Some(other)) = (mine, other) {
+        mine.merge(other);
+    }
+}
+
+impl CompiledPipeline {
+    /// Fold the profile accumulators of a worker's clone of this pipeline into this one,
+    /// position by position (the join barrier; same fork/absorb discipline as partial sinks).
+    /// Hash-join build subtrees are compile-time state every clone shares unchanged, so they
+    /// are not merged — this pipeline keeps the only copy that is assembled.
+    pub(crate) fn absorb_profile(&mut self, worker: &CompiledPipeline) {
+        merge_prof(&mut self.scan.prof, &worker.scan.prof);
+        for (mine, theirs) in self.stages.iter_mut().zip(&worker.stages) {
+            match (mine, theirs) {
+                (Stage::Extend(a), Stage::Extend(b)) => merge_prof(&mut a.prof, &b.prof),
+                (Stage::Probe(a), Stage::Probe(b)) => merge_prof(&mut a.prof, &b.prof),
+                (Stage::Adaptive(a), Stage::Adaptive(b)) => a.absorb_profile(b),
+                _ => unreachable!("a worker's pipeline is a clone of this one"),
             }
         }
     }
-    out
-}
 
-/// Merge a worker pipeline's flattened accumulators back into the template pipeline,
-/// positionally (the parallel join barrier; same fork/absorb discipline as partial sinks).
-pub(crate) fn merge_flat_profs(pipeline: &mut CompiledPipeline, profs: &[OpCounters]) {
-    let mut it = profs.iter();
-    if let (Some(p), Some(src)) = (pipeline.scan.prof.as_deref_mut(), it.next()) {
-        p.merge(src);
-    }
-    for s in &mut pipeline.stages {
-        let Some(src) = it.next() else { return };
-        match s {
-            Stage::Extend(e) => {
-                if let Some(p) = e.prof.as_deref_mut() {
-                    p.merge(src);
-                }
-            }
-            Stage::Probe(p) => {
-                if let Some(p) = p.prof.as_deref_mut() {
-                    p.merge(src);
-                }
-            }
-            Stage::Adaptive(a) => {
-                if let Some(pr) = a.prof.as_deref_mut() {
-                    pr.op.merge(src);
-                }
-            }
+    /// The accumulator of the operator that emits result tuples (the last stage, or the scan
+    /// of a scan-only pipeline); `None` when profiling is off.
+    pub(crate) fn last_prof_mut(&mut self) -> Option<&mut OpCounters> {
+        match self.stages.last_mut() {
+            None => self.scan.prof.as_deref_mut(),
+            Some(Stage::Extend(e)) => e.prof.as_deref_mut(),
+            Some(Stage::Probe(p)) => p.prof.as_deref_mut(),
+            Some(Stage::Adaptive(a)) => a.prof.as_deref_mut().map(|p| &mut p.op),
         }
     }
-}
-
-/// Stream a compiled pipeline's results into a sink, taking the counting fast path when the
-/// sink does not need tuples (shared by the serial and adaptive executors).
-pub(crate) fn drive_pipeline_into_sink<G: GraphView>(
-    pipeline: &mut CompiledPipeline,
-    graph: &G,
-    options: &ExecOptions,
-    stats: &mut RuntimeStats,
-    num_query_vertices: usize,
-    sink: &mut dyn MatchSink,
-) {
-    if sink.needs_tuples() {
-        let out_layout = pipeline.out_layout.clone();
-        let mut ordered = vec![0 as VertexId; num_query_vertices];
-        let mut on_result = |tuple: &[VertexId]| -> bool {
-            for (pos, &qv) in out_layout.iter().enumerate() {
-                ordered[qv] = tuple[pos];
-            }
-            sink.on_match(&ordered)
-        };
-        run_pipeline(pipeline, graph, options, stats, &mut on_result);
-    } else {
-        run_pipeline(pipeline, graph, options, stats, &mut |_t| true);
-        sink.on_count(stats.output_count);
-    }
-}
-
-/// Execute a plan serially with default options, counting results.
-///
-/// Generic over [`GraphView`]: pass a `&Graph` for frozen CSR execution or a
-/// [`&Snapshot`](graphflow_graph::Snapshot) to run against a live delta epoch (all `execute*`
-/// entry points share this signature).
-pub fn execute<G: GraphView>(graph: &G, plan: &Plan) -> ExecOutput {
-    execute_with_options(graph, plan, ExecOptions::default())
-}
-
-/// Execute a plan serially, counting results.
-pub fn execute_with_options<G: GraphView>(
-    graph: &G,
-    plan: &Plan,
-    options: ExecOptions,
-) -> ExecOutput {
-    let mut sink = CountingSink::new();
-    let stats = execute_with_sink(graph, plan, options, &mut sink);
-    ExecOutput {
-        count: stats.output_count,
-        stats,
-    }
-}
-
-/// Execute a plan serially, streaming every result tuple (in query-vertex order) into `sink`.
-pub fn execute_with_sink<G: GraphView>(
-    graph: &G,
-    plan: &Plan,
-    options: ExecOptions,
-    sink: &mut dyn MatchSink,
-) -> RuntimeStats {
-    let start = Instant::now();
-    let mut stats = RuntimeStats::default();
-    let q = &plan.query;
-    let mut pipeline = compile(graph, q, &plan.root, &options, &mut stats);
-    drive_pipeline_into_sink(
-        &mut pipeline,
-        graph,
-        &options,
-        &mut stats,
-        q.num_vertices(),
-        sink,
-    );
-    if options.profile {
-        stats.profile = Some(Box::new(assemble_profile(&pipeline)));
-    }
-    stats.elapsed = start.elapsed();
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{execute, execute_with_sink};
+    use crate::sink::CountingSink;
+    use crate::testutil::count;
     use graphflow_catalog::{count_matches, Catalogue};
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_plan::cost::CostModel;
     use graphflow_plan::dp::DpOptimizer;
+    use graphflow_plan::plan::Plan;
     use graphflow_plan::wco::wco_plan_for_ordering;
     use graphflow_query::patterns;
     use std::sync::Arc;
@@ -1323,10 +1108,12 @@ mod tests {
         // Ordering a2 a3 a1 a4: the final extension accesses only a2 and a3, so consecutive
         // triangles sharing the (a2, a3) edge hit the cache.
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[1, 2, 0, 3]).unwrap();
-        let with_cache = execute_with_options(&g, &plan, ExecOptions::default());
-        let without_cache = execute_with_options(
+        let with_cache = count(&g, &plan, None, 1, ExecOptions::default());
+        let without_cache = count(
             &g,
             &plan,
+            None,
+            1,
             ExecOptions {
                 use_intersection_cache: false,
                 ..Default::default()
@@ -1345,9 +1132,11 @@ mod tests {
         let model = CostModel::default();
         let q = patterns::asymmetric_triangle();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2]).unwrap();
-        let out = execute_with_options(
+        let out = count(
             &g,
             &plan,
+            None,
+            1,
             ExecOptions {
                 output_limit: Some(100),
                 ..Default::default()
@@ -1363,7 +1152,7 @@ mod tests {
         let q = patterns::asymmetric_triangle();
         let plan = DpOptimizer::new(&cat).optimize(&q).unwrap();
         let mut sink = crate::sink::CollectingSink::new(50);
-        let stats = execute_with_sink(&g, &plan, ExecOptions::default(), &mut sink);
+        let stats = execute_with_sink(&g, &plan, None, 1, ExecOptions::default(), &mut sink);
         let tuples = sink.into_tuples();
         assert!(!tuples.is_empty());
         assert!(tuples.len() <= 50);
@@ -1384,7 +1173,7 @@ mod tests {
         let plan = DpOptimizer::new(&cat).optimize(&q).unwrap();
         let full = execute(&g, &plan).count;
         let mut sink = crate::sink::LimitSink::new(10);
-        let stats = execute_with_sink(&g, &plan, ExecOptions::default(), &mut sink);
+        let stats = execute_with_sink(&g, &plan, None, 1, ExecOptions::default(), &mut sink);
         assert_eq!(sink.tuples.len(), 10);
         assert!(full > 10);
         assert!(
@@ -1406,7 +1195,7 @@ mod tests {
                 streamed += 1;
                 true
             });
-            execute_with_sink(&g, &plan, ExecOptions::default(), &mut sink);
+            execute_with_sink(&g, &plan, None, 1, ExecOptions::default(), &mut sink);
         }
         assert_eq!(streamed, expected);
     }
@@ -1543,6 +1332,8 @@ mod tests {
         let stats = execute_with_sink(
             &g,
             &plan,
+            None,
+            1,
             ExecOptions {
                 count_tail: true,
                 ..Default::default()
@@ -1553,9 +1344,11 @@ mod tests {
         assert_eq!(stats.output_count, normal.count);
         assert!(stats.bulk_counted_extensions > 0, "fast path fired");
         // With an output limit the fast path must stand down (per-result accounting).
-        let limited = execute_with_options(
+        let limited = count(
             &g,
             &plan,
+            None,
+            1,
             ExecOptions {
                 count_tail: true,
                 output_limit: Some(5),

@@ -7,8 +7,8 @@
 //! duration of the call; a sink that wants to keep one must copy it.
 //!
 //! A sink that does not need the tuples themselves (for example [`CountingSink`]) reports
-//! `needs_tuples() == false`, which lets every executor skip per-tuple reordering and, in the
-//! parallel executor, all cross-thread synchronisation: workers count locally and the total is
+//! `needs_tuples() == false`, which lets the driver skip per-tuple reordering and, with several
+//! workers, all cross-thread synchronisation: workers count locally and the total is
 //! delivered once through [`MatchSink::on_count`].
 
 use graphflow_graph::VertexId;
@@ -21,7 +21,7 @@ use graphflow_graph::VertexId;
 /// the matches locally with **zero cross-thread synchronisation**, and the partials are merged
 /// back into the parent sink once at the barrier — the classic partial-aggregation pattern.
 /// Sinks that cannot merge (arbitrary callbacks, ordered collection) simply never fork, and
-/// the parallel executor falls back to funnelling tuples through a shared lock.
+/// the driver falls back to funnelling tuples through a shared lock.
 pub trait PartialSink: Send {
     /// Receive one result tuple (in query-vertex order). Return `false` to stop this worker
     /// (e.g. a local `LIMIT` was filled); other workers keep running.

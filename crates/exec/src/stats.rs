@@ -96,7 +96,7 @@ impl RuntimeStats {
         self.timed_out |= other.timed_out;
         // Elapsed time is wall clock, not CPU time: keep the maximum.
         self.elapsed = self.elapsed.max(other.elapsed);
-        // Per-worker operator profiles are merged positionally by the parallel executor
+        // Per-worker operator profiles are merged positionally by the driver
         // itself (stage by stage, before assembly); a plain stats merge keeps its own tree.
         if self.profile.is_none() {
             self.profile = other.profile.clone();

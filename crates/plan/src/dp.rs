@@ -24,9 +24,9 @@
 //!   than a quickly-computed greedy full plan can never complete into the optimum.
 //!
 //! Joins that could be expressed as a single E/I extension (the probe or build side adds only
-//! one query vertex) are searched by default — the Section 4.3 heuristic that omits them is
-//! lossy on sparse cyclic queries and survives only as an opt-in restriction
-//! ([`PlanSpaceOptions::prune_ei_convertible_joins`]). For queries with more than
+//! one query vertex) are searched too: the Section 4.3 restriction that omits them is lossy on
+//! Q2 (its optimal plan joins two open wedges) and is therefore not implemented. For queries
+//! with more than
 //! [`PlanSpaceOptions::full_enumeration_limit`] query vertices the optimizer switches to the
 //! pruned mode of Section 4.4, which retains only the `subqueries_kept_per_level` cheapest
 //! sub-queries per level.
@@ -52,12 +52,6 @@ pub struct PlanSpaceOptions {
     pub allow_multiway_extend: bool,
     /// Allow HASH-JOIN operators.
     pub allow_hash_join: bool,
-    /// Omit hash joins that could be converted to an E/I extension (one side adds only a single
-    /// query vertex) — the Section 4.3 heuristic. It is **lossy**: on sparse cyclic queries
-    /// (e.g. the 4-cycle) hashing an intermediate can beat re-intersecting adjacency lists, so
-    /// the default searches these joins too and relies on dominance/upper-bound pruning to stay
-    /// fast. Enable it to reproduce the paper's reduced space.
-    pub prune_ei_convertible_joins: bool,
     /// Queries with more than this many vertices use the pruned enumeration of Section 4.4.
     /// Dominance and upper-bound pruning let the exhaustive mode reach 12 vertices (the old
     /// cutoff was 10).
@@ -71,7 +65,6 @@ impl Default for PlanSpaceOptions {
         PlanSpaceOptions {
             allow_multiway_extend: true,
             allow_hash_join: true,
-            prune_ei_convertible_joins: false,
             full_enumeration_limit: 12,
             subqueries_kept_per_level: 5,
         }
@@ -92,7 +85,6 @@ impl PlanSpaceOptions {
         PlanSpaceOptions {
             allow_multiway_extend: false,
             allow_hash_join: true,
-            prune_ei_convertible_joins: false,
             ..Default::default()
         }
     }
@@ -242,11 +234,6 @@ impl<'a> DpOptimizer<'a> {
                 // arise naturally: either side may itself be join-rooted).
                 if self.options.allow_hash_join {
                     for (c1, c2) in cover_pairs(q, set) {
-                        if self.options.prune_ei_convertible_joins
-                            && (set_len(c1 & !c2) <= 1 || set_len(c2 & !c1) <= 1)
-                        {
-                            continue;
-                        }
                         let (Some(e1), Some(e2)) = (table.get(&c1), table.get(&c2)) else {
                             continue;
                         };
@@ -304,11 +291,6 @@ impl<'a> DpOptimizer<'a> {
                 for &a in &keys {
                     for &b in &keys {
                         if set_len(a | b) != k || a | b == a || a | b == b || a & b == 0 {
-                            continue;
-                        }
-                        if self.options.prune_ei_convertible_joins
-                            && (set_len(a & !b) <= 1 || set_len(b & !a) <= 1)
-                        {
                             continue;
                         }
                         for (build_side, probe_side) in [(a, b), (b, a)] {

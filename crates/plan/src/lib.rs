@@ -17,21 +17,16 @@
 //!   plan-space restriction switches used by the experiments (WCO-only, BJ-only, hybrid) and
 //!   the subset-pruning mode for very large queries (Section 4.4);
 //! * [`spectrum`] — enumeration of *every* plan in the plan space, used by the plan-spectrum
-//!   experiments of Figures 7–9;
-//! * [`ghd`] — an EmptyHeaded-style planner: minimum-width generalized hypertree decompositions
-//!   ranked by fractional edge cover (AGM bound), with lexicographic ("bad") or
-//!   Graphflow-chosen ("good") orderings for each decomposition bag (Section 8.4).
+//!   experiments of Figures 7–9.
 
 pub mod cost;
 pub mod dp;
-pub mod ghd;
 pub mod plan;
 pub mod spectrum;
 pub mod wco;
 
 pub use cost::{CostModel, PlanCost};
 pub use dp::{DpOptimizer, PlanSpaceOptions};
-pub use ghd::{GhdPlanner, OrderingPolicy};
 pub use plan::{Plan, PlanClass, PlanNode};
 
 /// A cheaply clonable, shareable plan handle.

@@ -432,8 +432,7 @@ fn error_status(e: &Error) -> u16 {
 }
 
 /// Build [`QueryOptions`] from the request's `options` object: `threads`, `timeout_ms`,
-/// `limit`, `adaptive`. Unknown members are ignored; validation failures surface as the
-/// facade's `InvalidOptions` when the query runs.
+/// `limit`, `adaptive`. Unknown members are ignored.
 fn options_from_json(body: &Json, config: &ServerConfig) -> QueryOptions {
     let mut options = QueryOptions::new();
     if let Some(timeout) = config.default_timeout {
@@ -506,8 +505,9 @@ fn handle_query(
         .and_then(|j| j.as_bool())
         .unwrap_or(false);
     let started = Instant::now();
-    let epoch = shared.db.snapshot().version();
-    let epoch_header = [("X-Graphflow-Epoch", epoch.to_string())];
+    // Pin the epoch once: the header names the snapshot the run below executes against.
+    let view = shared.db.snapshot();
+    let epoch_header = [("X-Graphflow-Epoch", view.version().to_string())];
 
     // The streaming path: plain (non-EXPLAIN/PROFILE) queries whose RETURN clause can be
     // emitted row-by-row. Everything else — verbs, aggregates, ORDER BY, DISTINCT — takes
@@ -519,6 +519,7 @@ fn handle_query(
                     shared,
                     stream,
                     &prepared,
+                    &view,
                     options,
                     &token,
                     &epoch_header,
@@ -534,7 +535,7 @@ fn handle_query(
         // Fall through: let query_with produce the error (or the buffered result).
     }
 
-    let result = shared.db.query_with(query, options);
+    let result = shared.db.query_on(&view, query, options);
     tenant.latency.observe(started.elapsed());
     match result {
         Ok(rs) => {
@@ -578,6 +579,7 @@ fn stream_query(
     shared: &Arc<ServerShared>,
     stream: &mut TcpStream,
     prepared: &graphflow_core::PreparedQuery,
+    view: &graphflow_graph::Snapshot,
     options: QueryOptions,
     token: &CancellationToken,
     epoch_header: &[(&str, String)],
@@ -599,13 +601,13 @@ fn stream_query(
         }
         header.push_str(&quote(c));
     }
-    header.push_str("]}\n");
+    header.push_str(&format!("],\"epoch\":{}}}\n", view.version()));
     writer.write(header.as_bytes())?;
 
     let mut rows = 0u64;
     let mut client_gone = false;
     let mut line = String::with_capacity(64);
-    let result = prepared.stream_rows(options, |row| {
+    let result = prepared.stream_rows_on(view, options, |row| {
         if client_gone {
             // Keep "running" so the cancellation (already requested below) is what ends the
             // query — the executor then accounts it in queries_cancelled.

@@ -38,11 +38,12 @@ fn main() {
         "the COUNT(*) fast path must fire on a triangle query"
     );
 
-    // All three executors agree on the exact count.
+    // Every executor setting agrees on the exact count.
     for (name, options) in [
         ("serial  ", QueryOptions::new()),
         ("adaptive", QueryOptions::new().adaptive(true)),
         ("parallel", QueryOptions::new().threads(4)),
+        ("both    ", QueryOptions::new().adaptive(true).threads(4)),
     ] {
         let rs = db
             .query_with(&format!("{triangle} RETURN COUNT(*)"), options)

@@ -69,7 +69,7 @@ fn main() {
     assert!(filtered.stats.intermediate_tuples <= all.stats.intermediate_tuples);
     assert!(filtered.stats.predicate_drops > 0);
 
-    // All three executors agree on the filtered result.
+    // Every executor setting agrees on the filtered result.
     let adaptive = db
         .run(&filtered_q, QueryOptions::new().adaptive(true))
         .unwrap();

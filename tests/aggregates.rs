@@ -10,7 +10,7 @@
 //! * random `RETURN` clauses — projections, `DISTINCT`, grouped `COUNT`/`SUM`/`MIN`/`MAX`/
 //!   `AVG` (with and without `DISTINCT` operands), `ORDER BY`, `LIMIT`, top-K — over random
 //!   patterns with random `WHERE` clauses,
-//! * executed by all three executors (serial, adaptive, parallel with thread-local partial
+//! * executed under every executor setting (fixed/adaptive × 1/4 workers, with thread-local partial
 //!   aggregates),
 //! * compared against *collect every match tuple, then aggregate in one batch*,
 //! * on frozen CSRs and on dirty snapshots mid-way through random update sequences.
@@ -354,7 +354,7 @@ fn oracle(
     rows
 }
 
-/// Run one query through all three executors and compare against the batch oracle.
+/// Run one query under every executor setting and compare against the batch oracle.
 fn check_case(db: &GraphflowDB, query: &str, context: &str) -> usize {
     let q = db.parse(query).unwrap();
     let clause = q.return_clause().cloned().unwrap();
@@ -375,6 +375,10 @@ fn check_case(db: &GraphflowDB, query: &str, context: &str) -> usize {
         ("serial", QueryOptions::new()),
         ("adaptive", QueryOptions::new().adaptive(true)),
         ("parallel", QueryOptions::new().threads(4)),
+        (
+            "adaptive-parallel",
+            QueryOptions::new().adaptive(true).threads(4),
+        ),
     ] {
         let rs = db.query_with(query, options).unwrap();
         let got = rs.rows().to_vec();
@@ -455,8 +459,8 @@ fn random_updates(db: &mut GraphflowDB, rng: &mut StdRng) {
     }
 }
 
-/// The differential harness: randomized (graph, query, RETURN clause) cases across all three
-/// executors, on frozen and dirty snapshots.
+/// The differential harness: randomized (graph, query, RETURN clause) cases under every
+/// executor setting, on frozen and dirty snapshots.
 #[test]
 fn streaming_aggregates_match_collect_then_aggregate_oracle() {
     let mut cases = 0usize;
@@ -497,7 +501,7 @@ fn streaming_aggregates_match_collect_then_aggregate_oracle() {
 }
 
 /// Acceptance criterion: `RETURN COUNT(*)` on a triangle query produces identical counts
-/// across all three executors and never materialises per-match tuples — the final extension
+/// under every executor setting and never materialises per-match tuples — the final extension
 /// column is bulk-counted (`bulk_counted_extensions > 0`), and the sink path is the
 /// tuple-free counting path.
 #[test]
@@ -520,6 +524,10 @@ fn count_star_is_exact_and_tuple_free_across_executors() {
         ("serial", QueryOptions::new()),
         ("adaptive", QueryOptions::new().adaptive(true)),
         ("parallel", QueryOptions::new().threads(4)),
+        (
+            "adaptive-parallel",
+            QueryOptions::new().adaptive(true).threads(4),
+        ),
     ] {
         let rs = db
             .query_with(&format!("{triangle} RETURN COUNT(*)"), options)

@@ -1,9 +1,13 @@
-//! Keeps `docs/QUERY_LANGUAGE.md` honest: every fenced block tagged `graphflow` must parse
-//! with the real parser, and every block tagged `graphflow-invalid` must fail to parse.
+//! Keeps the docs honest. `docs/QUERY_LANGUAGE.md`: every fenced block tagged `graphflow`
+//! must parse with the real parser, and every block tagged `graphflow-invalid` must fail to
+//! parse. `docs/HTTP_API.md`: every `/txn` body example must decode through the wire decoder.
 
+use graphflow_rs::core::json::Json;
 use graphflow_rs::query::{parse_query, split_mode};
+use graphflow_rs::server::wire::parse_update;
 
 const QUERY_LANGUAGE_MD: &str = include_str!("../docs/QUERY_LANGUAGE.md");
+const HTTP_API_MD: &str = include_str!("../docs/HTTP_API.md");
 
 /// The non-comment, non-empty lines of every fenced block carrying `tag`.
 fn snippets(tag: &str) -> Vec<String> {
@@ -74,4 +78,30 @@ fn snippets_round_trip_through_display() {
             "display fixed point of {query}"
         );
     }
+}
+
+/// Every `json` example in the HTTP reference that carries an `"updates"` array is a `/txn`
+/// body: it must be valid JSON and each update must decode, so the documented member names
+/// cannot drift from `wire.rs` again.
+#[test]
+fn every_txn_example_decodes_through_the_wire_decoder() {
+    let mut decoded = 0;
+    for block in HTTP_API_MD.split("```json").skip(1) {
+        let body = block.split("```").next().expect("fence closes");
+        if !body.contains("\"updates\"") {
+            continue;
+        }
+        let json = Json::parse(body)
+            .unwrap_or_else(|e| panic!("docs/HTTP_API.md /txn example is not JSON: {e}\n{body}"));
+        let updates = json
+            .get("updates")
+            .and_then(Json::as_array)
+            .expect("\"updates\" is an array");
+        for update in updates {
+            parse_update(update)
+                .unwrap_or_else(|e| panic!("docs/HTTP_API.md /txn example does not decode: {e}"));
+            decoded += 1;
+        }
+    }
+    assert!(decoded >= 5, "the reference shows every update op");
 }

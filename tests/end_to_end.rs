@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: every engine and every execution mode in the workspace must
 //! agree on the answer of every benchmark query, on several dataset profiles.
 
+use graphflow_baselines::ghd::{GhdPlanner, OrderingPolicy};
 use graphflow_baselines::{backtracking_count, bj_engine_count, BacktrackOptions, BjEngineOptions};
 use graphflow_catalog::count_matches;
 use graphflow_core::{GraphflowDB, QueryOptions};
 use graphflow_datasets::Dataset;
-use graphflow_plan::ghd::{GhdPlanner, OrderingPolicy};
 use graphflow_query::patterns;
 
 /// Small scale so the whole suite stays fast.

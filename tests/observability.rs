@@ -1,5 +1,5 @@
-//! Observability integration tests: per-operator profiler exactness across all three executors
-//! and snapshot states, profiling-off purity, the db-wide metrics registry under concurrent
+//! Observability integration tests: per-operator profiler exactness across every executor
+//! setting and snapshot state, profiling-off purity, the db-wide metrics registry under concurrent
 //! readers and writers, Prometheus text rendering, and the slow-query log.
 
 use graphflow_core::{GraphflowDB, QueryOptions, RuntimeStats, SLOW_LOG_CAPACITY};
@@ -63,19 +63,36 @@ fn assert_profile_exact(label: &str, stats: &RuntimeStats) {
         stats.kernel_block,
         "{label}: block-kernel calls"
     );
+    // Adaptive stages: every routed tuple is tallied on exactly one candidate, on whichever
+    // worker routed it.
+    let mut nodes = vec![&**prof];
+    while let Some(node) = nodes.pop() {
+        if !node.candidates.is_empty() {
+            assert_eq!(
+                node.candidates.iter().map(|c| c.chosen).sum::<u64>(),
+                node.counters.tuples_in,
+                "{label}: adaptive routing tallies"
+            );
+        }
+        nodes.extend(&node.children);
+    }
 }
 
-fn executor_options() -> [(&'static str, QueryOptions); 3] {
+fn executor_options() -> [(&'static str, QueryOptions); 4] {
     [
         ("serial", QueryOptions::new()),
         ("adaptive", QueryOptions::new().adaptive(true)),
         ("parallel", QueryOptions::new().threads(4)),
+        (
+            "adaptive-parallel",
+            QueryOptions::new().adaptive(true).threads(4),
+        ),
     ]
 }
 
 // --- profiler exactness -----------------------------------------------------------------
 
-/// The acceptance-criteria test: on every executor, the per-operator tree of a profiled run
+/// The acceptance-criteria test: under every executor setting, the per-operator tree of a profiled run
 /// sums *exactly* to the run's `RuntimeStats` totals — on the frozen snapshot and again on a
 /// dirty snapshot with uncompacted delta edges.
 #[test]

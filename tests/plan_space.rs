@@ -267,6 +267,10 @@ fn every_bushy_and_hybrid_plan_matches_the_serial_wco_oracle() {
                     ("serial", QueryOptions::new()),
                     ("adaptive", QueryOptions::new().adaptive(true)),
                     ("parallel", QueryOptions::new().threads(4)),
+                    (
+                        "adaptive-parallel",
+                        QueryOptions::new().adaptive(true).threads(4),
+                    ),
                 ] {
                     assert_eq!(
                         sorted_tuples(&db, plan, options),

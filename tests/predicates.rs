@@ -6,7 +6,7 @@
 //!
 //! * random graphs with random typed vertex/edge properties (with plenty of missing values),
 //! * random pattern queries with random `WHERE` clauses,
-//! * executed by all three executors (serial, adaptive, parallel) with pushdown,
+//! * executed under every executor setting (fixed/adaptive × 1/4 workers) with pushdown,
 //! * compared tuple-for-tuple against *match the bare pattern, then post-filter with
 //!   [`Predicate::eval`]* — the reference semantics,
 //! * on both frozen CSRs and dirty snapshots mid-way through random update sequences.
@@ -180,6 +180,10 @@ fn check_case(db: &GraphflowDB, query: &str, context: &str) -> usize {
         ("serial", QueryOptions::new()),
         ("adaptive", QueryOptions::new().adaptive(true)),
         ("parallel", QueryOptions::new().threads(4)),
+        (
+            "adaptive-parallel",
+            QueryOptions::new().adaptive(true).threads(4),
+        ),
     ] {
         let out = db
             .run(
@@ -251,8 +255,8 @@ fn random_updates(db: &mut GraphflowDB, rng: &mut StdRng) {
     );
 }
 
-/// The differential harness: >= 200 randomized (graph, properties, query) cases across all
-/// three executors, on frozen and dirty snapshots.
+/// The differential harness: >= 200 randomized (graph, properties, query) cases under every
+/// executor setting, on frozen and dirty snapshots.
 #[test]
 fn pushdown_matches_post_filter_oracle() {
     let mut cases = 0usize;

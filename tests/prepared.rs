@@ -189,41 +189,42 @@ fn limit_sink_stops_early_on_huge_result_sets() {
     }
 }
 
-/// Streaming agrees with counting across all three executors.
+/// Streaming agrees with counting under every executor setting, and a one-worker run is the
+/// caller's own thread: the sink is never handed to another one.
 #[test]
 fn sinks_agree_across_execution_modes() {
     let db = small_db();
     let q = patterns::diamond_x();
     let prepared = db.prepare_query(q).unwrap();
     let expected = prepared.count().unwrap();
+    let caller = std::thread::current().id();
     for options in [
         QueryOptions::new(),
         QueryOptions::new().adaptive(true),
         QueryOptions::new().threads(4),
+        QueryOptions::new().adaptive(true).threads(4),
     ] {
         let mut streamed = 0u64;
+        let mut off_thread = 0u64;
         {
             let mut sink = CallbackSink::new(|_t: &[u32]| {
                 streamed += 1;
+                off_thread += u64::from(std::thread::current().id() != caller);
                 true
             });
             prepared.run_with_sink(options.clone(), &mut sink).unwrap();
         }
         assert_eq!(streamed, expected, "{options:?}");
+        if options.num_threads() == 1 {
+            assert_eq!(
+                off_thread, 0,
+                "{options:?}: one worker is the calling thread"
+            );
+        }
     }
 }
 
 // --- options and error surface ----------------------------------------------------------
-
-#[test]
-fn adaptive_with_threads_is_a_reported_error() {
-    let db = small_db();
-    let err = db
-        .run(TRIANGLE, QueryOptions::new().adaptive(true).threads(2))
-        .unwrap_err();
-    assert!(matches!(err, Error::InvalidOptions(_)));
-    assert!(err.to_string().contains("adaptive"));
-}
 
 #[test]
 fn parser_error_cases_are_reported_with_positions() {

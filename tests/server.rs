@@ -227,6 +227,110 @@ fn concurrent_clients_see_atomic_epochs() {
     server.shutdown().unwrap();
 }
 
+/// `X-Graphflow-Epoch` (and the NDJSON head line's `"epoch"`) name the snapshot the rows came
+/// from, not merely one that existed when the request arrived. A writer appends one edge of
+/// label 1 per `/txn`, so epoch `e` holds exactly `e` such edges; readers racing it must see
+/// `COUNT(*) == epoch` on every buffered response and `row_count == epoch` on every stream.
+#[test]
+fn epoch_header_names_the_snapshot_the_query_ran_on() {
+    let config = ServerConfig {
+        workers: 6,
+        ..ServerConfig::default()
+    };
+    let (server, addr, _db) = start_server(complete_dag(40), config);
+    const TXNS: u32 = 400;
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = std::thread::spawn({
+        let stop = stop.clone();
+        move || {
+            for i in 0..TXNS {
+                // Distinct ordered pairs over the 40 existing vertices.
+                let (src, dst) = (i / 39, (i / 39 + 1 + i % 39) % 40);
+                let body = format!(
+                    "{{\"updates\":[{{\"op\":\"insert_edge\",\"src\":{src},\"dst\":{dst},\"label\":1}}]}}"
+                );
+                let resp = request(addr, "POST", "/txn", &[], body.as_bytes()).expect("txn");
+                assert_eq!(resp.status, 200, "txn failed: {}", resp.text());
+                assert!(resp.text().contains("\"applied\":1"), "{}", resp.text());
+            }
+            stop.store(true, Ordering::Relaxed);
+        }
+    });
+
+    let buffered: Vec<_> = (0..3)
+        .map(|_| {
+            std::thread::spawn({
+                let stop = stop.clone();
+                move || {
+                    let mut seen = 0u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        let resp = request(
+                            addr,
+                            "POST",
+                            "/query",
+                            &[],
+                            b"{\"query\":\"(a)-[:1]->(b) RETURN COUNT(*)\"}",
+                        )
+                        .expect("query");
+                        assert_eq!(resp.status, 200, "reader got: {}", resp.text());
+                        let epoch = resp.header("x-graphflow-epoch").expect("epoch header");
+                        assert!(
+                            resp.text().contains(&format!("\"rows\":[[{epoch}]]")),
+                            "epoch {epoch} does not hold what was counted: {}",
+                            resp.text()
+                        );
+                        seen += 1;
+                    }
+                    seen
+                }
+            })
+        })
+        .collect();
+    let streamed = std::thread::spawn({
+        let stop = stop.clone();
+        move || {
+            let mut seen = 0u64;
+            while !stop.load(Ordering::Relaxed) {
+                let resp = request(
+                    addr,
+                    "POST",
+                    "/query",
+                    &[],
+                    b"{\"query\":\"(a)-[:1]->(b) RETURN a, b\",\"stream\":true}",
+                )
+                .expect("stream");
+                assert_eq!(resp.status, 200);
+                let epoch = resp.header("x-graphflow-epoch").expect("epoch header");
+                let text = resp.text();
+                let head = text.lines().next().unwrap_or_default();
+                assert!(
+                    head.ends_with(&format!("\"epoch\":{epoch}}}")),
+                    "head line {head} disagrees with header epoch {epoch}"
+                );
+                assert!(
+                    text.contains(&format!("\"row_count\":{epoch},")),
+                    "epoch {epoch} does not hold the streamed rows: {}",
+                    text.lines().last().unwrap_or_default()
+                );
+                seen += 1;
+            }
+            seen
+        }
+    });
+
+    writer.join().unwrap();
+    let reads: u64 = buffered.into_iter().map(|r| r.join().unwrap()).sum();
+    assert!(reads > 20, "buffered readers barely ran ({reads} reads)");
+    assert!(
+        streamed.join().unwrap() > 5,
+        "the streaming reader barely ran"
+    );
+    assert_eq!(server.db().count("(a)-[:1]->(b)").unwrap(), u64::from(TXNS));
+
+    server.shutdown().unwrap();
+}
+
 /// A 161,700-row projection streams through bounded chunks: memory per request is
 /// O(stream_buffer), never O(result). The chunk sizes prove no materialisation happened.
 #[test]
@@ -489,7 +593,7 @@ fn aggregates_fall_back_to_materialised_responses() {
 }
 
 /// Top-level wire options reach `QueryOptions`: `timeout_ms` produces a 408 (counted in
-/// `queries_timed_out`), `limit` caps rows, and contradictory options answer 400.
+/// `queries_timed_out`), `limit` caps rows, and `adaptive` composes with `threads`.
 #[test]
 fn wire_options_map_onto_query_options() {
     // C(150, 3) = 551,300 wedges: far past a 1ms budget on any build profile.
@@ -522,21 +626,24 @@ fn wire_options_map_onto_query_options() {
     assert_eq!(resp.status, 200);
     assert_eq!(row_count(&resp.text()), 5, "body: {}", resp.text());
 
-    // adaptive + threads is the canonical InvalidOptions pair.
-    let resp = request(
+    // adaptive and threads are independent settings of one executor: together they answer
+    // what the default (fixed, one worker) run answers.
+    let wedges = "(a)->(b), (b)->(c), (c)->(d) RETURN COUNT(*)";
+    let (status, serial) = post_query(addr, &format!("{{\"query\":\"{wedges}\"}}"), &[]);
+    assert_eq!(status, 200, "body: {serial}");
+    let (status, both) = post_query(
         addr,
-        "POST",
-        "/query",
+        &format!("{{\"query\":\"{wedges}\",\"adaptive\":true,\"threads\":4}}"),
         &[],
-        b"{\"query\":\"(a)->(b) RETURN COUNT(*)\",\"adaptive\":true,\"threads\":4}",
-    )
-    .unwrap();
-    assert_eq!(resp.status, 400, "body: {}", resp.text());
-    assert!(
-        resp.text().contains("\"code\":\"invalid_options\""),
-        "{}",
-        resp.text()
     );
+    assert_eq!(status, 200, "body: {both}");
+    let rows = |body: &str| {
+        body.split("\"rows\":")
+            .nth(1)
+            .map(|t| t[..t.find("]]").unwrap()].to_string())
+    };
+    assert!(rows(&serial).is_some(), "body: {serial}");
+    assert_eq!(rows(&both), rows(&serial));
 
     server.shutdown().unwrap();
 }
