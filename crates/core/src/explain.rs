@@ -111,8 +111,9 @@ impl ProfileNode {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryProfile {
-    /// The planned query in pattern syntax (for a query served by an isomorphic twin's
-    /// cached plan, the twin's vertex names — the same naming the tree's labels use).
+    /// The planned query in pattern syntax — the caller's own text (names, constants,
+    /// `RETURN`), also when its operator tree came from an isomorphic twin's cache entry;
+    /// the tree's labels use the same names.
     pub query: String,
     /// The plan's class (WCO / BJ / hybrid).
     pub plan_class: PlanClass,

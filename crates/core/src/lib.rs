@@ -15,7 +15,10 @@
 //! [`PreparedQuery`] that can be rerun with different options. Plans live in an internal LRU
 //! cache keyed on the *canonical* form of the query graph, so preparing (or just
 //! [`run`](GraphflowDB::run)ning) an isomorphic rewriting of an earlier pattern — same shape,
-//! different vertex names or clause order — skips the optimizer entirely:
+//! different vertex names or clause order — skips the optimizer entirely. The cached operator
+//! tree is renumbered, once, into the rewriting's own vertex numbering, so the plan a
+//! [`PreparedQuery`] holds is always a plan for *its* query: result tuples, `EXPLAIN`,
+//! `PROFILE` and the slow-query log all speak the caller's names.
 //!
 //! ```
 //! use graphflow_core::GraphflowDB;
@@ -143,7 +146,7 @@
 //!
 //! Vertices and edges carry **typed properties** (int, float, bool, string — see
 //! [`PropValue`]), written through the
-//! [`GraphBuilder`], the loader's `key=value` columns, or the
+//! [`GraphBuilder`](graphflow_graph::GraphBuilder), the loader's `key=value` columns, or the
 //! live-update APIs ([`set_vertex_prop`](GraphflowDB::set_vertex_prop),
 //! [`set_edge_prop`](GraphflowDB::set_edge_prop),
 //! [`insert_vertex_with_props`](GraphflowDB::insert_vertex_with_props), property
@@ -202,36 +205,29 @@
 
 #![warn(missing_docs)]
 
-use graphflow_catalog::{Catalogue, CatalogueConfig};
-use graphflow_exec::{execute_with_sink, ExecOptions};
-use graphflow_graph::loader::LoadError;
-use graphflow_graph::{
-    EdgeLabel, Graph, GraphBuilder, GraphView, PropError, PropValue, Snapshot, Update, VertexId,
-    VertexLabel,
-};
+use graphflow_catalog::Catalogue;
+use graphflow_graph::{EdgeLabel, Graph, PropValue, Snapshot, Update, VertexId, VertexLabel};
 use graphflow_plan::cost::CostModel;
-use graphflow_plan::dp::{DpOptimizer, PlanSpaceOptions};
-use graphflow_plan::{Plan, PlanClass, PlanHandle};
-use graphflow_query::{
-    canonical_form, parse_query, split_mode, CanonicalCode, PredTarget, Predicate, QueryGraph,
-    QueryMode,
-};
-use graphflow_storage::{PersistedCounts, StorageError, Store};
+use graphflow_plan::dp::PlanSpaceOptions;
+use graphflow_storage::Store;
 use parking_lot::{Mutex, RwLock};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
+mod error;
 mod explain;
 pub mod json;
 mod metrics;
+mod open;
 mod options;
 mod plan_cache;
 mod prepared;
 mod results;
 mod txn;
 
+pub use error::Error;
 pub use explain::{ProfileNode, QueryProfile};
 pub use graphflow_exec::{
     CallbackSink, CancellationToken, CandidateProfile, CollectingSink, CountingSink, LimitSink,
@@ -244,430 +240,19 @@ pub use metrics::{
     render_histogram_header, render_histogram_series, LatencyHistogram, LatencyRecorder, Metrics,
     SlowQuery, SLOW_LOG_CAPACITY,
 };
+pub use open::GraphflowDBBuilder;
 pub use options::QueryOptions;
 pub use plan_cache::PlanCacheStats;
 pub use prepared::{PreparedQuery, QueryHandle};
-pub use results::ResultSet;
+pub use results::{QueryResult, ResultSet};
 pub use txn::WriteTxn;
 
 use metrics::{MetricsRegistry, SlowLog};
+use open::persisted_counts;
 use plan_cache::PlanCache;
-use prepared::RemapSink;
 
 /// Default number of plans kept in the facade's LRU plan cache.
 pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 128;
-
-/// The unified error type of the facade, covering parsing, planning and execution.
-///
-/// Underlying causes are reachable through [`std::error::Error::source`]:
-///
-/// ```
-/// use std::error::Error as _;
-/// use graphflow_core::{Error, GraphflowDB};
-/// use graphflow_graph::GraphBuilder;
-/// let db = GraphflowDB::from_graph(GraphBuilder::new().build());
-/// let err = db.count("(a)->").unwrap_err();
-/// assert!(matches!(err, Error::Parse(_)));
-/// assert!(err.source().is_some()); // the underlying ParseError, with byte position
-/// ```
-#[derive(Debug)]
-pub enum Error {
-    /// The query pattern could not be parsed; the underlying
-    /// [`ParseError`](graphflow_query::ParseError) (with its byte position) is the
-    /// [`source`](std::error::Error::source).
-    Parse(graphflow_query::ParseError),
-    /// No plan exists for the query in the configured plan space.
-    NoPlan,
-    /// The query cannot be executed the way it was asked to be (for example
-    /// [`PreparedQuery::stream_rows`] on a `RETURN` clause that must buffer its rows).
-    InvalidOptions(String),
-    /// A property write failed (type mismatch against an existing column, or the addressed
-    /// vertex/edge does not exist); the underlying [`PropError`] is the
-    /// [`source`](std::error::Error::source).
-    Property(PropError),
-    /// The query was cancelled through its [`CancellationToken`] (attached with
-    /// [`QueryOptions::cancel_token`] or created by [`PreparedQuery::execute_handle`]) before
-    /// it completed. Materialising entry points discard their partial results; a
-    /// sink-streaming run ([`run_with_sink`](GraphflowDB::run_with_sink)) has already
-    /// delivered the matches found before the cancellation to the caller's sink.
-    Cancelled,
-    /// The query ran past its wall-clock deadline ([`QueryOptions::timeout`]) and was
-    /// stopped. Materialising entry points discard their partial results; a sink-streaming
-    /// run has already delivered the matches found before the deadline to the caller's sink.
-    Timeout,
-    /// The durability subsystem failed: a write-ahead-log append, snapshot write, or recovery
-    /// read hit an I/O error or found a corrupt/incompatible file. The underlying
-    /// [`StorageError`] (which itself chains down to the OS error where one exists) is the
-    /// [`source`](std::error::Error::source).
-    Storage(StorageError),
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            // The underlying ParseError (with position and reason) is exposed through
-            // `source()`, so chain-aware reporters print it exactly once; Display keeps to
-            // the high-level fact per the API guidelines.
-            Error::Parse(_) => write!(f, "failed to parse query pattern"),
-            Error::NoPlan => write!(
-                f,
-                "no plan found for the query in the configured plan space"
-            ),
-            Error::InvalidOptions(msg) => write!(f, "invalid query options: {msg}"),
-            Error::Property(_) => write!(f, "property write rejected"),
-            Error::Cancelled => write!(f, "query cancelled"),
-            Error::Timeout => write!(f, "query timed out"),
-            Error::Storage(_) => write!(f, "durable storage operation failed"),
-        }
-    }
-}
-
-impl Error {
-    /// A stable machine-readable error code, used by the HTTP wire protocol (and anything
-    /// else that must dispatch on the error without string-matching `Display` output).
-    pub fn code(&self) -> &'static str {
-        match self {
-            Error::Parse(_) => "parse_error",
-            Error::NoPlan => "no_plan",
-            Error::InvalidOptions(_) => "invalid_options",
-            Error::Property(_) => "property_error",
-            Error::Cancelled => "cancelled",
-            Error::Timeout => "timeout",
-            Error::Storage(_) => "storage_error",
-        }
-    }
-
-    /// Serialize the error as a structured JSON object:
-    /// `{"error": {"code": "...", "message": "...", "chain": ["...", ...]}}`, where `chain`
-    /// walks the [`source`](std::error::Error::source) links — so a parse failure carries the
-    /// parser's actionable byte-position text, not just the facade's one-line summary.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(128);
-        out.push_str("{\"error\":{\"code\":");
-        out.push_str(&crate::json::quote(self.code()));
-        out.push_str(",\"message\":");
-        out.push_str(&crate::json::quote(&self.to_string()));
-        out.push_str(",\"chain\":[");
-        let mut source = std::error::Error::source(self);
-        let mut first = true;
-        while let Some(cause) = source {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&crate::json::quote(&cause.to_string()));
-            source = cause.source();
-        }
-        out.push_str("]}}");
-        out
-    }
-}
-
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Parse(e) => Some(e),
-            Error::Property(e) => Some(e),
-            Error::Storage(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<graphflow_query::ParseError> for Error {
-    fn from(e: graphflow_query::ParseError) -> Self {
-        Error::Parse(e)
-    }
-}
-
-impl From<PropError> for Error {
-    fn from(e: PropError) -> Self {
-        Error::Property(e)
-    }
-}
-
-impl From<StorageError> for Error {
-    fn from(e: StorageError) -> Self {
-        Error::Storage(e)
-    }
-}
-
-impl From<LoadError> for Error {
-    fn from(e: LoadError) -> Self {
-        Error::Storage(StorageError::Load(e))
-    }
-}
-
-/// The result of running a query.
-#[derive(Debug, Clone)]
-pub struct QueryResult {
-    /// Number of matches.
-    pub count: u64,
-    /// The plan that was executed (shared with the plan cache — cloning is a pointer copy).
-    pub plan: PlanHandle,
-    /// Runtime statistics (actual i-cost, intermediate matches, cache hits, plan-cache
-    /// hit/miss, elapsed time).
-    pub stats: RuntimeStats,
-    /// Collected matches in query-vertex order (empty unless
-    /// [`QueryOptions::collect_tuples`] was requested). Backed by a [`CollectingSink`]; for
-    /// unbounded result sets stream through [`GraphflowDB::run_with_sink`] instead.
-    pub tuples: Vec<Vec<VertexId>>,
-}
-
-/// Configures and builds a [`GraphflowDB`].
-///
-/// ```
-/// use graphflow_core::GraphflowDB;
-/// use graphflow_catalog::CatalogueConfig;
-/// use graphflow_graph::GraphBuilder;
-/// let mut b = GraphBuilder::new();
-/// b.add_edge(0, 1);
-/// let db = GraphflowDB::builder(b.build())
-///     .catalogue_config(CatalogueConfig { h: 2, ..Default::default() })
-///     .plan_cache_capacity(16)
-///     .build();
-/// assert_eq!(db.plan_cache_stats().capacity, 16);
-/// ```
-pub struct GraphflowDBBuilder {
-    graph: Arc<Graph>,
-    catalogue_config: CatalogueConfig,
-    cost_model: CostModel,
-    plan_space: PlanSpaceOptions,
-    plan_cache_capacity: usize,
-    staleness_threshold: Option<u64>,
-    compact_threshold: Option<usize>,
-    slow_query_threshold: Option<Duration>,
-    data_dir: Option<PathBuf>,
-    durability: Durability,
-}
-
-impl GraphflowDBBuilder {
-    /// Catalogue construction parameters (`h`, `z`, sampling caps; paper Section 5).
-    pub fn catalogue_config(mut self, config: CatalogueConfig) -> Self {
-        self.catalogue_config = config;
-        self
-    }
-
-    /// The cost model used by the optimizer (paper Sections 3.3–4.2).
-    pub fn cost_model(mut self, model: CostModel) -> Self {
-        self.cost_model = model;
-        self
-    }
-
-    /// Restrict the optimizer's plan space (WCO-only, BJ-only, or the default hybrid space).
-    pub fn plan_space(mut self, options: PlanSpaceOptions) -> Self {
-        self.plan_space = options;
-        self
-    }
-
-    /// Number of plans kept in the LRU plan cache (0 disables caching; default
-    /// [`DEFAULT_PLAN_CACHE_CAPACITY`]).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
-        self
-    }
-
-    /// Number of graph updates after which the database bumps its statistics version, forcing
-    /// cached plans to be re-optimized against the drifted graph instead of silently reusing
-    /// dead statistics. Defaults to the catalogue's
-    /// [`refresh_after`](graphflow_catalog::CatalogueConfig::refresh_after), so plans and
-    /// sampled statistics drift out together.
-    pub fn staleness_threshold(mut self, updates: u64) -> Self {
-        self.staleness_threshold = Some(updates.max(1));
-        self
-    }
-
-    /// Number of pending delta entries (inserted + deleted edges + new vertices) that triggers
-    /// an automatic [`compact`](GraphflowDB::compact) after an update. Defaults to
-    /// `max(4096, base edges / 2)`; `usize::MAX` disables automatic compaction.
-    pub fn compact_threshold(mut self, pending: usize) -> Self {
-        self.compact_threshold = Some(pending.max(1));
-        self
-    }
-
-    /// Record every query whose wall-clock latency reaches `threshold` in a bounded
-    /// in-memory ring buffer ([`SLOW_LOG_CAPACITY`] entries, oldest dropped first), readable
-    /// through [`GraphflowDB::slow_queries`]. Each record carries the executed query's
-    /// canonical text, its latency, its actual i-cost and the plan's structural fingerprint.
-    /// Off by default — without a threshold the query path pays nothing.
-    pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_query_threshold = Some(threshold);
-        self
-    }
-
-    /// Persist the database in `dir`: every committed [`WriteTxn`] is write-ahead logged
-    /// before its epoch is published, compactions double as binary-snapshot checkpoints, and
-    /// reopening the directory ([`open`](GraphflowDBBuilder::open) or [`GraphflowDB::open`])
-    /// recovers the last durably committed epoch. When the directory already holds data, that
-    /// data wins over the builder's graph; a fresh directory is seeded with the builder's
-    /// graph as its first snapshot.
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.data_dir = Some(dir.into());
-        self
-    }
-
-    /// How much durability a commit buys before it returns (default
-    /// [`Durability::Fsync`]). Only meaningful together with
-    /// [`data_dir`](GraphflowDBBuilder::data_dir).
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
-    }
-
-    /// Build the database (constructs the catalogue; entries are sampled lazily).
-    ///
-    /// Infallible spelling of [`open`](GraphflowDBBuilder::open): **panics** on a storage
-    /// error when a [`data_dir`](GraphflowDBBuilder::data_dir) is configured (without one no
-    /// storage is touched and no panic is possible).
-    pub fn build(self) -> GraphflowDB {
-        match self.open() {
-            Ok(db) => db,
-            Err(e) => panic!("failed to open database directory: {e} ({e:?})"),
-        }
-    }
-
-    /// Build the database, opening (and if necessary creating and seeding) the configured
-    /// [`data_dir`](GraphflowDBBuilder::data_dir) and running crash recovery: the newest
-    /// valid snapshot is loaded, write-ahead-log records past it are replayed in commit
-    /// order, a torn WAL tail (crash mid-append) is truncated, and the database comes up at
-    /// the last durably committed epoch.
-    pub fn open(self) -> Result<GraphflowDB, Error> {
-        let Some(dir) = self.data_dir.clone() else {
-            let snapshot = Snapshot::new(self.graph.clone());
-            let catalogue = Catalogue::for_snapshot(snapshot.clone(), self.catalogue_config);
-            return Ok(self.assemble(snapshot, catalogue, None));
-        };
-        let load_started = Instant::now();
-        let (mut store, recovered) = Store::open(&dir, self.durability)?;
-        // An existing snapshot wins over the builder's graph: the directory's contents are
-        // the durable truth, the builder graph only seeds a fresh directory.
-        let had_snapshot = recovered.snapshot.is_some();
-        let (base, base_epoch, counts) = match recovered.snapshot {
-            Some(s) => (Arc::new(s.graph), s.epoch, Some(s.counts)),
-            None => (self.graph.clone(), 0, None),
-        };
-        let mut snap = Snapshot::new(base);
-        snap.set_version(base_epoch);
-        let mut catalogue = match &counts {
-            Some(c) => Catalogue::for_snapshot_with_counts(
-                snap.clone(),
-                self.catalogue_config,
-                c.vertex_counts.iter().map(|&(l, n)| (VertexLabel(l), n)),
-                c.edge_counts
-                    .iter()
-                    .map(|&(el, sl, dl, n)| ((EdgeLabel(el), VertexLabel(sl), VertexLabel(dl)), n)),
-            ),
-            None => Catalogue::for_snapshot(snap.clone(), self.catalogue_config),
-        };
-        for batch in &recovered.batches {
-            replay_batch(&mut snap, &mut catalogue, &batch.updates);
-            // Pin the replayed state to the epoch the WAL recorded, so version numbers stay
-            // monotone across restarts regardless of how replay counted its mutations.
-            snap.set_version(batch.epoch);
-        }
-        if !recovered.batches.is_empty() {
-            catalogue.set_snapshot(snap.clone());
-        }
-        if !had_snapshot {
-            // First open of this directory: fold any replayed updates into the base CSR and
-            // install it as the initial snapshot, so recovery always has a base image and the
-            // WAL can start empty.
-            if snap.has_pending_deltas() {
-                snap.compact();
-                catalogue.set_snapshot(snap.clone());
-            }
-            store.checkpoint(snap.base(), snap.version(), &persisted_counts(&catalogue))?;
-        }
-        let db = self.assemble(snap, catalogue, Some(store));
-        db.shared.metrics.snapshot_load_ns.store(
-            load_started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        Ok(db)
-    }
-
-    fn assemble(
-        self,
-        snapshot: Snapshot,
-        catalogue: Catalogue,
-        storage: Option<Store>,
-    ) -> GraphflowDB {
-        let staleness_threshold = self
-            .staleness_threshold
-            .unwrap_or_else(|| self.catalogue_config.refresh_after.max(1));
-        let compact_threshold = self
-            .compact_threshold
-            .unwrap_or_else(|| (snapshot.base().num_edges() / 2).max(4096));
-        GraphflowDB {
-            shared: Arc::new(DbShared {
-                stats_version: AtomicU64::new(snapshot.version()),
-                current: RwLock::new(snapshot),
-                catalogue: RwLock::new(Arc::new(catalogue)),
-                config_epoch: AtomicU64::new(0),
-                cost_model: RwLock::new(self.cost_model),
-                plan_space: RwLock::new(self.plan_space),
-                plan_cache: PlanCache::new(self.plan_cache_capacity),
-                writer: Mutex::new(WriterState {
-                    updates_since_stats: 0,
-                }),
-                staleness_threshold,
-                compact_threshold,
-                metrics: MetricsRegistry::default(),
-                slow_log: self.slow_query_threshold.map(SlowLog::new),
-                storage: storage.map(Mutex::new),
-            }),
-        }
-    }
-}
-
-/// Replay one recovered WAL batch onto `snap`, mirroring the catalogue maintenance a live
-/// [`WriteTxn`] would have recorded for the same effective updates.
-fn replay_batch(snap: &mut Snapshot, catalogue: &mut Catalogue, updates: &[Update]) {
-    for u in updates {
-        match u {
-            Update::InsertVertex { label } => {
-                snap.insert_vertex(*label);
-                catalogue.record_vertex_insert(*label);
-            }
-            Update::InsertEdge { src, dst, label } => {
-                let created = snap.ensure_vertex((*src).max(*dst));
-                for _ in 0..created {
-                    catalogue.record_vertex_insert(VertexLabel(0));
-                }
-                if snap.insert_edge(*src, *dst, *label) {
-                    catalogue.record_edge_insert(
-                        *label,
-                        snap.vertex_label(*src),
-                        snap.vertex_label(*dst),
-                    );
-                }
-            }
-            Update::DeleteEdge { src, dst, label } => {
-                let (sl, dl) = (snap.vertex_label(*src), snap.vertex_label(*dst));
-                if snap.delete_edge(*src, *dst, *label) {
-                    catalogue.record_edge_delete(*label, sl, dl);
-                }
-            }
-            // Property writes carry no catalogue maintenance; the WAL only holds writes
-            // that passed their type/existence checks, so replaying them cannot fail.
-            prop => {
-                snap.apply_update(prop);
-            }
-        }
-    }
-}
-
-/// Export the catalogue's exact counts in the storage crate's id-level wire shape.
-pub(crate) fn persisted_counts(catalogue: &Catalogue) -> PersistedCounts {
-    let (vertex_counts, edge_counts) = catalogue.exact_counts();
-    PersistedCounts {
-        vertex_counts: vertex_counts.into_iter().map(|(l, n)| (l.0, n)).collect(),
-        edge_counts: edge_counts
-            .into_iter()
-            .map(|((el, sl, dl), n)| (el.0, sl.0, dl.0, n))
-            .collect(),
-    }
-}
 
 /// An in-memory graph database instance: graph + catalogue + optimizer + plan cache + executor.
 ///
@@ -735,46 +320,6 @@ pub(crate) struct WriterState {
 }
 
 impl GraphflowDB {
-    /// Start configuring a database over a graph (see [`GraphflowDBBuilder`]).
-    pub fn builder(graph: impl Into<Arc<Graph>>) -> GraphflowDBBuilder {
-        GraphflowDBBuilder {
-            graph: graph.into(),
-            catalogue_config: CatalogueConfig::default(),
-            cost_model: CostModel::default(),
-            plan_space: PlanSpaceOptions::default(),
-            plan_cache_capacity: DEFAULT_PLAN_CACHE_CAPACITY,
-            staleness_threshold: None,
-            compact_threshold: None,
-            slow_query_threshold: None,
-            data_dir: None,
-            durability: Durability::default(),
-        }
-    }
-
-    /// Open (creating if needed) a persistent database in `dir` with all-default
-    /// configuration, running crash recovery: load the newest valid snapshot, replay the
-    /// write-ahead log past it, truncate any torn tail, and come up at the last durably
-    /// committed epoch. Equivalent to
-    /// `GraphflowDB::builder(empty graph).data_dir(dir).open()` — see
-    /// [`GraphflowDBBuilder::open`] for the recovery protocol and
-    /// [`GraphflowDBBuilder::data_dir`] for how existing data interacts with a seed graph.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<GraphflowDB, Error> {
-        Self::builder(GraphBuilder::new().build())
-            .data_dir(dir)
-            .open()
-    }
-
-    /// Create a database over an already-built graph with all-default configuration
-    /// (catalogue `h = 3`, `z = 1000`; plan cache of [`DEFAULT_PLAN_CACHE_CAPACITY`]).
-    pub fn from_graph(graph: Graph) -> Self {
-        Self::builder(graph).build()
-    }
-
-    /// Create a database over a shared graph with an explicit catalogue configuration.
-    pub fn with_config(graph: Arc<Graph>, config: CatalogueConfig) -> Self {
-        Self::builder(graph).catalogue_config(config).build()
-    }
-
     /// The base CSR of the current snapshot. Pending deltas are *not* visible through this
     /// handle — use [`snapshot`](GraphflowDB::snapshot) for the live graph (the two coincide
     /// whenever no updates are pending, e.g. right after construction or a compaction).
@@ -784,7 +329,7 @@ impl GraphflowDB {
 
     /// An isolated snapshot of the current graph epoch (base CSR + pending deltas). Cheap to
     /// clone and unaffected by any mutation committed to the database afterwards; implements
-    /// [`GraphView`], so the `graphflow-exec` entry points and
+    /// [`GraphView`](graphflow_graph::GraphView), so the `graphflow-exec` entry points and
     /// [`graphflow_catalog::count_matches`] accept it directly. This is the read path's only
     /// synchronization: a momentary read lock around two `Arc` bumps.
     pub fn snapshot(&self) -> Snapshot {
@@ -801,16 +346,6 @@ impl GraphflowDB {
     /// [`graph_version`](GraphflowDB::graph_version) by at most the staleness threshold.
     pub fn stats_version(&self) -> u64 {
         self.shared.stats_version.load(Ordering::Acquire)
-    }
-
-    /// The plan cache's full version key: statistics version plus the optimizer-configuration
-    /// epoch, so plans are invalidated by graph drift *and* by `set_cost_model` /
-    /// `set_plan_space` — even when the change lands while an optimizer run is in flight.
-    fn cache_version(&self) -> (u64, u64) {
-        (
-            self.stats_version(),
-            self.shared.config_epoch.load(Ordering::Acquire),
-        )
     }
 
     /// The subgraph catalogue: a cheap shared reference to the current revision. Safe to
@@ -998,49 +533,6 @@ impl GraphflowDB {
         self.shared.plan_cache.clear();
     }
 
-    /// Parse a pattern written in the query syntax.
-    pub fn parse(&self, pattern: &str) -> Result<QueryGraph, Error> {
-        Ok(parse_query(pattern)?)
-    }
-
-    /// Run the optimizer directly for a parsed query, bypassing the plan cache.
-    ///
-    /// Plan-spectrum style experimentation wants a fresh optimizer run per call; serving paths
-    /// should use [`prepare`](GraphflowDB::prepare) / [`run`](GraphflowDB::run), which
-    /// amortize planning through the cache.
-    pub fn plan(&self, query: &QueryGraph) -> Result<Plan, Error> {
-        let catalogue = self.catalogue();
-        DpOptimizer::new(&catalogue)
-            .with_cost_model(*self.shared.cost_model.read())
-            .with_options(*self.shared.plan_space.read())
-            .optimize(query)
-            .ok_or(Error::NoPlan)
-    }
-
-    /// Parse, canonicalize and plan a pattern once, returning a rerunnable [`PreparedQuery`].
-    ///
-    /// Planning goes through the LRU plan cache: preparing a pattern isomorphic to an earlier
-    /// one (same shape, any vertex names / clause order) skips the optimizer. The returned
-    /// statement is **owned** (`'static`, `Send + Sync`): it keeps a cloned database handle
-    /// and `Arc`-shared plan internally, so it can be stored, cloned and executed from any
-    /// thread.
-    pub fn prepare(&self, pattern: &str) -> Result<PreparedQuery, Error> {
-        let query = self.parse(pattern)?;
-        self.prepare_query(query)
-    }
-
-    /// [`prepare`](GraphflowDB::prepare) for an already-parsed query graph.
-    pub fn prepare_query(&self, query: QueryGraph) -> Result<PreparedQuery, Error> {
-        let (plan, remap, cache_hit) = self.plan_cached(&query)?;
-        Ok(PreparedQuery {
-            db: self.clone(),
-            query,
-            plan,
-            remap,
-            cache_hit,
-        })
-    }
-
     /// Cumulative plan-cache counters (hits, misses = optimizer invocations, evictions, size).
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
         self.shared.plan_cache.stats()
@@ -1080,398 +572,6 @@ impl GraphflowDB {
             .map(|log| log.entries())
             .unwrap_or_default()
     }
-
-    /// `EXPLAIN`: return the chosen plan's operator tree as text — class, estimated cost,
-    /// and per-operator estimated cardinalities. Served through the plan cache; nothing is
-    /// executed. For the structured report use [`PreparedQuery::explain`], which returns a
-    /// typed [`QueryProfile`].
-    pub fn explain(&self, pattern: &str) -> Result<String, Error> {
-        Ok(self.prepare(pattern)?.explain().to_string())
-    }
-
-    /// Count the matches of a pattern with default options (served through the plan cache).
-    pub fn count(&self, pattern: &str) -> Result<u64, Error> {
-        Ok(self.run(pattern, QueryOptions::default())?.count)
-    }
-
-    /// Run a pattern with explicit options (served through the plan cache).
-    pub fn run(&self, pattern: &str, options: QueryOptions) -> Result<QueryResult, Error> {
-        self.prepare(pattern)?.run(options)
-    }
-
-    /// Run an already-parsed query with explicit options (served through the plan cache).
-    pub fn run_query(
-        &self,
-        query: &QueryGraph,
-        options: QueryOptions,
-    ) -> Result<QueryResult, Error> {
-        self.prepare_query(query.clone())?.run(options)
-    }
-
-    /// Parse, plan and execute a pattern's `RETURN` clause with default options, producing a
-    /// typed [`ResultSet`] (served through the plan cache). A pattern without `RETURN`
-    /// behaves as `RETURN *`.
-    ///
-    /// ```
-    /// # use graphflow_core::GraphflowDB;
-    /// # use graphflow_graph::{GraphBuilder, PropValue};
-    /// let mut b = GraphBuilder::new();
-    /// b.add_edge(0, 1);
-    /// b.add_edge(0, 2);
-    /// for v in 0..3 {
-    ///     b.set_vertex_prop(v, "age", PropValue::Int(20 + v as i64)).unwrap();
-    /// }
-    /// let db = GraphflowDB::from_graph(b.build());
-    /// let rs = db.query("(a)->(b) RETURN a, COUNT(*), MAX(b.age)").unwrap();
-    /// assert_eq!(rs.rows().len(), 1); // one group: a = vertex 0
-    /// assert_eq!(rs.rows()[0][1], Some(PropValue::Int(2)));
-    /// assert_eq!(rs.rows()[0][2], Some(PropValue::Int(22)));
-    /// ```
-    pub fn query(&self, pattern: &str) -> Result<ResultSet, Error> {
-        self.query_with(pattern, QueryOptions::default())
-    }
-
-    /// [`query`](GraphflowDB::query) with explicit execution options.
-    ///
-    /// A pattern prefixed with `EXPLAIN` returns the chosen plan (with estimated
-    /// cardinalities and costs) as a one-column result set without executing anything; a
-    /// `PROFILE` prefix executes the query under `options` and returns the same tree
-    /// annotated with per-operator actuals. For the structured reports behind these verbs
-    /// see [`PreparedQuery::explain`] and [`PreparedQuery::profile`].
-    ///
-    /// ```
-    /// # use graphflow_core::GraphflowDB;
-    /// # use graphflow_graph::GraphBuilder;
-    /// # let mut b = GraphBuilder::new();
-    /// # b.add_edge(0, 1); b.add_edge(1, 2); b.add_edge(0, 2);
-    /// # let db = GraphflowDB::from_graph(b.build());
-    /// let rs = db.query("EXPLAIN (a)->(b), (b)->(c), (a)->(c)").unwrap();
-    /// assert_eq!(rs.columns(), ["plan"]);
-    /// ```
-    pub fn query_with(&self, pattern: &str, options: QueryOptions) -> Result<ResultSet, Error> {
-        self.query_on(&self.snapshot(), pattern, options)
-    }
-
-    /// [`query_with`](GraphflowDB::query_with) against an explicit, caller-pinned snapshot
-    /// epoch instead of the database's current one — for callers that must name the epoch an
-    /// answer came from ([`Snapshot::version`]) before, or independently of, running it.
-    pub fn query_on(
-        &self,
-        snapshot: &Snapshot,
-        pattern: &str,
-        options: QueryOptions,
-    ) -> Result<ResultSet, Error> {
-        let (mode, rest) = split_mode(pattern);
-        let prepared = self.prepare(rest)?;
-        match mode {
-            QueryMode::Execute => prepared.execute_on(snapshot, options),
-            QueryMode::Explain => Ok(explain::result_set(&prepared.explain())),
-            QueryMode::Profile => Ok(explain::result_set(
-                &prepared.profile_on(snapshot, options)?,
-            )),
-        }
-    }
-
-    /// Run a pattern, streaming every match (in query-vertex order) into `sink` instead of
-    /// materialising results.
-    pub fn run_with_sink(
-        &self,
-        pattern: &str,
-        options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
-    ) -> Result<RuntimeStats, Error> {
-        self.prepare(pattern)?.run_with_sink(options, sink)
-    }
-
-    /// Execute a specific plan (useful for plan-spectrum style experimentation; bypasses the
-    /// plan cache).
-    pub fn run_plan(&self, plan: &Plan, options: QueryOptions) -> Result<QueryResult, Error> {
-        self.execute_plan(&self.snapshot(), plan, None, None, options)
-    }
-
-    /// Execute a specific plan, streaming matches into `sink`.
-    pub fn run_plan_with_sink(
-        &self,
-        plan: &Plan,
-        options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
-    ) -> Result<RuntimeStats, Error> {
-        self.execute_plan_with_sink(&self.snapshot(), plan, None, None, options, sink)
-    }
-
-    /// Convenience: the class (WCO / BJ / hybrid) of the plan chosen for a pattern.
-    pub fn plan_class(&self, pattern: &str) -> Result<PlanClass, Error> {
-        Ok(self.prepare(pattern)?.plan_class())
-    }
-
-    // --- internals -------------------------------------------------------------------------
-
-    /// Plan through the LRU cache. Returns the (shared) plan, an optional vertex remap
-    /// (`map[plan query vertex] = query vertex`, present when the cached plan was optimized
-    /// for an isomorphic twin with different vertex numbering), and whether this was a hit.
-    ///
-    /// Cache keys are the **pattern's** canonical code plus the canonicalised *structure* of
-    /// the `WHERE` clause — targets, keys, operators and literal types, with the literal
-    /// constants normalised away. Two structurally-equal queries that differ only in constants
-    /// (`age > 30` vs `age > 50`) therefore share one optimized plan; on a hit the current
-    /// query's constants are grafted onto the cached plan before execution.
-    ///
-    /// Canonicalisation is brute force over vertex permutations, so queries larger than
-    /// [`graphflow_query::MAX_CANONICAL_VERTICES`] bypass the cache and are optimized
-    /// directly — correct, just not amortized. A cheap exact-form index in front of the
-    /// canonical search makes repeated *identical* patterns skip the `O(n!)` search too.
-    fn plan_cached(
-        &self,
-        query: &QueryGraph,
-    ) -> Result<(PlanHandle, Option<Vec<usize>>, bool), Error> {
-        if query.num_vertices() > graphflow_query::MAX_CANONICAL_VERTICES {
-            return Ok((Arc::new(self.plan(query)?), None, false));
-        }
-        let identity: Vec<usize> = (0..query.num_vertices()).collect();
-        let mut exact = graphflow_query::exact_code(query);
-        exact.extend(graphflow_query::predicate_structure_code(query, &identity));
-        let (code, perm) = match self.shared.plan_cache.canonical_for_exact(&exact) {
-            Some(known) => known,
-            None => {
-                let (pattern_code, perm) = canonical_form(query);
-                let mut full = pattern_code.0;
-                full.extend(graphflow_query::predicate_structure_code(query, &perm));
-                let code = CanonicalCode(full);
-                self.shared
-                    .plan_cache
-                    .remember_exact(exact, code.clone(), perm.clone());
-                (code, perm)
-            }
-        };
-        if let Some((plan, cached_perm)) = self.shared.plan_cache.get(&code, self.cache_version()) {
-            // Compose the two canonicalising permutations into plan-query -> our-query.
-            let mut inverse = vec![0usize; perm.len()];
-            for (vertex, &pos) in perm.iter().enumerate() {
-                inverse[pos] = vertex;
-            }
-            let remap: Vec<usize> = cached_perm.iter().map(|&pos| inverse[pos]).collect();
-            let identity = remap.iter().enumerate().all(|(i, &v)| i == v);
-            let plan = graft_predicates(plan, query, &remap);
-            return Ok((plan, (!identity).then_some(remap), true));
-        }
-        // Read the version key *before* optimizing: if a configuration change (or staleness
-        // bump) lands while the optimizer runs, this plan is inserted under the old key and
-        // can never be served to post-change lookups.
-        let version = self.cache_version();
-        let plan: PlanHandle = Arc::new(self.plan(query)?);
-        self.shared
-            .plan_cache
-            .insert(code, plan.clone(), perm, version);
-        Ok((plan, None, false))
-    }
-
-    pub(crate) fn execute_prepared(
-        &self,
-        view: &Snapshot,
-        plan: &PlanHandle,
-        remap: Option<&[usize]>,
-        cache_hit: bool,
-        options: QueryOptions,
-    ) -> Result<QueryResult, Error> {
-        self.execute_plan(
-            view,
-            plan,
-            Some(plan.clone()),
-            Some((remap, cache_hit)),
-            options,
-        )
-    }
-
-    /// Execute a prepared query's `RETURN` clause into a typed [`ResultSet`]: compile the
-    /// clause against the prepared query's own vertex numbering, pick the projecting or
-    /// aggregating sink, arm the `COUNT(*)` fast path when the plan is eligible, and run
-    /// through the standard dispatch (remap included).
-    pub(crate) fn execute_prepared_return(
-        &self,
-        view: &Snapshot,
-        query: &QueryGraph,
-        plan: &PlanHandle,
-        remap: Option<&[usize]>,
-        cache_hit: bool,
-        mut options: QueryOptions,
-    ) -> Result<ResultSet, Error> {
-        let clause = query
-            .return_clause()
-            .cloned()
-            .unwrap_or_else(ReturnClause::star);
-        let columns = clause.column_names(query);
-        let spec = graphflow_exec::RowSpec::compile(query, &clause);
-        let (rows, stats) = if spec.has_aggregates() {
-            // `RETURN COUNT(*)` + a plan ending in an E/I extension: the executors add the
-            // final extension-set sizes in bulk and the sink only ever sees counts — no
-            // per-match tuple is allocated anywhere.
-            if clause.is_count_star_only()
-                && plan.count_fast_path_eligible()
-                && options.output_limit.is_none()
-            {
-                options.count_tail = true;
-            }
-            let mut sink = graphflow_exec::AggregatingSink::new(view.clone(), spec);
-            let stats = self.execute_plan_with_sink(
-                view,
-                plan,
-                remap,
-                Some(cache_hit),
-                options,
-                &mut sink,
-            )?;
-            (sink.finish(), stats)
-        } else {
-            let mut sink = graphflow_exec::ProjectingSink::new(view.clone(), spec);
-            let stats = self.execute_plan_with_sink(
-                view,
-                plan,
-                remap,
-                Some(cache_hit),
-                options,
-                &mut sink,
-            )?;
-            (sink.finish(), stats)
-        };
-        Ok(ResultSet {
-            columns,
-            rows,
-            stats,
-        })
-    }
-
-    pub(crate) fn execute_prepared_with_sink(
-        &self,
-        view: &Snapshot,
-        plan: &Plan,
-        remap: Option<&[usize]>,
-        cache_hit: bool,
-        options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
-    ) -> Result<RuntimeStats, Error> {
-        self.execute_plan_with_sink(view, plan, remap, Some(cache_hit), options, sink)
-    }
-
-    /// Shared QueryResult-materialising path: runs with a counting or collecting sink
-    /// depending on the options.
-    fn execute_plan(
-        &self,
-        view: &Snapshot,
-        plan: &Plan,
-        handle: Option<PlanHandle>,
-        prepared: Option<(Option<&[usize]>, bool)>,
-        options: QueryOptions,
-    ) -> Result<QueryResult, Error> {
-        let (remap, cache_info) = match prepared {
-            Some((remap, hit)) => (remap, Some(hit)),
-            None => (None, None),
-        };
-        let (stats, tuples) = if options.collect_tuples {
-            let mut sink = CollectingSink::new(options.collect_limit);
-            let stats =
-                self.execute_plan_with_sink(view, plan, remap, cache_info, options, &mut sink)?;
-            (stats, sink.into_tuples())
-        } else {
-            let mut sink = CountingSink::new();
-            let stats =
-                self.execute_plan_with_sink(view, plan, remap, cache_info, options, &mut sink)?;
-            (stats, Vec::new())
-        };
-        Ok(QueryResult {
-            count: stats.output_count,
-            plan: handle.unwrap_or_else(|| Arc::new(plan.clone())),
-            stats,
-            tuples,
-        })
-    }
-
-    /// The one true execution path: arm the deadline, hand the plan to the executor, wrap the
-    /// sink with a vertex remap when the plan belongs to an isomorphic twin, stamp
-    /// plan-cache counters into the returned stats, and surface a tripped interrupt as a
-    /// typed error. Every stage runs against the single pinned `view`, so one execution
-    /// observes exactly one epoch.
-    fn execute_plan_with_sink(
-        &self,
-        view: &Snapshot,
-        plan: &Plan,
-        remap: Option<&[usize]>,
-        cache_info: Option<bool>,
-        options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
-    ) -> Result<RuntimeStats, Error> {
-        let metrics = &self.shared.metrics;
-        metrics.queries_started.fetch_add(1, Ordering::Relaxed);
-        // The deadline is armed before pipeline compilation, so hash-join build-side
-        // materialisation counts against the budget; planning happened at prepare time and is
-        // not covered.
-        let deadline = options.timeout.map(|t| Instant::now() + t);
-        let mut stats = match remap {
-            Some(map) => {
-                let mut remapping = RemapSink::new(sink, map);
-                self.dispatch(view, plan, &options, deadline, &mut remapping)
-            }
-            None => self.dispatch(view, plan, &options, deadline, sink),
-        };
-        match cache_info {
-            Some(true) => stats.plan_cache_hits += 1,
-            Some(false) => stats.plan_cache_misses += 1,
-            None => {}
-        }
-        // Every finished run — completed, cancelled or timed out — is one latency
-        // observation, and a slow-log candidate (a timed-out query is slow by definition).
-        metrics.query_latency.observe(stats.elapsed);
-        if let Some(log) = &self.shared.slow_log {
-            if stats.elapsed >= log.threshold() {
-                log.record(SlowQuery {
-                    query: plan.query.to_string(),
-                    latency: stats.elapsed,
-                    icost: stats.icost,
-                    plan_id: plan.root.fingerprint(),
-                });
-            }
-        }
-        if stats.cancelled {
-            metrics.queries_cancelled.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Cancelled);
-        }
-        if stats.timed_out {
-            metrics.queries_timed_out.fetch_add(1, Ordering::Relaxed);
-            return Err(Error::Timeout);
-        }
-        metrics.queries_completed.fetch_add(1, Ordering::Relaxed);
-        Ok(stats)
-    }
-
-    fn dispatch(
-        &self,
-        view: &Snapshot,
-        plan: &Plan,
-        options: &QueryOptions,
-        deadline: Option<Instant>,
-        sink: &mut (dyn MatchSink + Send),
-    ) -> RuntimeStats {
-        let exec_options = ExecOptions {
-            use_intersection_cache: options.intersection_cache,
-            output_limit: options.output_limit,
-            cancel: options.cancel.clone(),
-            deadline,
-            count_tail: options.count_tail,
-            profile: options.profile,
-        };
-        // Adaptive stages re-cost orderings from catalogue estimates per tuple; the run holds
-        // its own shared reference (no lock), so a long adaptive query never stalls commits or
-        // other readers.
-        let catalogue = options.adaptive.then(|| self.catalogue());
-        // Execution pins `view`: queries observe one delta epoch end to end.
-        execute_with_sink(
-            view,
-            plan,
-            catalogue.as_deref(),
-            options.threads,
-            exec_options,
-            sink,
-        )
-    }
 }
 
 // Compile-time proof of the concurrency contract: the handle, prepared statements, result
@@ -1487,60 +587,12 @@ const _: () = {
     assert_send_sync::<QueryOptions>();
 };
 
-/// Graft `query`'s predicate constants onto a cached plan optimized for a structurally-equal
-/// twin. `remap[plan query vertex] = our query vertex`; our predicates are translated into the
-/// plan's vertex/edge numbering and substituted into the plan's query, so the compiled pipeline
-/// pushes down *this* query's constants. When the mapped predicates already equal the cached
-/// ones (the common repeated-query case), the shared handle is returned untouched.
-fn graft_predicates(plan: PlanHandle, query: &QueryGraph, remap: &[usize]) -> PlanHandle {
-    if !query.has_predicates() && !plan.query.has_predicates() {
-        return plan;
-    }
-    let mut inverse = vec![0usize; remap.len()];
-    for (plan_v, &our_v) in remap.iter().enumerate() {
-        inverse[our_v] = plan_v;
-    }
-    let mapped: Vec<Predicate> = query
-        .predicates()
-        .iter()
-        .map(|p| {
-            let target = match p.target {
-                PredTarget::Vertex(v) => PredTarget::Vertex(inverse[v]),
-                PredTarget::Edge(i) => {
-                    let e = query.edges()[i];
-                    let (ps, pd) = (inverse[e.src], inverse[e.dst]);
-                    let idx = plan
-                        .query
-                        .edges()
-                        .iter()
-                        .position(|f| f.src == ps && f.dst == pd && f.label == e.label)
-                        .expect("pattern isomorphism maps every edge");
-                    PredTarget::Edge(idx)
-                }
-            };
-            Predicate {
-                target,
-                key: p.key.clone(),
-                op: p.op,
-                value: p.value.clone(),
-            }
-        })
-        .collect();
-    let substituted = plan.query.with_predicates(mapped);
-    if substituted.predicates() == plan.query.predicates() {
-        return plan;
-    }
-    Arc::new(Plan {
-        query: substituted,
-        root: plan.root.clone(),
-        estimated_cost: plan.estimated_cost,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphflow_catalog::CatalogueConfig;
     use graphflow_graph::GraphBuilder;
+    use graphflow_plan::PlanClass;
     use graphflow_query::patterns;
 
     fn db() -> GraphflowDB {
@@ -1657,7 +709,7 @@ mod tests {
         let db = db();
         let original = db.prepare("(a)->(b), (b)->(c), (a)->(c)").unwrap();
         // Same triangle, renamed vertices and shuffled clauses: (x)->(y) plays the (b)->(c)
-        // role, so tuple positions must be remapped on the way out.
+        // role, so the cached tree must be renumbered for tuples to come out in x, y, z order.
         let rewritten = db.prepare("(y)->(z), (x)->(y), (x)->(z)").unwrap();
         assert!(rewritten.was_cached());
         let a = original
@@ -1893,16 +945,16 @@ mod tests {
             let rs = db.query_with(pattern, opts.clone()).unwrap();
             assert_eq!(rs.rows(), reference.rows(), "{opts:?}");
         }
-        // An isomorphic rewriting is a cache hit whose tuples are remapped before the
-        // aggregation sink sees them: x plays the (a) role.
+        // An isomorphic rewriting is a cache hit whose plan is renumbered, so the aggregation
+        // sink sees tuples in the twin's own numbering: x plays the (a) role.
         let twin = db
             .prepare("(y)->(z), (x)-[f]->(y), (x)->(z) RETURN x, SUM(f.w), AVG(z.age)")
             .unwrap();
         assert!(twin.was_cached());
         let rs = twin.execute(QueryOptions::default()).unwrap();
         assert_eq!(rs.rows(), reference.rows());
-        // Parallel execution of the twin goes through RemapSink's forwarded partials (each
-        // thread-local fold remaps before folding) and must agree too.
+        // Parallel execution of the twin folds into the sink's own thread-local partials and
+        // must agree too.
         let rs = twin.execute(QueryOptions::new().threads(4)).unwrap();
         assert_eq!(rs.rows(), reference.rows());
     }

@@ -437,14 +437,16 @@ pub const SLOW_LOG_CAPACITY: usize = 128;
 /// [`slow_query_threshold`](crate::GraphflowDBBuilder::slow_query_threshold).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowQuery {
-    /// The executed query in canonical pattern text (the plan's own rendering — for a query
-    /// served by an isomorphic twin's cached plan, the twin's vertex names).
+    /// The executed query in canonical pattern text: the caller's own query, also when its
+    /// operator tree came from an isomorphic twin's plan-cache entry.
     pub query: String,
     /// Wall-clock latency of the run.
     pub latency: Duration,
     /// Actual i-cost of the run.
     pub icost: u64,
-    /// Structural fingerprint of the executed plan (stable across runs of the same plan).
+    /// Structural fingerprint of the executed plan, in the vertex numbering of `query`
+    /// (stable across runs of the same plan; isomorphic twins sharing one cached tree print
+    /// it each in their own numbering).
     pub plan_id: String,
 }
 

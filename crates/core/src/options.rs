@@ -9,7 +9,6 @@ use std::time::Duration;
 /// use graphflow_core::QueryOptions;
 /// let opts = QueryOptions::new().threads(4).limit(1000);
 /// assert_eq!(opts.num_threads(), 4);
-/// assert_eq!(opts.output_limit(), Some(1000));
 /// ```
 ///
 /// The default configuration is one-worker, fixed-plan execution with the intersection cache
@@ -101,12 +100,6 @@ impl QueryOptions {
         self
     }
 
-    /// Remove a previously set output limit.
-    pub fn no_limit(mut self) -> Self {
-        self.output_limit = None;
-        self
-    }
-
     /// Collect result tuples into [`QueryResult::tuples`](crate::QueryResult::tuples), up to
     /// the [`collect_limit`](QueryOptions::collect_limit) cap.
     ///
@@ -135,12 +128,6 @@ impl QueryOptions {
         self
     }
 
-    /// Remove a previously set timeout.
-    pub fn no_timeout(mut self) -> Self {
-        self.timeout = None;
-        self
-    }
-
     /// Attach a [`CancellationToken`] the run will poll at batch granularity. Cancelling it
     /// (from any thread — the token is `Send + Sync` and cheap to clone) makes the run return
     /// [`Error::Cancelled`](crate::Error::Cancelled).
@@ -159,51 +146,9 @@ impl QueryOptions {
         self
     }
 
-    // --- accessors -------------------------------------------------------------------------
-
-    /// Whether adaptive stages were requested.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// The configured worker-thread count.
     pub fn num_threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether the intersection cache is enabled.
-    pub fn uses_intersection_cache(&self) -> bool {
-        self.intersection_cache
-    }
-
-    /// The configured output limit, if any.
-    pub fn output_limit(&self) -> Option<u64> {
-        self.output_limit
-    }
-
-    /// Whether result tuples will be collected into the query result.
-    pub fn collects_tuples(&self) -> bool {
-        self.collect_tuples
-    }
-
-    /// The tuple-collection cap.
-    pub fn collection_cap(&self) -> usize {
-        self.collect_limit
-    }
-
-    /// The configured wall-clock timeout, if any.
-    pub fn timeout_duration(&self) -> Option<Duration> {
-        self.timeout
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancellation_token(&self) -> Option<&CancellationToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Whether a per-operator profile will be collected.
-    pub fn profiles(&self) -> bool {
-        self.profile
     }
 }
 
@@ -212,38 +157,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_chains_and_accessors_agree() {
+    fn builder_chains_set_their_fields() {
+        let token = CancellationToken::new();
         let opts = QueryOptions::new()
             .adaptive(true)
             .intersection_cache(false)
             .limit(7)
             .collect_tuples(true)
-            .collect_limit(3);
-        assert!(opts.is_adaptive());
-        assert!(!opts.uses_intersection_cache());
-        assert_eq!(opts.output_limit(), Some(7));
-        assert!(opts.collects_tuples());
-        assert_eq!(opts.collection_cap(), 3);
-        assert_eq!(opts.no_limit().output_limit(), None);
+            .collect_limit(3)
+            .timeout(Duration::from_millis(250))
+            .cancel_token(token.clone());
+        assert!(opts.adaptive);
+        assert!(!opts.intersection_cache);
+        assert_eq!(opts.output_limit, Some(7));
+        assert!(opts.collect_tuples);
+        assert_eq!(opts.collect_limit, 3);
+        assert_eq!(opts.timeout, Some(Duration::from_millis(250)));
+        assert!(opts.cancel.is_some_and(|t| t.same_token(&token)));
+        assert!(QueryOptions::new().cancel.is_none());
     }
 
     #[test]
     fn zero_threads_means_serial() {
         assert_eq!(QueryOptions::new().threads(0).num_threads(), 1);
-    }
-
-    #[test]
-    fn timeout_and_token_round_trip() {
-        let token = CancellationToken::new();
-        let opts = QueryOptions::new()
-            .timeout(Duration::from_millis(250))
-            .cancel_token(token.clone());
-        assert_eq!(opts.timeout_duration(), Some(Duration::from_millis(250)));
-        assert!(opts
-            .cancellation_token()
-            .is_some_and(|t| t.same_token(&token)));
-        let cleared = opts.no_timeout();
-        assert_eq!(cleared.timeout_duration(), None);
-        assert!(QueryOptions::new().cancellation_token().is_none());
     }
 }

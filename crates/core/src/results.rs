@@ -1,7 +1,26 @@
-//! Typed result sets produced by `RETURN`-aware execution.
+//! What a run hands back: the raw-match [`QueryResult`] and the typed [`ResultSet`] produced
+//! by `RETURN`-aware execution.
 
 use graphflow_exec::{Row, RuntimeStats, Value};
-use graphflow_graph::PropValue;
+use graphflow_graph::{PropValue, VertexId};
+use graphflow_plan::PlanHandle;
+
+/// The result of running a query.
+#[derive(Debug, Clone)]
+pub struct QueryResult {
+    /// Number of matches.
+    pub count: u64,
+    /// The plan that was executed (shared with the plan cache — cloning is a pointer copy).
+    pub plan: PlanHandle,
+    /// Runtime statistics (actual i-cost, intermediate matches, cache hits, plan-cache
+    /// hit/miss, elapsed time).
+    pub stats: RuntimeStats,
+    /// Collected matches in query-vertex order (empty unless
+    /// [`QueryOptions::collect_tuples`](crate::QueryOptions::collect_tuples) was requested).
+    /// Backed by a [`CollectingSink`](crate::CollectingSink); for unbounded result sets stream
+    /// through [`GraphflowDB::run_with_sink`](crate::GraphflowDB::run_with_sink) instead.
+    pub tuples: Vec<Vec<VertexId>>,
+}
 
 /// The typed rows produced by executing a query's `RETURN` clause
 /// ([`PreparedQuery::execute`](crate::PreparedQuery::execute)).

@@ -13,17 +13,77 @@
 //! ([`rollback`](WriteTxn::rollback) spells this out).
 
 use crate::{persisted_counts, Error, GraphflowDB, WriterState};
+use graphflow_catalog::Catalogue;
 use graphflow_graph::{
-    EdgeLabel, GraphView as _, PropValue, Snapshot, Update, VertexId, VertexLabel,
+    EdgeLabel, GraphView as _, PropError, PropValue, Snapshot, Update, VertexId, VertexLabel,
 };
+use std::borrow::Cow;
 use std::sync::{Arc, MutexGuard};
 
 /// A catalogue maintenance action recorded while staging, applied under the catalogue write
-/// lock at commit time.
-enum CatOp {
+/// lock at commit time (or straight onto the catalogue being rebuilt, during recovery).
+pub(crate) enum CatOp {
     VertexInsert(VertexLabel),
     EdgeInsert(EdgeLabel, VertexLabel, VertexLabel),
     EdgeDelete(EdgeLabel, VertexLabel, VertexLabel),
+}
+
+impl CatOp {
+    pub(crate) fn apply(self, catalogue: &mut Catalogue) {
+        match self {
+            CatOp::VertexInsert(label) => catalogue.record_vertex_insert(label),
+            CatOp::EdgeInsert(el, src, dst) => catalogue.record_edge_insert(el, src, dst),
+            CatOp::EdgeDelete(el, src, dst) => catalogue.record_edge_delete(el, src, dst),
+        }
+    }
+}
+
+/// Stage one update on `snap` and push the catalogue maintenance it implies onto `cat_ops` —
+/// the single staging step behind live transactions and write-ahead-log replay, so a
+/// recovered database carries exactly the counts the live one had.
+///
+/// Returns how many updates it counts for on the staleness clock: 0 when the graph did not
+/// change (the edge to insert already exists, the edge to delete does not), otherwise 1 plus
+/// one per endpoint vertex an edge insert created on demand. A rejected property write is the
+/// `Err`.
+pub(crate) fn stage_update(
+    snap: &mut Snapshot,
+    cat_ops: &mut Vec<CatOp>,
+    update: &Update,
+) -> Result<u64, PropError> {
+    match update {
+        Update::InsertVertex { label } => {
+            snap.insert_vertex(*label);
+            cat_ops.push(CatOp::VertexInsert(*label));
+        }
+        Update::InsertEdge { src, dst, label } => {
+            let created = snap.ensure_vertex(*src.max(dst));
+            cat_ops.extend((0..created).map(|_| CatOp::VertexInsert(VertexLabel(0))));
+            if !snap.insert_edge(*src, *dst, *label) {
+                return Ok(0);
+            }
+            let (sl, dl) = (snap.vertex_label(*src), snap.vertex_label(*dst));
+            cat_ops.push(CatOp::EdgeInsert(*label, sl, dl));
+            return Ok(created as u64 + 1);
+        }
+        Update::DeleteEdge { src, dst, label } => {
+            if !snap.delete_edge(*src, *dst, *label) {
+                return Ok(0);
+            }
+            let (sl, dl) = (snap.vertex_label(*src), snap.vertex_label(*dst));
+            cat_ops.push(CatOp::EdgeDelete(*label, sl, dl));
+        }
+        // Property writes carry no catalogue maintenance.
+        Update::SetVertexProp { v, key, value } => snap.set_vertex_prop(*v, key, value.clone())?,
+        Update::SetEdgeProp {
+            src,
+            dst,
+            label,
+            key,
+            value,
+        } => snap.set_edge_prop(*src, *dst, *label, key, value.clone())?,
+    }
+    Ok(1)
 }
 
 /// An exclusive write transaction on a [`GraphflowDB`].
@@ -95,11 +155,17 @@ impl<'db> WriteTxn<'db> {
         }
     }
 
-    /// Record an effective update in the write-ahead journal (persistent databases only).
-    fn journal_update(&mut self, update: impl FnOnce() -> Update) {
-        if self.journaling {
-            self.journal.push(update());
+    /// Stage one update through [`stage_update`], journalling it when it took effect
+    /// (persistent databases only). Returns whether it changed the graph.
+    fn stage(&mut self, update: Cow<'_, Update>) -> Result<bool, Error> {
+        let counted = stage_update(&mut self.staged, &mut self.cat_ops, &update)?;
+        if counted > 0 && self.journaling {
+            // One journal entry covers an edge insert's on-demand endpoints too: replay
+            // re-runs `ensure_vertex` before re-inserting the edge.
+            self.journal.push(update.into_owned());
         }
+        self.ops += counted;
+        Ok(counted > 0)
     }
 
     /// The transaction's private view: the epoch it started from plus every update staged so
@@ -118,10 +184,9 @@ impl<'db> WriteTxn<'db> {
 
     /// Stage a new vertex carrying `label`, returning its id.
     pub fn insert_vertex(&mut self, label: VertexLabel) -> VertexId {
-        let v = self.staged.insert_vertex(label);
-        self.cat_ops.push(CatOp::VertexInsert(label));
-        self.journal_update(|| Update::InsertVertex { label });
-        self.ops += 1;
+        let v = self.staged.num_vertices() as VertexId;
+        self.stage(Cow::Owned(Update::InsertVertex { label }))
+            .expect("only property writes can be rejected");
         v
     }
 
@@ -129,40 +194,15 @@ impl<'db> WriteTxn<'db> {
     /// demand with the default vertex label. Returns `false` (and stages nothing) when the
     /// edge already exists in the transaction's view.
     pub fn insert_edge(&mut self, src: VertexId, dst: VertexId, label: EdgeLabel) -> bool {
-        let created = self.staged.ensure_vertex(src.max(dst));
-        for _ in 0..created {
-            self.cat_ops.push(CatOp::VertexInsert(VertexLabel(0)));
-        }
-        self.ops += created as u64;
-        let inserted = self.staged.insert_edge(src, dst, label);
-        if inserted {
-            self.cat_ops.push(CatOp::EdgeInsert(
-                label,
-                self.staged.vertex_label(src),
-                self.staged.vertex_label(dst),
-            ));
-            // One journal entry covers the on-demand endpoints too: replay re-runs
-            // `ensure_vertex` before re-inserting the edge.
-            self.journal_update(|| Update::InsertEdge { src, dst, label });
-            self.ops += 1;
-        }
-        inserted
+        self.stage(Cow::Owned(Update::InsertEdge { src, dst, label }))
+            .expect("only property writes can be rejected")
     }
 
     /// Stage the deletion of the directed edge `src -> dst` carrying `label`. Returns `false`
     /// (and stages nothing) when no such edge exists in the transaction's view.
     pub fn delete_edge(&mut self, src: VertexId, dst: VertexId, label: EdgeLabel) -> bool {
-        if !self.staged.delete_edge(src, dst, label) {
-            return false;
-        }
-        self.cat_ops.push(CatOp::EdgeDelete(
-            label,
-            self.staged.vertex_label(src),
-            self.staged.vertex_label(dst),
-        ));
-        self.journal_update(|| Update::DeleteEdge { src, dst, label });
-        self.ops += 1;
-        true
+        self.stage(Cow::Owned(Update::DeleteEdge { src, dst, label }))
+            .expect("only property writes can be rejected")
     }
 
     /// Stage the typed property write `key = value` on vertex `v`. The column's type is fixed
@@ -174,13 +214,8 @@ impl<'db> WriteTxn<'db> {
         key: &str,
         value: PropValue,
     ) -> Result<(), Error> {
-        self.staged.set_vertex_prop(v, key, value.clone())?;
-        self.journal_update(|| Update::SetVertexProp {
-            v,
-            key: key.to_string(),
-            value,
-        });
-        self.ops += 1;
+        let key = key.to_string();
+        self.stage(Cow::Owned(Update::SetVertexProp { v, key, value }))?;
         Ok(())
     }
 
@@ -194,16 +229,14 @@ impl<'db> WriteTxn<'db> {
         key: &str,
         value: PropValue,
     ) -> Result<(), Error> {
-        self.staged
-            .set_edge_prop(src, dst, label, key, value.clone())?;
-        self.journal_update(|| Update::SetEdgeProp {
+        let key = key.to_string();
+        self.stage(Cow::Owned(Update::SetEdgeProp {
             src,
             dst,
             label,
-            key: key.to_string(),
+            key,
             value,
-        });
-        self.ops += 1;
+        }))?;
         Ok(())
     }
 
@@ -227,33 +260,10 @@ impl<'db> WriteTxn<'db> {
     /// their type/existence checks are no-ops). The whole batch becomes visible atomically at
     /// [`commit`](WriteTxn::commit).
     pub fn apply_batch(&mut self, updates: &[Update]) -> usize {
-        let mut applied = 0usize;
-        for u in updates {
-            let changed = match u {
-                Update::InsertVertex { label } => {
-                    self.insert_vertex(*label);
-                    true
-                }
-                Update::InsertEdge { src, dst, label } => self.insert_edge(*src, *dst, *label),
-                Update::DeleteEdge { src, dst, label } => self.delete_edge(*src, *dst, *label),
-                Update::SetVertexProp { v, key, value } => {
-                    self.set_vertex_prop(*v, key, value.clone()).is_ok()
-                }
-                Update::SetEdgeProp {
-                    src,
-                    dst,
-                    label,
-                    key,
-                    value,
-                } => self
-                    .set_edge_prop(*src, *dst, *label, key, value.clone())
-                    .is_ok(),
-            };
-            if changed {
-                applied += 1;
-            }
-        }
-        applied
+        updates
+            .iter()
+            .filter(|u| self.stage(Cow::Borrowed(u)).unwrap_or(false))
+            .count()
     }
 
     // --- commit / rollback ------------------------------------------------------------------
@@ -329,15 +339,7 @@ impl<'db> WriteTxn<'db> {
                 let mut slot = shared.catalogue.write();
                 let catalogue = Arc::make_mut(&mut slot);
                 for op in self.cat_ops.drain(..) {
-                    match op {
-                        CatOp::VertexInsert(label) => catalogue.record_vertex_insert(label),
-                        CatOp::EdgeInsert(el, src, dst) => {
-                            catalogue.record_edge_insert(el, src, dst)
-                        }
-                        CatOp::EdgeDelete(el, src, dst) => {
-                            catalogue.record_edge_delete(el, src, dst)
-                        }
-                    }
+                    op.apply(catalogue);
                 }
                 if republish {
                     catalogue.set_snapshot(self.staged.clone());

@@ -144,6 +144,37 @@ impl PlanNode {
         }
     }
 
+    /// The same tree over another numbering of the query vertices: `map[v]` is the new index of
+    /// this tree's query vertex `v`. Descriptors address tuple positions, not query vertices,
+    /// so they carry over unchanged. This is how a plan optimized for one query becomes a plan
+    /// for an isomorphic query, in that query's own numbering.
+    pub fn renumber(&self, map: &[usize]) -> PlanNode {
+        let renumbered = |vs: &[usize]| vs.iter().map(|&v| map[v]).collect::<Vec<_>>();
+        match self {
+            PlanNode::Scan(n) => PlanNode::Scan(ScanNode {
+                edge: QueryEdge {
+                    src: map[n.edge.src],
+                    dst: map[n.edge.dst],
+                    label: n.edge.label,
+                },
+                out: renumbered(&n.out),
+            }),
+            PlanNode::Extend(n) => PlanNode::Extend(ExtendNode {
+                child: Box::new(n.child.renumber(map)),
+                descriptors: n.descriptors.clone(),
+                target_vertex: map[n.target_vertex],
+                target_label: n.target_label,
+                out: renumbered(&n.out),
+            }),
+            PlanNode::HashJoin(n) => PlanNode::HashJoin(HashJoinNode {
+                build: Box::new(n.build.renumber(map)),
+                probe: Box::new(n.probe.renumber(map)),
+                key_vertices: renumbered(&n.key_vertices),
+                out: renumbered(&n.out),
+            }),
+        }
+    }
+
     /// The set of query vertices covered by this node's sub-query.
     pub fn vertex_set(&self) -> VertexSet {
         self.out().iter().fold(0, |acc, &v| acc | singleton(v))
@@ -541,6 +572,37 @@ mod tests {
             p1.fingerprint(),
             wco_plan_for(&q, &[0, 1, 2, 3]).fingerprint()
         );
+    }
+
+    #[test]
+    fn renumbering_round_trips_and_matches_direct_construction() {
+        let q = patterns::diamond_x();
+        let hybrid = |q: &QueryGraph, m: &[usize]| {
+            let left = wco_plan_for(q, &[m[0], m[1], m[2]]);
+            let right = wco_plan_for(q, &[m[1], m[2], m[3]]);
+            PlanNode::hash_join(q, left, right).unwrap()
+        };
+        let identity = [0, 1, 2, 3];
+        let map = [2, 0, 3, 1];
+        let mut inverse = [0; 4];
+        for (v, &w) in map.iter().enumerate() {
+            inverse[w] = v;
+        }
+        for p in [hybrid(&q, &identity), wco_plan_for(&q, &[1, 2, 0, 3])] {
+            assert_eq!(p.renumber(&identity), p);
+            assert_ne!(p.renumber(&map), p);
+            assert_eq!(p.renumber(&map).renumber(&inverse), p);
+        }
+        // The same diamond with vertex `v` renamed to `map[v]` and its clauses reversed: the
+        // plan built for it directly is the renumbered plan, join keys and layouts included.
+        let mut twin = QueryGraph::new();
+        for _ in 0..4 {
+            twin.add_default_vertex();
+        }
+        for e in q.edges().iter().rev() {
+            twin.add_edge(map[e.src], map[e.dst], e.label);
+        }
+        assert_eq!(hybrid(&q, &identity).renumber(&map), hybrid(&twin, &map));
     }
 
     #[test]

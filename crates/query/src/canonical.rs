@@ -91,7 +91,7 @@ pub fn exact_code(q: &QueryGraph) -> Vec<u64> {
 /// `canonical_form(a) = (code, pa)` and `canonical_form(b) = (code, pb)` then vertex `v` of `a`
 /// corresponds to the vertex `w` of `b` with `pb[w] == pa[v]`. The facade's plan cache uses
 /// this to reuse a cached plan (expressed over `a`'s vertex numbering) for a later isomorphic
-/// query `b`, remapping result tuples back to `b`'s numbering.
+/// query `b`, renumbering the plan's operator tree into `b`'s numbering once, at prepare time.
 pub fn canonical_form(q: &QueryGraph) -> (CanonicalCode, Vec<usize>) {
     let n = q.num_vertices();
     if n == 0 {
@@ -118,7 +118,7 @@ pub fn canonical_form(q: &QueryGraph) -> (CanonicalCode, Vec<usize>) {
 ///
 /// The facade's plan cache appends this to the pattern code, so two structurally-equal queries
 /// that differ only in predicate constants (`age > 30` vs `age > 50`) produce the same cache
-/// key and share one optimized plan; the constants are grafted back on at prepare time.
+/// key and share one optimized operator tree; each query's own constants ride with it.
 pub fn predicate_structure_code(q: &QueryGraph, perm: &[usize]) -> Vec<u64> {
     let mut items: Vec<[u64; 3]> = q
         .predicates()

@@ -267,18 +267,6 @@ impl QueryGraph {
         !self.predicates.is_empty()
     }
 
-    /// A copy of this query with its predicate list replaced by `predicates` (re-canonicalised).
-    /// Used by the plan cache to graft a new query's constants onto a structurally-equal cached
-    /// plan.
-    pub fn with_predicates(&self, predicates: Vec<Predicate>) -> QueryGraph {
-        let mut q = self.clone();
-        q.predicates.clear();
-        for p in predicates {
-            q.add_predicate(p);
-        }
-        q
-    }
-
     /// Attach a `RETURN` clause, replacing any previous one.
     ///
     /// # Panics

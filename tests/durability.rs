@@ -131,6 +131,25 @@ fn update_script() -> Vec<Vec<Update>> {
             },
             prop(6, 99),
         ],
+        vec![
+            // Endpoints 7, 8 and 9 are created on demand; the duplicate insert is a no-op
+            // that must be neither journalled nor counted.
+            Update::InsertEdge {
+                src: 6,
+                dst: 9,
+                label: EdgeLabel(1),
+            },
+            Update::InsertEdge {
+                src: 6,
+                dst: 9,
+                label: EdgeLabel(1),
+            },
+            Update::DeleteEdge {
+                src: 5,
+                dst: 6,
+                label: EdgeLabel(0),
+            },
+        ],
     ]
 }
 
@@ -174,12 +193,18 @@ fn dirty_state_round_trips_through_wal_replay() {
     }
     // NO checkpoint: the updates exist only in the WAL on top of the initial snapshot.
     let version = db.graph_version();
+    let counts = db.catalogue().exact_counts();
     drop(db);
     let reopened = GraphflowDB::open(&dir).unwrap();
     assert_eq!(
         reopened.graph_version(),
         version,
         "replay reaches the last epoch"
+    );
+    assert_eq!(
+        reopened.catalogue().exact_counts(),
+        counts,
+        "replay redoes the live commits' catalogue maintenance"
     );
     assert_dbs_agree(&reopened, &twin, PATTERNS, true);
 

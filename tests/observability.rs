@@ -380,3 +380,49 @@ fn slow_query_log_is_opt_in_and_respects_the_threshold() {
     db.count(TRIANGLE).unwrap();
     assert!(db.slow_queries().is_empty());
 }
+
+/// `EXPLAIN`, `PROFILE` and the slow-query log name the query that was asked — its vertex
+/// names, its `RETURN` clause — also when its operator tree came out of the plan cache as an
+/// isomorphic twin's.
+#[test]
+fn a_cached_twin_is_reported_as_the_query_its_caller_wrote() {
+    let edges = graphflow_graph::generator::powerlaw_cluster(200, 3, 0.4, 7);
+    let mut b = GraphBuilder::new();
+    b.add_edges(edges);
+    let db = GraphflowDB::builder(b.build())
+        .slow_query_threshold(Duration::ZERO)
+        .build();
+    db.query(&format!("{TRIANGLE} RETURN COUNT(*)")).unwrap();
+
+    // Other names, shuffled clauses, another RETURN.
+    let twin = db
+        .prepare("(x)->(z), (y)->(z), (x)->(y) RETURN x, y, z")
+        .unwrap();
+    assert!(twin.was_cached());
+    let explained = twin.explain();
+    let profiled = twin.profile(QueryOptions::new()).unwrap();
+    let logged = db
+        .slow_queries()
+        .pop()
+        .expect("threshold 0 records the run");
+    assert_eq!(logged.plan_id, twin.plan().root.fingerprint());
+
+    for (what, text) in [
+        ("EXPLAIN", format!("{}\n{explained}", explained.query)),
+        ("PROFILE", format!("{}\n{profiled}", profiled.query)),
+        ("PROFILE json", profiled.to_json()),
+        ("slow log", logged.query),
+    ] {
+        let words: Vec<&str> = text
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|w| !w.is_empty())
+            .collect();
+        for own in ["x", "y", "z"] {
+            assert!(words.contains(&own), "{what} names ({own}):\n{text}");
+        }
+        for foreign in ["a", "b", "c", "COUNT"] {
+            assert!(!words.contains(&foreign), "{what} leaks {foreign}:\n{text}");
+        }
+        assert!(text.contains("RETURN x, y, z"), "{what}:\n{text}");
+    }
+}

@@ -287,3 +287,177 @@ fn every_bushy_and_hybrid_plan_matches_the_serial_wco_oracle() {
         "at least one bushy join tree was covered"
     );
 }
+
+// ---------------------------------------------------------------------------------------------
+// Renumbered twins: a plan-cache hit by an isomorphic rewriting gets the cached operator tree
+// renumbered into its own vertex numbering. Whatever shape that tree has, the twin's result
+// tuples — in the twin's numbering — must equal those of a serial WCO plan optimized for the
+// twin directly.
+// ---------------------------------------------------------------------------------------------
+
+use graphflow_plan::dp::{DpOptimizer, PlanSpaceOptions};
+use graphflow_query::{parse_query, QueryGraph};
+use graphflow_rs::graph::{GraphBuilder, PropValue};
+use graphflow_rs::PreparedQuery;
+use rand::seq::SliceRandom;
+
+/// `q` with its vertices renamed and renumbered by a random permutation and its clauses
+/// shuffled.
+fn random_twin(q: &QueryGraph, rng: &mut StdRng) -> QueryGraph {
+    let n = q.num_vertices();
+    let mut map: Vec<usize> = (0..n).collect();
+    map.shuffle(rng);
+    let mut twin = QueryGraph::new();
+    for t in 0..n {
+        let v = map.iter().position(|&m| m == t).expect("a permutation");
+        twin.add_vertex(format!("t{t}"), q.vertex(v).label);
+    }
+    let mut edges = q.edges().to_vec();
+    edges.shuffle(rng);
+    for e in edges {
+        twin.add_edge(map[e.src], map[e.dst], e.label);
+    }
+    twin
+}
+
+/// Prepare `original`, then `twin` (which must hit the plan cache), returning the twin's
+/// statement.
+fn prepare_twin(db: &GraphflowDB, original: QueryGraph, twin: QueryGraph) -> PreparedQuery {
+    db.prepare_query(original).expect("original plans");
+    let prepared = db.prepare_query(twin).expect("twin plans");
+    assert!(prepared.was_cached(), "{}: a twin hits", prepared.query());
+    prepared
+}
+
+/// The twin's tuples under every executor setting against a serial WCO plan optimized for the
+/// twin's own query graph.
+fn assert_twin_matches_wco_oracle(db: &GraphflowDB, twin: &PreparedQuery, phase: &str) {
+    let oracle = DpOptimizer::new(&db.catalogue())
+        .with_options(PlanSpaceOptions::wco_only())
+        .optimize(twin.query())
+        .expect("every connected query has a WCO plan");
+    let expected = sorted_tuples(db, &oracle, QueryOptions::new());
+    for options in [
+        QueryOptions::new(),
+        QueryOptions::new().adaptive(true),
+        QueryOptions::new().threads(4),
+        QueryOptions::new().adaptive(true).threads(4),
+    ] {
+        let run = twin
+            .run(
+                options
+                    .clone()
+                    .collect_tuples(true)
+                    .collect_limit(usize::MAX),
+            )
+            .expect("twin executes");
+        let mut tuples = run.tuples;
+        tuples.sort_unstable();
+        assert_eq!(
+            tuples,
+            expected,
+            "{} ({phase}, {options:?}): renumbered {} diverges from the serial WCO oracle",
+            twin.query(),
+            twin.plan().root.fingerprint()
+        );
+    }
+}
+
+#[test]
+fn renumbered_twins_match_the_serial_wco_oracle() {
+    // Debug builds collect tuples slowly; they keep the harness on the smaller result sets.
+    let (scale, max_matches) = if cfg!(debug_assertions) {
+        (0.02, 100_000)
+    } else {
+        (0.05, 500_000)
+    };
+    // Hash joins priced at nothing, so the optimizer reaches for them wherever the plan space
+    // has one: what is under test is renumbering every tree shape, not plan choice.
+    let db = GraphflowDB::builder(Dataset::Amazon.generate(scale))
+        .cost_model(CostModel {
+            w1: 0.0,
+            w2: 0.0,
+            ..CostModel::default()
+        })
+        .build();
+    let mut rng = StdRng::seed_from_u64(0x7717);
+
+    // Every benchmark query answered with a hash join (and a result set small enough to
+    // collect), plus the first two answered with a WCO plan.
+    let mut twins = Vec::new();
+    let (mut hybrid, mut bj, mut wco) = (0, 0, 0);
+    for (j, q) in patterns::all_benchmark_queries() {
+        let original = db.prepare_query(q.clone()).expect("plans");
+        let class = original.plan_class();
+        let seen = match class {
+            PlanClass::Wco => &mut wco,
+            PlanClass::BinaryJoin => &mut bj,
+            PlanClass::Hybrid => &mut hybrid,
+        };
+        if (class == PlanClass::Wco && *seen == 2) || original.count().unwrap() > max_matches {
+            continue;
+        }
+        *seen += 1;
+        let twin = prepare_twin(&db, q.clone(), random_twin(&q, &mut rng));
+        assert_eq!(twin.plan_class(), class, "Q{j}: same tree, renumbered");
+        twins.push(twin);
+    }
+    assert!(
+        hybrid >= 3 && bj >= 1 && wco == 2,
+        "{hybrid} hybrid, {bj} BJ, {wco} WCO twins"
+    );
+    for phase in ["frozen", "dirty"] {
+        if phase == "dirty" {
+            dirty_up(&db, &mut rng);
+        }
+        for twin in &twins {
+            assert_twin_matches_wco_oracle(&db, twin, phase);
+        }
+    }
+}
+
+/// Twins whose `WHERE` / `RETURN` name an edge: the pair `(a, b)` is joined by two query edges
+/// and the predicate must stay on the right one. (The pattern has no automorphism: with one,
+/// the two texts may canonicalise their predicates differently and miss each other's entry.)
+#[test]
+fn renumbered_twins_keep_edge_predicates_and_aggregates_on_their_edges() {
+    let mut b = GraphBuilder::new();
+    for (s, d) in graphflow_rs::graph::generator::powerlaw_cluster(300, 4, 0.5, 0x7717) {
+        b.add_edge(s, d);
+        if (s + d) % 3 != 0 {
+            b.add_edge(d, s);
+        }
+    }
+    for &(s, d, l) in b.clone().build().edges() {
+        let w = PropValue::Int(((s * 31 + d * 17) % 100) as i64);
+        b.set_edge_prop(s, d, l, "w", w).unwrap();
+    }
+    let db = GraphflowDB::from_graph(b.build());
+    let mut rng = StdRng::seed_from_u64(0x7718);
+    let parse = |text: &str| parse_query(text).expect("parses");
+
+    let filtered = prepare_twin(
+        &db,
+        parse("(a)-[e]->(b), (b)->(a), (b)->(c), (c)->(a) WHERE e.w > 50"),
+        parse("(y)->(z), (z)->(x), (y)->(x), (x)-[f]->(y) WHERE f.w > 60"),
+    );
+    // `RETURN x, SUM(f.w)` over four workers: each folds tuples in the twin's numbering
+    // into its own partial. The reference is the original text, run serially.
+    let original = "(a)-[e]->(b), (b)->(a), (b)->(c), (c)->(a) RETURN a, SUM(e.w)";
+    db.prepare(original).unwrap();
+    let summed = db
+        .prepare("(y)->(z), (z)->(x), (y)->(x), (x)-[f]->(y) RETURN x, SUM(f.w)")
+        .unwrap();
+    assert!(summed.was_cached());
+
+    for phase in ["frozen", "dirty"] {
+        if phase == "dirty" {
+            dirty_up(&db, &mut rng);
+        }
+        assert_twin_matches_wco_oracle(&db, &filtered, phase);
+        let reference = db.query(original).unwrap();
+        assert!(reference.len() > 1);
+        let rows = summed.execute(QueryOptions::new().threads(4)).unwrap();
+        assert_eq!(rows.rows(), reference.rows(), "{phase}");
+    }
+}

@@ -50,6 +50,10 @@ fn preparing_the_same_pattern_twice_runs_the_optimizer_once() {
         "second prepare must NOT invoke the optimizer again"
     );
     assert_eq!(db.plan_cache_stats().hits, 1);
+    assert!(
+        std::sync::Arc::ptr_eq(first.plan(), second.plan()),
+        "an unchanged repeat gets the cached plan itself, not a copy"
+    );
 
     // Both statements answer identically, and per-run stats surface the cache outcome.
     assert_eq!(first.count().unwrap(), second.count().unwrap());
