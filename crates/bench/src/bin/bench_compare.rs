@@ -136,26 +136,32 @@ fn keyed(records: Vec<Record>) -> BTreeMap<(String, String, String), Record> {
         .collect()
 }
 
-fn load(path: &str) -> Result<BTreeMap<(String, String, String), Record>, String> {
-    let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_records(&body)
-        .map(keyed)
-        .map_err(|e| format!("{path}: {e}"))
-}
-
 fn run(
     baseline_path: &str,
     current_path: &str,
     tolerance: f64,
     slack_ms: f64,
 ) -> Result<bool, String> {
-    let baseline = load(baseline_path)?;
-    let mut current = load(current_path)?;
-    let mut failures = Vec::new();
+    let read = |path: &str| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let (baseline, current) = (read(baseline_path)?, read(current_path)?);
     println!(
         "comparing {current_path} against {baseline_path} (tolerance {:.0}%, slack {slack_ms}ms)",
         tolerance * 100.0
     );
+    compare(&baseline, &current, tolerance, slack_ms)
+}
+
+/// Judge the text of a current report against the text of a baseline report, printing one
+/// line per record. `Ok(true)` when every baseline record passes.
+fn compare(baseline: &str, current: &str, tolerance: f64, slack_ms: f64) -> Result<bool, String> {
+    let parse = |text: &str, which: &str| {
+        parse_records(text)
+            .map(keyed)
+            .map_err(|e| format!("{which} report: {e}"))
+    };
+    let baseline = parse(baseline, "baseline")?;
+    let mut current = parse(current, "current")?;
+    let mut failures = Vec::new();
     for (key, base) in &baseline {
         let label = format!("{} / {} / {}", key.0, key.1, key.2);
         let Some(cur) = current.remove(key) else {
@@ -285,19 +291,7 @@ mod tests {
     }
 
     fn check_slack(base: &str, cur: &str, tol: f64, slack: f64) -> bool {
-        let dir = std::env::temp_dir().join(format!(
-            "gf_cmp_{}_{}",
-            std::process::id(),
-            base.len() + cur.len() * 7 + (tol * 1000.0) as usize
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let b = dir.join("base.json");
-        let c = dir.join("cur.json");
-        std::fs::write(&b, base).unwrap();
-        std::fs::write(&c, cur).unwrap();
-        let ok = run(b.to_str().unwrap(), c.to_str().unwrap(), tol, slack).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        ok
+        compare(base, cur, tol, slack).unwrap()
     }
 
     fn check(base: &str, cur: &str, tol: f64) -> bool {

@@ -4,14 +4,19 @@
 //! (Section 8 and the appendices) on the synthetic dataset profiles.
 //!
 //! Each table/figure has its own binary under `src/bin/` (`cargo run --release -p
-//! graphflow-bench --bin table4_triangle_qvos`, etc.); `cargo bench` additionally runs the
-//! Criterion micro-benchmarks in `benches/`. The harnesses print the same row/series structure
-//! as the paper; absolute numbers differ (the datasets are synthetic and scaled down) but the
-//! *shape* — which plan wins, by roughly what factor, where the crossovers are — is the
-//! reproduction target, and `EXPERIMENTS.md` records both sides.
+//! graphflow-bench --bin table4_triangle_qvos`, etc.); `benches/kernels.rs` is a plain
+//! (`harness = false`) timing loop over the intersection kernels, and `bench_compare` judges
+//! one report against another. The harnesses print the same row/series structure as the paper;
+//! absolute numbers differ (the datasets are synthetic and scaled down) but the *shape* — which
+//! plan wins, by roughly what factor, where the crossovers are — is the reproduction target.
 //!
-//! The `GF_SCALE` environment variable scales every dataset (default 1.0 ≈ thousands of
-//! vertices); `GF_THREADS` caps the thread sweep of the scalability figure.
+//! Environment: `GF_SCALE` scales every dataset (default 1.0 ≈ thousands of vertices),
+//! `GF_SAMPLES` sets the timed samples per record (default 3), `GF_BENCH_DIR` is where
+//! each harness writes its machine-readable `BENCH_<name>.json` (default: the working
+//! directory), and `GF_THREADS` caps the thread sweep of the scalability figure. CI reruns six
+//! harnesses at smoke scale and gates them with `bench_compare` against the reports committed
+//! under `benchmarks/ci-baseline/`. The repository's end-to-end benchmark — requests through
+//! `graphflow-serve` over a socket — is a separate package: see `benchmarks/e2e/README.md`.
 
 use graphflow_catalog::Catalogue;
 use graphflow_core::{GraphflowDB, QueryOptions};

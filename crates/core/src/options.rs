@@ -136,11 +136,11 @@ impl QueryOptions {
         self
     }
 
-    /// Collect a per-operator execution profile alongside the run, returned through
+    /// Return the per-operator execution profile — the operators' own counters, which every
+    /// run keeps and sums into its stats, as a tree with operator self-times — through
     /// [`RuntimeStats::profile`](crate::RuntimeStats::profile) (this is what
     /// [`PreparedQuery::profile`](crate::PreparedQuery::profile) and `PROFILE <query>` turn
-    /// on). Off by default; when off the executors' stats are identical to an unprofiled
-    /// run's.
+    /// on). Off by default; the stats' counters are the same either way.
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self

@@ -10,11 +10,8 @@
 //! first two query vertices are fixed (they come from the SCAN) and the rest are picked
 //! adaptively per scanned edge.
 
-use crate::pipeline::{
-    compile, merge_prof, run_stages, CompiledPipeline, ExecOptions, ExtendStage, Stage,
-};
+use crate::pipeline::{compile, run_stages, CompiledPipeline, ExecOptions, ExtendStage, Stage};
 use crate::profile::OpCounters;
-use crate::stats::RuntimeStats;
 use graphflow_catalog::Catalogue;
 use graphflow_graph::{GraphView, VertexId};
 use graphflow_plan::plan::PlanNode;
@@ -45,22 +42,17 @@ pub(crate) struct AdaptiveCandidate {
     pub canonical_to_candidate: Vec<usize>,
 }
 
-/// Profile accumulator for an adaptive stage: the stage's own counters (selection overhead,
-/// routed tuples, canonical re-emits) plus a per-candidate routing histogram. Step-level work
-/// accrues on each candidate's own [`ExtendStage`] accumulators.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct AdaptiveProf {
-    pub(crate) op: OpCounters,
-    /// `chosen[i]` = number of incoming tuples routed to candidate `i`.
-    pub(crate) chosen: Vec<u64>,
-}
-
 /// A pipeline stage that picks a query-vertex ordering per tuple.
 #[derive(Debug, Clone)]
 pub struct AdaptiveStage {
     pub(crate) candidates: Vec<AdaptiveCandidate>,
-    /// Present only under [`ExecOptions::profile`].
-    pub(crate) prof: Option<Box<AdaptiveProf>>,
+    /// The stage's own work: selection overhead, routed tuples, canonical re-emits and
+    /// outputs. Step-level work is counted on each candidate's own [`ExtendStage`]s.
+    pub(crate) counters: OpCounters,
+    /// `chosen[i]` = number of incoming tuples routed to candidate `i`.
+    pub(crate) chosen: Vec<u64>,
+    /// Read the clock for self-times ([`ExecOptions::profile`]).
+    timed: bool,
 }
 
 impl AdaptiveStage {
@@ -69,18 +61,16 @@ impl AdaptiveStage {
         self.candidates.len()
     }
 
-    /// Fold the profile accumulators of a worker's clone of this stage into this one: the
-    /// stage's own counters, the per-candidate `chosen` tallies and every candidate step.
-    pub(crate) fn absorb_profile(&mut self, worker: &AdaptiveStage) {
-        if let (Some(mine), Some(theirs)) = (&mut self.prof, &worker.prof) {
-            mine.op.merge(&theirs.op);
-            for (mine, theirs) in mine.chosen.iter_mut().zip(&theirs.chosen) {
-                *mine += theirs;
-            }
+    /// Fold the counters of a worker's clone of this stage into this one: the stage's own,
+    /// the per-candidate `chosen` tallies and every candidate step.
+    pub(crate) fn absorb(&mut self, worker: &AdaptiveStage) {
+        self.counters.merge(&worker.counters);
+        for (mine, theirs) in self.chosen.iter_mut().zip(&worker.chosen) {
+            *mine += theirs;
         }
         for (mine, theirs) in self.candidates.iter_mut().zip(&worker.candidates) {
             for (mine, theirs) in mine.steps.iter_mut().zip(&theirs.steps) {
-                merge_prof(&mut mine.prof, &theirs.prof);
+                mine.counters.merge(&theirs.counters);
             }
         }
     }
@@ -124,42 +114,30 @@ fn recost_candidate<G: GraphView>(
 
 /// Execute one adaptive stage for `tuple`, forwarding complete extensions (restored to the
 /// canonical layout) into the remaining stages `rest`. Returns `false` to stop execution.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_adaptive_stage<G: GraphView>(
     stage: &mut AdaptiveStage,
     rest: &mut [Stage],
     graph: &G,
     tuple: &mut Vec<VertexId>,
-    options: &ExecOptions,
     interrupt: Option<&crate::cancel::Interrupt>,
-    stats: &mut RuntimeStats,
     on_result: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
-    // Destructured so the chosen candidate and the stage's profile accumulator can be borrowed
-    // disjointly through the recursion below.
-    let AdaptiveStage { candidates, prof } = stage;
-    let sel_t0 = if prof.is_some() {
-        Some(Instant::now())
-    } else {
-        None
-    };
+    let t0 = stage.timed.then(Instant::now);
     // Pick the cheapest candidate for this tuple.
     let mut best = 0usize;
     let mut best_cost = f64::INFINITY;
-    for (i, cand) in candidates.iter().enumerate() {
+    for (i, cand) in stage.candidates.iter().enumerate() {
         let c = recost_candidate(cand, graph, tuple);
         if c < best_cost {
             best_cost = c;
             best = i;
         }
     }
-    if let Some(p) = prof.as_deref_mut() {
-        p.op.tuples_in += 1;
-        p.chosen[best] += 1;
-        p.op.time_ns += sel_t0.expect("set with prof").elapsed().as_nanos() as u64;
-    }
+    stage.counters.tuples_in += 1;
+    stage.chosen[best] += 1;
+    stage.counters.add_elapsed(t0);
     let base_len = tuple.len();
-    let candidate = &mut candidates[best];
+    let candidate = &mut stage.candidates[best];
     run_candidate_steps(
         &mut candidate.steps,
         &candidate.canonical_to_candidate,
@@ -167,16 +145,15 @@ pub(crate) fn run_adaptive_stage<G: GraphView>(
         rest,
         graph,
         tuple,
-        options,
         interrupt,
-        stats,
-        prof,
+        &mut stage.counters,
         on_result,
     )
 }
 
 /// Depth-first evaluation of a candidate's extension steps; once all steps have fired, the
-/// appended values are re-ordered into the canonical layout and passed on.
+/// appended values are re-ordered into the canonical layout and passed on. `op` is the
+/// adaptive stage's own counters.
 #[allow(clippy::too_many_arguments)]
 fn run_candidate_steps<G: GraphView>(
     steps: &mut [ExtendStage],
@@ -185,75 +162,47 @@ fn run_candidate_steps<G: GraphView>(
     rest: &mut [Stage],
     graph: &G,
     tuple: &mut Vec<VertexId>,
-    options: &ExecOptions,
     interrupt: Option<&crate::cancel::Interrupt>,
-    stats: &mut RuntimeStats,
-    adaptive_prof: &mut Option<Box<AdaptiveProf>>,
+    op: &mut OpCounters,
     on_result: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
     if steps.is_empty() {
         // Restore the canonical layout of the appended values. Outputs and canonical re-emits
-        // are the stage's own work (no single step owns them), so they accrue on the stage's
-        // accumulator rather than a candidate step's.
+        // are the stage's own work (no single step owns them), so they are counted on the
+        // stage rather than on a candidate step.
         let mut canonical = Vec::with_capacity(tuple.len());
         canonical.extend_from_slice(&tuple[..base_len]);
         for &cand_pos in canonical_to_candidate {
             canonical.push(tuple[base_len + cand_pos]);
         }
         return if rest.is_empty() {
-            stats.output_count += 1;
-            if let Some(p) = adaptive_prof.as_deref_mut() {
-                p.op.outputs += 1;
-            }
+            op.outputs += 1;
             on_result(&canonical)
         } else {
-            stats.intermediate_tuples += 1;
-            if let Some(p) = adaptive_prof.as_deref_mut() {
-                p.op.tuples_out += 1;
-            }
-            let mut canonical_vec = canonical;
-            run_stages(
-                rest,
-                graph,
-                &mut canonical_vec,
-                options,
-                interrupt,
-                stats,
-                on_result,
-            )
+            op.tuples_out += 1;
+            run_stages(rest, graph, &mut canonical, interrupt, on_result)
         };
     }
     let (first, remaining) = steps.split_at_mut(1);
     let stage = &mut first[0];
-    let set_len = {
-        stage
-            .extension_set(graph, tuple, options.use_intersection_cache, stats)
-            .len()
-    };
-    if remaining.is_empty() && rest.is_empty() && options.count_tail {
+    let set_len = stage.extension_set(graph, tuple).len();
+    if stage.count_tail {
         // COUNT(*) fast path (mirrors the fixed pipeline): the candidate's final column is
         // never read, so its set size is the result count for this prefix.
-        stats.output_count += set_len as u64;
-        stats.bulk_counted_extensions += 1;
-        if let Some(p) = adaptive_prof.as_deref_mut() {
-            p.op.outputs += set_len as u64;
-        }
+        op.outputs += set_len as u64;
         return true;
     }
     for i in 0..set_len {
         // Same cooperative-interrupt granularity as the fixed pipeline: one candidate value.
         if let Some(interrupt) = interrupt {
-            if interrupt.should_stop(stats) {
+            if interrupt.should_stop() {
                 return false;
             }
         }
         let v = stage.cache_set_value(i);
         tuple.push(v);
         if !remaining.is_empty() || !rest.is_empty() {
-            stats.intermediate_tuples += 1;
-            if let Some(p) = &mut stage.prof {
-                p.tuples_out += 1;
-            }
+            stage.counters.tuples_out += 1;
         }
         let keep_going = run_candidate_steps(
             remaining,
@@ -262,10 +211,8 @@ fn run_candidate_steps<G: GraphView>(
             rest,
             graph,
             tuple,
-            options,
             interrupt,
-            stats,
-            adaptive_prof,
+            op,
             on_result,
         );
         tuple.pop();
@@ -284,10 +231,9 @@ pub(crate) fn compile_adaptive<G: GraphView>(
     node: &PlanNode,
     catalogue: &Catalogue,
     options: &ExecOptions,
-    stats: &mut RuntimeStats,
 ) -> CompiledPipeline {
     // First compile normally to materialise hash tables and get the fixed pipeline.
-    let fixed = compile(graph, q, node, options, stats);
+    let fixed = compile(graph, q, node, options);
 
     // Track the tuple layout below each stage to build adaptive candidates.
     let mut layouts: Vec<Vec<usize>> = Vec::with_capacity(fixed.stages.len() + 1);
@@ -302,15 +248,9 @@ pub(crate) fn compile_adaptive<G: GraphView>(
                 layout.push(next);
             }
             Stage::Probe(p) => {
-                let added = p.table.payload_width;
-                for i in 0..added {
-                    layout.push(full_layout[layout.len() + i - i]); // placeholder, fixed below
-                }
-                // The probe appends exactly the next `added` canonical layout entries.
+                // The probe appends exactly the next `payload_width` canonical layout entries.
                 let len = layout.len();
-                for (offset, slot) in layout[len - added..].iter_mut().enumerate() {
-                    *slot = full_layout[len - added + offset];
-                }
+                layout.extend_from_slice(&full_layout[len..len + p.table.payload_width]);
             }
             Stage::Adaptive(_) => unreachable!("input pipeline is non-adaptive"),
         }
@@ -360,13 +300,11 @@ pub(crate) fn compile_adaptive<G: GraphView>(
                         // Each candidate ordering binds targets at different times, so the
                         // pushed-down predicates are recomputed against this ordering's own
                         // prefix.
-                        let (target_preds, edge_preds) =
-                            crate::pipeline::extension_preds(q, &prefix, target);
                         steps.push(ExtendStage::new(
                             spec.descriptors,
                             spec.target_label,
-                            target_preds,
-                            edge_preds,
+                            crate::pipeline::extension_preds(q, &prefix, target),
+                            options,
                         ));
                         estimates.push(StepEstimate {
                             sizes: est.avg_list_sizes,
@@ -404,22 +342,12 @@ pub(crate) fn compile_adaptive<G: GraphView>(
                 new_stages.push(fixed.stages[k].clone());
             }
         } else {
-            // `compile` enables the fixed stages' accumulators; candidate steps are built here,
-            // so their accumulators (and the stage's own) are enabled here too.
-            let prof = if options.profile {
-                for cand in &mut candidates {
-                    for step in &mut cand.steps {
-                        step.prof = Some(Default::default());
-                    }
-                }
-                Some(Box::new(AdaptiveProf {
-                    op: OpCounters::default(),
-                    chosen: vec![0; candidates.len()],
-                }))
-            } else {
-                None
-            };
-            new_stages.push(Stage::Adaptive(AdaptiveStage { candidates, prof }));
+            new_stages.push(Stage::Adaptive(AdaptiveStage {
+                chosen: vec![0; candidates.len()],
+                candidates,
+                counters: OpCounters::default(),
+                timed: options.profile,
+            }));
         }
         i = j;
     }
@@ -492,15 +420,7 @@ mod tests {
         let model = CostModel::default();
         let q = patterns::diamond_x();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2, 3]).unwrap();
-        let mut stats = RuntimeStats::default();
-        let pipeline = compile_adaptive(
-            &g,
-            &q,
-            &plan.root,
-            &cat,
-            &ExecOptions::default(),
-            &mut stats,
-        );
+        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
         assert_eq!(pipeline.stages.len(), 1);
         match &pipeline.stages[0] {
             Stage::Adaptive(a) => assert_eq!(a.num_candidates(), 2),
@@ -515,15 +435,7 @@ mod tests {
         let model = CostModel::default();
         let q = patterns::asymmetric_triangle();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2]).unwrap();
-        let mut stats = RuntimeStats::default();
-        let pipeline = compile_adaptive(
-            &g,
-            &q,
-            &plan.root,
-            &cat,
-            &ExecOptions::default(),
-            &mut stats,
-        );
+        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
         assert!(matches!(pipeline.stages[0], Stage::Extend(_)));
     }
 

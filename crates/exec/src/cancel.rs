@@ -7,15 +7,14 @@
 //! of work (scanned edge, extension candidate, probed group), and every
 //! [`INTERRUPT_CHECK_INTERVAL`] units the token and the clock are actually consulted. A tripped
 //! check unwinds the whole pipeline (including hash-join build sides, which run through the same
-//! machinery) within one batch, and the run's [`RuntimeStats`] record *why* it stopped
-//! ([`RuntimeStats::cancelled`] / [`RuntimeStats::timed_out`]) so the facade can surface a typed
-//! error instead of a silently truncated result.
+//! machinery) within one batch, and the interrupt remembers *why* it stopped; the driver copies
+//! that into the run's [`RuntimeStats`](crate::RuntimeStats) (`cancelled` / `timed_out`) so the
+//! facade can surface a typed error instead of a silently truncated result.
 //!
 //! The token is a plain atomic flag behind an `Arc`: cloning it is how it crosses threads, and
 //! every worker of a run polls the *same* flag, so one `cancel()` stops all of
 //! them within a batch each.
 
-use crate::stats::RuntimeStats;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,19 +77,21 @@ impl CancellationToken {
     }
 }
 
-/// The executor-side interrupt state of one run: an optional [`CancellationToken`], an optional
-/// deadline, and the countdown that amortises the cost of consulting them.
+/// The executor-side interrupt state of one worker: an optional [`CancellationToken`], an
+/// optional deadline, the countdown that amortises the cost of consulting them, and the two
+/// flags recording which of them stopped the worker.
 ///
-/// Cloning an `Interrupt` (the driver builds one per worker) shares the token and
-/// deadline but gives the clone its own countdown, so workers never contend on the check state.
+/// The driver builds one per worker: all share the token and deadline, each has its own
+/// countdown and flags, so workers never contend on the check state.
 #[derive(Debug, Clone)]
 pub struct Interrupt {
     token: Option<CancellationToken>,
     deadline: Option<Instant>,
     /// Units of work until the next real check. Interior-mutable so the hot paths can tick it
-    /// through a shared reference; `Cell` keeps the owning `ExecOptions` single-threaded, which
-    /// is exactly how executors use their options (one clone per worker).
+    /// through a shared reference.
     countdown: Cell<u32>,
+    cancelled: Cell<bool>,
+    timed_out: Cell<bool>,
 }
 
 impl PartialEq for Interrupt {
@@ -117,20 +118,22 @@ impl Interrupt {
             token,
             deadline,
             countdown: Cell::new(0),
+            cancelled: Cell::new(false),
+            timed_out: Cell::new(false),
         })
     }
 
-    /// Consult the token and the clock right now, recording the outcome in `stats`.
-    fn trip(&self, stats: &mut RuntimeStats) -> bool {
+    /// Consult the token and the clock right now, recording the outcome.
+    fn trip(&self) -> bool {
         if let Some(token) = &self.token {
             if token.is_cancelled() {
-                stats.cancelled = true;
+                self.cancelled.set(true);
                 return true;
             }
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
-                stats.timed_out = true;
+                self.timed_out.set(true);
                 return true;
             }
         }
@@ -138,17 +141,26 @@ impl Interrupt {
     }
 
     /// Tick one unit of work; every [`INTERRUPT_CHECK_INTERVAL`] ticks the token and deadline
-    /// are actually consulted. Returns `true` when the run must stop (and records why in
-    /// `stats`).
+    /// are actually consulted. Returns `true` when the run must stop (and remembers why).
     #[inline]
-    pub fn should_stop(&self, stats: &mut RuntimeStats) -> bool {
+    pub fn should_stop(&self) -> bool {
         let remaining = self.countdown.get();
         if remaining > 0 {
             self.countdown.set(remaining - 1);
             return false;
         }
         self.countdown.set(INTERRUPT_CHECK_INTERVAL);
-        self.trip(stats)
+        self.trip()
+    }
+
+    /// Whether a check found the token cancelled.
+    pub fn cancelled(&self) -> bool {
+        self.cancelled.get()
+    }
+
+    /// Whether a check found the deadline passed.
+    pub fn timed_out(&self) -> bool {
+        self.timed_out.get()
     }
 }
 
@@ -179,30 +191,28 @@ mod tests {
     fn cancellation_trips_within_one_interval() {
         let token = CancellationToken::new();
         let interrupt = Interrupt::new(Some(token.clone()), None).unwrap();
-        let mut stats = RuntimeStats::default();
         // The first call always does a real check.
-        assert!(!interrupt.should_stop(&mut stats));
+        assert!(!interrupt.should_stop());
         token.cancel();
         let mut calls = 0u32;
-        while !interrupt.should_stop(&mut stats) {
+        while !interrupt.should_stop() {
             calls += 1;
             assert!(
                 calls <= INTERRUPT_CHECK_INTERVAL,
                 "must trip within a batch"
             );
         }
-        assert!(stats.cancelled);
-        assert!(!stats.timed_out);
+        assert!(interrupt.cancelled());
+        assert!(!interrupt.timed_out());
     }
 
     #[test]
     fn elapsed_deadline_times_out() {
         let deadline = Instant::now() - Duration::from_millis(1);
         let interrupt = Interrupt::new(None, Some(deadline)).unwrap();
-        let mut stats = RuntimeStats::default();
-        assert!(interrupt.should_stop(&mut stats));
-        assert!(stats.timed_out);
-        assert!(!stats.cancelled);
+        assert!(interrupt.should_stop());
+        assert!(interrupt.timed_out());
+        assert!(!interrupt.cancelled());
     }
 
     #[test]
@@ -211,20 +221,21 @@ mod tests {
         token.cancel();
         let deadline = Instant::now() - Duration::from_millis(1);
         let interrupt = Interrupt::new(Some(token), Some(deadline)).unwrap();
-        let mut stats = RuntimeStats::default();
-        assert!(interrupt.should_stop(&mut stats));
-        assert!(stats.cancelled, "explicit cancellation is reported as such");
-        assert!(!stats.timed_out);
+        assert!(interrupt.should_stop());
+        assert!(
+            interrupt.cancelled(),
+            "explicit cancellation is reported as such"
+        );
+        assert!(!interrupt.timed_out());
     }
 
     #[test]
     fn far_deadline_does_not_trip() {
         let deadline = Instant::now() + Duration::from_secs(3600);
         let interrupt = Interrupt::new(None, Some(deadline)).unwrap();
-        let mut stats = RuntimeStats::default();
         for _ in 0..(INTERRUPT_CHECK_INTERVAL * 4) {
-            assert!(!interrupt.should_stop(&mut stats));
+            assert!(!interrupt.should_stop());
         }
-        assert!(!stats.cancelled && !stats.timed_out);
+        assert!(!interrupt.cancelled() && !interrupt.timed_out());
     }
 }

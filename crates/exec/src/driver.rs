@@ -5,8 +5,11 @@
 //! through `ScanStage::admit`, push every admitted pair through `run_stages`. The calling
 //! thread is worker 0 and runs the compiled pipeline itself; each further worker is a scoped
 //! thread with a clone of it (private intersection caches and counters; hash-join build tables
-//! are shared read-only). Serial execution is the one-worker case of the same loop: no thread
-//! is spawned, nothing is cloned, and the caller's sink receives every tuple directly.
+//! are shared read-only). Every operator counts its own work in its own stage; at the join
+//! barrier the clones' counters are absorbed position by position, and the run's
+//! [`RuntimeStats`] are one fold over the pipeline. Serial execution is the one-worker case of
+//! the same loop: no thread is spawned, nothing is cloned, and the caller's sink receives every
+//! tuple directly.
 //!
 //! Work is distributed at two levels:
 //!
@@ -34,7 +37,6 @@ use crate::pipeline::{
     assemble_profile, compile, run_extend_candidates, run_stages, CompiledPipeline, ExecOptions,
     ExecOutput, ExtendStage, ScanStage, Stage,
 };
-use crate::profile::OpCounters;
 use crate::sink::{CountingSink, MatchSink, PartialSink};
 use crate::stats::RuntimeStats;
 use graphflow_catalog::Catalogue;
@@ -103,31 +105,32 @@ pub fn execute_with_sink<G: GraphView>(
     plan: &Plan,
     adaptive: Option<&Catalogue>,
     threads: usize,
-    mut options: ExecOptions,
+    options: ExecOptions,
     sink: &mut (dyn MatchSink + Send),
 ) -> RuntimeStats {
     let start = Instant::now();
-    let mut stats = RuntimeStats::default();
     let q = &plan.query;
     // Hash-join build sides are materialised here, once, on the calling thread.
     let mut pipeline = match adaptive {
-        Some(catalogue) => compile_adaptive(graph, q, &plan.root, catalogue, &options, &mut stats),
-        None => compile(graph, q, &plan.root, &options, &mut stats),
+        Some(catalogue) => compile_adaptive(graph, q, &plan.root, catalogue, &options),
+        None => compile(graph, q, &plan.root, &options),
     };
     // The limit is claimed slot by slot in the driver; the bulk-count fast path delivers no
     // tuples to claim slots for, so it stands down under a limit.
-    let limit = options.output_limit.take();
-    options.count_tail &= limit.is_none();
-    drive(
+    let limit = options.output_limit;
+    if options.count_tail && limit.is_none() {
+        pipeline.enable_count_tail();
+    }
+    let mut stats = drive(
         &mut pipeline,
         graph,
         q.num_vertices(),
         &options,
         limit,
         threads.max(1),
-        &mut stats,
         sink,
     );
+    pipeline.fold_into(&mut stats);
     if options.profile {
         stats.profile = Some(Box::new(assemble_profile(&pipeline)));
     }
@@ -178,8 +181,9 @@ struct Shared<'a> {
     active: AtomicUsize,
 }
 
-/// What one worker hands back at the join barrier.
+/// What one worker hands back at the join barrier (its operator counters stay on its pipeline).
 struct WorkerResult {
+    /// Scheduler-side stats only: heavy splits, and whether an interrupt stopped the worker.
     stats: RuntimeStats,
     partial: Option<Box<dyn PartialSink>>,
     /// Tuples the stage loops counted but that were never delivered: produced beyond the
@@ -188,9 +192,10 @@ struct WorkerResult {
 }
 
 /// Run a compiled pipeline to completion on `workers` workers (the calling thread included),
-/// folding counters into `stats` and, under profiling, every worker's accumulators into
-/// `pipeline`. `options` must not carry an output limit; `limit` does.
-#[allow(clippy::too_many_arguments)]
+/// absorbing every worker's operator counters into `pipeline`. Returns the scheduler-side
+/// stats only (heavy splits, cancelled / timed out): the caller adds the operators' with
+/// [`CompiledPipeline::fold_into`]. Of `options` only the token and the deadline are read; the
+/// output limit is `limit`.
 pub(crate) fn drive<G: GraphView>(
     pipeline: &mut CompiledPipeline,
     graph: &G,
@@ -198,9 +203,9 @@ pub(crate) fn drive<G: GraphView>(
     options: &ExecOptions,
     limit: Option<u64>,
     workers: usize,
-    stats: &mut RuntimeStats,
     sink: &mut (dyn MatchSink + Send),
-) {
+) -> RuntimeStats {
+    let mut stats = RuntimeStats::default();
     let needs_tuples = sink.needs_tuples();
     // A limit of zero delivers nothing, and an empty hash-join build side (including those of
     // bushy trees, materialised bottom-up at compile time) lets no scan tuple survive its
@@ -285,9 +290,7 @@ pub(crate) fn drive<G: GraphView>(
                 for handle in handles {
                     let (result, clone) = handle.join().expect("worker panicked");
                     results.push(result);
-                    if options.profile {
-                        pipeline.absorb_profile(&clone);
-                    }
+                    pipeline.absorb(&clone);
                 }
                 results
             })
@@ -301,16 +304,13 @@ pub(crate) fn drive<G: GraphView>(
                 sink.absorb_partial(partial);
             }
         }
-        stats.output_count -= rejected;
-        // Rejected tuples were booked as outputs by the emitting (last) operator, so the
-        // deduction applied to the stats total keeps the profile's tree-sum exact.
-        if let Some(last) = pipeline.last_prof_mut() {
-            last.outputs -= rejected;
-        }
+        // Rejected tuples were booked as outputs by the emitting (last) operator.
+        pipeline.emitter_mut().outputs -= rejected;
     }
     if !needs_tuples {
-        sink.on_count(stats.output_count);
+        sink.on_count(pipeline.emitter_mut().outputs);
     }
+    stats
 }
 
 /// Scatter a pipeline-layout tuple into query-vertex order.
@@ -435,8 +435,12 @@ fn run_worker<G: GraphView>(
     // Reorder scratch, one slot per query vertex (`width` of them).
     let mut ordered = vec![0; width];
     let mut partial = None;
+    // Each worker has its own interrupt countdown and flags; the cancellation token and
+    // deadline inside are shared, so one cancel() stops every worker.
+    let interrupt = options.interrupt();
+    let interrupt = interrupt.as_ref();
     let mut morsels = |on_result: &mut dyn FnMut(&[VertexId]) -> bool| {
-        run_morsels(scan, stages, graph, options, shared, on_result)
+        run_morsels(scan, stages, graph, interrupt, shared, on_result)
     };
     let stats = match sink {
         WorkerSink::Count => morsels(&mut gated(shared, rejected, |_| true)),
@@ -485,21 +489,12 @@ fn run_morsels<G: GraphView>(
     scan: &mut ScanStage,
     stages: &mut [Stage],
     graph: &G,
-    options: &ExecOptions,
+    interrupt: Option<&crate::cancel::Interrupt>,
     shared: &Shared<'_>,
     on_result: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> RuntimeStats {
     let mut stats = RuntimeStats::default();
-    // Each worker has its own interrupt countdown; the cancellation token and deadline inside
-    // are shared, so one cancel() stops every worker.
-    let interrupt = options.interrupt();
-    let interrupt = interrupt.as_ref();
-    // The scan's profile (when enabled) accrues in a local accumulator and is merged into the
-    // pipeline's at the end. Its time covers the whole drive; assembly subtracts downstream
-    // self-times.
-    let profiling = scan.prof.is_some();
-    let run_t0 = profiling.then(Instant::now);
-    let mut scan_prof = OpCounters::default();
+    let run_t0 = scan.timed.then(Instant::now);
     let stop = &shared.stop;
     let scan_edges = shared.scan_edges;
     let mut tuple: Vec<VertexId> = Vec::new();
@@ -507,6 +502,10 @@ fn run_morsels<G: GraphView>(
     loop {
         // A tripped interrupt (cancellation or deadline) stops this worker; raise the shared
         // flag so the others stop promptly too.
+        if let Some(interrupt) = interrupt {
+            stats.cancelled = interrupt.cancelled();
+            stats.timed_out = interrupt.timed_out();
+        }
         if stats.cancelled || stats.timed_out {
             stop.store(true, Ordering::Relaxed);
         }
@@ -530,9 +529,7 @@ fn run_morsels<G: GraphView>(
                 graph,
                 &mut tuple,
                 0..task.candidates.len(),
-                options,
                 interrupt,
-                &mut stats,
                 on_result,
             );
             shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -553,30 +550,24 @@ fn run_morsels<G: GraphView>(
                     break;
                 }
                 if let Some(interrupt) = interrupt {
-                    if interrupt.should_stop(&mut stats) {
+                    if interrupt.should_stop() {
                         break;
                     }
                 }
-                if !scan.admit(graph, u, v, l, &mut stats, &mut scan_prof, profiling) {
+                if !scan.admit(graph, u, v, l) {
                     continue;
                 }
                 tuple.clear();
                 tuple.push(u);
                 tuple.push(v);
                 if stages.is_empty() {
-                    stats.output_count += 1;
-                    if profiling {
-                        scan_prof.outputs += 1;
-                    }
+                    scan.counters.outputs += 1;
                     if !on_result(&tuple) {
                         break;
                     }
                     continue;
                 }
-                stats.intermediate_tuples += 1;
-                if profiling {
-                    scan_prof.tuples_out += 1;
-                }
+                scan.counters.tuples_out += 1;
                 // Second-level split point: a first-stage EXTEND whose set fans into further
                 // stages, with other workers to share it with. (A final-stage set is never
                 // split: its per-candidate work is a counter bump or batch append — and under
@@ -585,8 +576,7 @@ fn run_morsels<G: GraphView>(
                 let splittable = shared.workers > 1 && stages.len() > 1;
                 let keep_going = if let (true, Stage::Extend(first)) = (splittable, &mut stages[0])
                 {
-                    let cache = options.use_intersection_cache;
-                    let set_len = first.extension_set(graph, &tuple, cache, &mut stats).len();
+                    let set_len = first.extension_set(graph, &tuple).len();
                     let mut keep = set_len;
                     if set_len >= HEAVY_SPLIT_MIN {
                         // Keep one segment; the other workers take the rest.
@@ -594,20 +584,9 @@ fn run_morsels<G: GraphView>(
                         publish_heavy_tail(first, &tuple, keep..set_len, shared);
                         stats.heavy_splits += 1;
                     }
-                    run_extend_candidates(
-                        stages,
-                        graph,
-                        &mut tuple,
-                        0..keep,
-                        options,
-                        interrupt,
-                        &mut stats,
-                        on_result,
-                    )
+                    run_extend_candidates(stages, graph, &mut tuple, 0..keep, interrupt, on_result)
                 } else {
-                    run_stages(
-                        stages, graph, &mut tuple, options, interrupt, &mut stats, on_result,
-                    )
+                    run_stages(stages, graph, &mut tuple, interrupt, on_result)
                 };
                 if !keep_going {
                     break;
@@ -626,10 +605,7 @@ fn run_morsels<G: GraphView>(
             break;
         }
     }
-    if let Some(p) = &mut scan.prof {
-        scan_prof.time_ns = run_t0.expect("set with prof").elapsed().as_nanos() as u64;
-        p.merge(&scan_prof);
-    }
+    scan.counters.add_elapsed(run_t0);
     stats
 }
 
@@ -657,6 +633,35 @@ mod tests {
             output_limit: Some(limit),
             ..Default::default()
         }
+    }
+
+    /// The operator tree of a profiled run sums to the run's totals — the contract
+    /// `tests/observability.rs` checks on complete runs, here for runs that end early.
+    fn assert_tree_sums_to_totals(label: &str, stats: &RuntimeStats) {
+        let tree = stats
+            .profile
+            .as_ref()
+            .expect("profiled run attaches a tree");
+        assert_eq!(tree.total_icost(), stats.icost, "{label}: i-cost");
+        assert_eq!(
+            tree.total_intermediate_tuples(),
+            stats.intermediate_tuples,
+            "{label}: intermediate tuples"
+        );
+        assert_eq!(tree.total_outputs(), stats.output_count, "{label}: outputs");
+        assert_eq!(tree.total_cache_hits(), stats.cache_hits, "{label}: hits");
+        assert_eq!(
+            tree.total_cache_misses(),
+            stats.cache_misses,
+            "{label}: misses"
+        );
+    }
+
+    /// What must not depend on `ExecOptions::profile`: everything but the tree and the clock.
+    fn counters_of(mut stats: RuntimeStats) -> RuntimeStats {
+        stats.profile = None;
+        stats.elapsed = std::time::Duration::ZERO;
+        stats
     }
 
     #[test]
@@ -770,18 +775,111 @@ mod tests {
             "need enough matches to decline mid-run"
         );
         for threads in [1usize, 4, 8] {
-            let mut sink = RejectingSink {
-                limit: 40,
-                seen: 0,
-                declined: false,
+            let run = |profile: bool| {
+                let mut sink = RejectingSink {
+                    limit: 40,
+                    seen: 0,
+                    declined: false,
+                };
+                let options = ExecOptions {
+                    profile,
+                    ..Default::default()
+                };
+                let stats = execute_with_sink(&g, &plan, None, threads, options, &mut sink);
+                // The sink saw exactly `limit` tuples (the last of which it declined on), and
+                // the run's output count matches what was actually delivered.
+                assert_eq!(sink.seen, 40, "{threads} threads");
+                assert!(sink.declined);
+                assert_eq!(stats.output_count, 40, "{threads} threads");
+                stats
             };
-            let stats =
-                execute_with_sink(&g, &plan, None, threads, ExecOptions::default(), &mut sink);
-            // The sink saw exactly `limit` tuples (the last of which it declined on), and the
-            // run's output count matches what was actually delivered.
-            assert_eq!(sink.seen, 40, "{threads} threads");
-            assert!(sink.declined);
-            assert_eq!(stats.output_count, 40, "{threads} threads");
+            // Tuples buffered behind the decline (the `Batched` path at several workers) come
+            // off the emitting operator, so the operator tree still sums to the totals.
+            let (off, on) = (run(false), run(true));
+            assert_tree_sums_to_totals(&format!("{threads} threads"), &on);
+            if threads == 1 {
+                // One worker does the same work every time.
+                assert_eq!(counters_of(on), counters_of(off));
+            }
+        }
+    }
+
+    /// Counts what it is given and cancels `token` on seeing its `after`-th tuple.
+    struct CancellingSink {
+        token: crate::CancellationToken,
+        after: u64,
+        seen: u64,
+    }
+
+    impl MatchSink for CancellingSink {
+        fn on_match(&mut self, _tuple: &[VertexId]) -> bool {
+            self.seen += 1;
+            if self.seen == self.after {
+                self.token.cancel();
+            }
+            true
+        }
+    }
+
+    /// A run stopped by its interrupt says why, delivers what it counted — tuples a worker
+    /// still held in its batch when it was interrupted come off the emitting operator — and
+    /// keeps one set of books. Stopped before any work (token cancelled up front, deadline
+    /// already passed), every worker count does the same nothing, and on a hybrid plan the
+    /// flag comes up from the hash-join build side, whose empty table keeps the probe side
+    /// from running at all.
+    #[test]
+    fn interrupted_runs_report_why_and_count_the_same_with_profiling_on_or_off() {
+        let g = random_graph();
+        let cat = Catalogue::with_defaults(g.clone());
+        let triangle = DpOptimizer::new(&cat)
+            .optimize(&patterns::asymmetric_triangle())
+            .unwrap();
+        let q = patterns::benchmark_query(8);
+        let left = graphflow_plan::wco::wco_node_for_ordering(&q, &[0, 1, 2]).unwrap();
+        let right = graphflow_plan::wco::wco_node_for_ordering(&q, &[2, 3, 4]).unwrap();
+        let join = graphflow_plan::plan::PlanNode::hash_join(&q, left, right).unwrap();
+        let hybrid = Plan::new(q, join, 0.0);
+        // (why, cancel on the n-th delivered tuple, deadline)
+        let stops = [
+            ("cancelled up front", Some(0), None),
+            ("cancelled mid-run", Some(40), None),
+            ("deadline passed", None, Some(Instant::now())),
+        ];
+        for (why, cancel_after, deadline) in stops {
+            for (shape, plan) in [("wco", &triangle), ("hybrid", &hybrid)] {
+                for threads in [1usize, 4] {
+                    let label = format!("{why}, {shape}, {threads} threads");
+                    let run = |profile: bool| {
+                        let token = crate::CancellationToken::new();
+                        if cancel_after == Some(0) {
+                            token.cancel();
+                        }
+                        let options = ExecOptions {
+                            cancel: Some(token.clone()),
+                            deadline,
+                            profile,
+                            ..Default::default()
+                        };
+                        let mut sink = CancellingSink {
+                            token,
+                            after: cancel_after.unwrap_or(u64::MAX),
+                            seen: 0,
+                        };
+                        let stats = execute_with_sink(&g, plan, None, threads, options, &mut sink);
+                        assert_eq!(stats.cancelled, cancel_after.is_some(), "{label}");
+                        assert_eq!(stats.timed_out, deadline.is_some(), "{label}");
+                        assert_eq!(stats.output_count, sink.seen, "{label}: outputs delivered");
+                        stats
+                    };
+                    let (off, on) = (run(false), run(true));
+                    assert_tree_sums_to_totals(&label, &on);
+                    // Several workers racing towards a mid-run cancel split the work
+                    // differently every time; every other case repeats exactly.
+                    if threads == 1 || cancel_after != Some(40) {
+                        assert_eq!(counters_of(on), counters_of(off), "{label}");
+                    }
+                }
+            }
         }
     }
 

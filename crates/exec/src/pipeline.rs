@@ -32,11 +32,11 @@ pub(crate) struct CompiledCmp {
 }
 
 impl CompiledCmp {
-    /// Evaluate against a looked-up property value, counting the evaluation. Missing
-    /// properties and type-incomparable pairs do not match.
+    /// Evaluate against a looked-up property value, counting the evaluation on the operator
+    /// that asked. Missing properties and type-incomparable pairs do not match.
     #[inline]
-    pub(crate) fn matches(&self, found: Option<PropValue>, stats: &mut RuntimeStats) -> bool {
-        stats.predicate_evals += 1;
+    pub(crate) fn matches(&self, found: Option<PropValue>, counters: &mut OpCounters) -> bool {
+        counters.predicate_evals += 1;
         match found {
             Some(found) => found
                 .compare(&self.value)
@@ -153,11 +153,11 @@ pub struct ExecOptions {
     /// the join table, not the output). `RuntimeStats::bulk_counted_extensions` counts the
     /// shortcut firing.
     pub count_tail: bool,
-    /// Collect a per-operator profile ([`OpProfile`]) alongside the
-    /// run: wall-time, i-cost, tuples in/out, cache hits/misses, predicate evals/drops and
-    /// delta merges attributed to each plan operator, returned through
-    /// [`RuntimeStats::profile`]. Off by default; when off, every accrual site pays a single
-    /// predictable branch and the returned stats are identical to an unprofiled build's.
+    /// Return the per-operator profile ([`OpProfile`]) through [`RuntimeStats::profile`]:
+    /// the operators' own counters (i-cost, tuples in/out, cache hits/misses, predicate
+    /// evals/drops, delta merges — kept on every run, `RuntimeStats` is their sum) assembled
+    /// into the plan's operator tree, plus operator self-times. Off by default; turning it on
+    /// adds the clock readings and the tree, and changes no counter.
     pub profile: bool,
 }
 
@@ -217,8 +217,11 @@ pub(crate) struct ScanStage {
     pub extra_filters: Vec<QueryEdge>,
     /// Property predicates evaluable on the scanned pair (pushed down from the WHERE clause).
     pub(crate) preds: Vec<ScanPred>,
-    /// Per-operator profile accumulator (present only under [`ExecOptions::profile`]).
-    pub(crate) prof: Option<Box<OpCounters>>,
+    /// What this operator did (its time, under [`ExecOptions::profile`], covers the whole
+    /// drive until profile assembly subtracts the downstream self-times).
+    pub(crate) counters: OpCounters,
+    /// Read the clock for self-times ([`ExecOptions::profile`]).
+    pub(crate) timed: bool,
 }
 
 impl ScanStage {
@@ -226,23 +229,17 @@ impl ScanStage {
     /// vertex-label gate, antiparallel/multi-label co-edge filters, and pushed-down property
     /// predicates (`tuples_in` lands after the edge-label gate; predicate evals/drops on the
     /// predicate gate).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn admit<G: GraphView>(
-        &self,
+        &mut self,
         graph: &G,
         u: VertexId,
         v: VertexId,
         l: EdgeLabel,
-        stats: &mut RuntimeStats,
-        prof: &mut OpCounters,
-        profiling: bool,
     ) -> bool {
         if l != self.edge.label {
             return false;
         }
-        if profiling {
-            prof.tuples_in += 1;
-        }
+        self.counters.tuples_in += 1;
         if graph.vertex_label(u) != self.src_label || graph.vertex_label(v) != self.dst_label {
             return false;
         }
@@ -260,11 +257,13 @@ impl ScanStage {
         }
         // Pushed-down property predicates on the scanned pair.
         if !self.preds.is_empty() {
-            let evals_before = stats.predicate_evals;
+            let ScanStage {
+                preds, counters, ..
+            } = self;
             let pick = |slot: usize| if slot == 0 { u } else { v };
-            let pass = self.preds.iter().all(|p| match p {
+            let pass = preds.iter().all(|p| match p {
                 ScanPred::Vertex { slot, cmp } => {
-                    cmp.matches(graph.vertex_prop(pick(*slot), &cmp.key), stats)
+                    cmp.matches(graph.vertex_prop(pick(*slot), &cmp.key), counters)
                 }
                 ScanPred::Edge {
                     src_slot,
@@ -273,17 +272,11 @@ impl ScanStage {
                     cmp,
                 } => cmp.matches(
                     graph.edge_prop(pick(*src_slot), pick(*dst_slot), *label, &cmp.key),
-                    stats,
+                    counters,
                 ),
             });
-            if profiling {
-                prof.predicate_evals += stats.predicate_evals - evals_before;
-            }
             if !pass {
-                stats.predicate_drops += 1;
-                if profiling {
-                    prof.predicate_drops += 1;
-                }
+                counters.predicate_drops += 1;
                 return false;
             }
         }
@@ -305,16 +298,23 @@ pub(crate) struct ExtendStage {
     cache_set: Vec<VertexId>,
     cache_valid: bool,
     scratch: Vec<VertexId>,
-    /// Per-operator profile accumulator (present only under [`ExecOptions::profile`]).
-    pub(crate) prof: Option<Box<OpCounters>>,
+    /// What this operator did.
+    pub(crate) counters: OpCounters,
+    /// Reuse the last extension set ([`ExecOptions::use_intersection_cache`]).
+    use_cache: bool,
+    /// Read the clock for self-times ([`ExecOptions::profile`]).
+    timed: bool,
+    /// Set on the final stage of a run under [`ExecOptions::count_tail`]: every extension set
+    /// is bulk-counted, so the stage's `tuples_in` is also the number of bulk counts.
+    pub(crate) count_tail: bool,
 }
 
 impl ExtendStage {
     pub(crate) fn new(
         descriptors: Vec<AdjListDescriptor>,
         target_label: VertexLabel,
-        target_preds: Vec<CompiledCmp>,
-        edge_preds: Vec<ExtendEdgePred>,
+        (target_preds, edge_preds): (Vec<CompiledCmp>, Vec<ExtendEdgePred>),
+        options: &ExecOptions,
     ) -> Self {
         ExtendStage {
             descriptors,
@@ -325,24 +325,22 @@ impl ExtendStage {
             cache_set: Vec::new(),
             cache_valid: false,
             scratch: Vec::new(),
-            prof: None,
+            counters: OpCounters::default(),
+            use_cache: options.use_intersection_cache,
+            timed: options.profile,
+            count_tail: false,
         }
     }
 
-    /// Compute (or reuse) the extension set for `tuple`, updating statistics.
+    /// Compute (or reuse) the extension set for `tuple`, counting the work.
     pub(crate) fn extension_set<G: GraphView>(
         &mut self,
         graph: &G,
         tuple: &[VertexId],
-        use_cache: bool,
-        stats: &mut RuntimeStats,
     ) -> &[VertexId] {
-        let prof_t0 = if self.prof.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let key_matches = use_cache
+        let t0 = self.timed.then(Instant::now);
+        self.counters.tuples_in += 1;
+        let key_matches = self.use_cache
             && self.cache_valid
             && self.cache_key.len() == self.descriptors.len()
             && self
@@ -351,15 +349,11 @@ impl ExtendStage {
                 .zip(self.cache_key.iter())
                 .all(|(d, &k)| tuple[d.tuple_idx] == k);
         if key_matches {
-            stats.cache_hits += 1;
-            if let Some(p) = &mut self.prof {
-                p.tuples_in += 1;
-                p.cache_hits += 1;
-                p.time_ns += prof_t0.expect("set with prof").elapsed().as_nanos() as u64;
-            }
+            self.counters.cache_hits += 1;
+            self.counters.add_elapsed(t0);
             return &self.cache_set;
         }
-        stats.cache_misses += 1;
+        self.counters.cache_misses += 1;
         self.cache_key.clear();
         self.cache_key
             .extend(self.descriptors.iter().map(|d| tuple[d.tuple_idx]));
@@ -370,10 +364,8 @@ impl ExtendStage {
             .iter()
             .map(|d| graph.nbrs(tuple[d.tuple_idx], d.dir, d.edge_label, self.target_label))
             .collect();
-        let list_sizes: u64 = lists.iter().map(|l| l.len() as u64).sum();
-        let merged_lists = lists.iter().filter(|l| l.is_merged()).count() as u64;
-        stats.icost += list_sizes;
-        stats.delta_merges += merged_lists;
+        self.counters.icost += lists.iter().map(|l| l.len() as u64).sum::<u64>();
+        self.counters.delta_merges += lists.iter().filter(|l| l.is_merged()).count() as u64;
         let mut kernels = KernelCounters::default();
         multiway_intersect_views_counted(
             &lists,
@@ -381,26 +373,25 @@ impl ExtendStage {
             &mut self.scratch,
             &mut kernels,
         );
-        stats.kernel_merge += kernels.merge;
-        stats.kernel_gallop += kernels.gallop;
-        stats.kernel_block += kernels.block;
+        self.counters.kernel_merge += kernels.merge;
+        self.counters.kernel_gallop += kernels.gallop;
+        self.counters.kernel_block += kernels.block;
         // Pushed-down filtering of the extension set. Baking this into the *cached* set is
         // sound: target predicates depend only on the candidate vertex, and every edge
         // predicate's prefix endpoint has a descriptor (one exists for each query edge between
         // prefix and target), so all bindings the filter reads are part of the cache key.
-        let evals_before = stats.predicate_evals;
-        let drops_before = stats.predicate_drops;
         if !self.target_preds.is_empty() || !self.edge_preds.is_empty() {
             let ExtendStage {
                 cache_set,
                 target_preds,
                 edge_preds,
+                counters,
                 ..
             } = self;
             let before = cache_set.len();
             cache_set.retain(|&v| {
                 for cmp in target_preds.iter() {
-                    if !cmp.matches(graph.vertex_prop(v, &cmp.key), stats) {
+                    if !cmp.matches(graph.vertex_prop(v, &cmp.key), counters) {
                         return false;
                     }
                 }
@@ -412,28 +403,17 @@ impl ExtendStage {
                     };
                     if !ep
                         .cmp
-                        .matches(graph.edge_prop(s, d, ep.label, &ep.cmp.key), stats)
+                        .matches(graph.edge_prop(s, d, ep.label, &ep.cmp.key), counters)
                     {
                         return false;
                     }
                 }
                 true
             });
-            stats.predicate_drops += (before - self.cache_set.len()) as u64;
+            counters.predicate_drops += (before - cache_set.len()) as u64;
         }
         self.cache_valid = true;
-        if let Some(p) = &mut self.prof {
-            p.tuples_in += 1;
-            p.cache_misses += 1;
-            p.icost += list_sizes;
-            p.delta_merges += merged_lists;
-            p.kernel_merge += kernels.merge;
-            p.kernel_gallop += kernels.gallop;
-            p.kernel_block += kernels.block;
-            p.predicate_evals += stats.predicate_evals - evals_before;
-            p.predicate_drops += stats.predicate_drops - drops_before;
-            p.time_ns += prof_t0.expect("set with prof").elapsed().as_nanos() as u64;
-        }
+        self.counters.add_elapsed(t0);
         &self.cache_set
     }
 }
@@ -444,12 +424,14 @@ pub(crate) struct ProbeStage {
     pub table: Arc<JoinTable>,
     /// Positions of the join-key query vertices within the incoming tuple.
     pub key_positions: Vec<usize>,
-    /// Per-operator profile accumulator (present only under [`ExecOptions::profile`]).
-    pub(crate) prof: Option<Box<OpCounters>>,
-    /// The assembled profile of the materialised build side (filled at compile time under
-    /// [`ExecOptions::profile`]; shared unchanged by every worker's pipeline clone and
-    /// therefore harvested once, from worker 0's pipeline).
-    pub(crate) build_profile: Option<Box<OpProfile>>,
+    /// What this operator did; `tuples_in` is the number of probes.
+    pub(crate) counters: OpCounters,
+    /// Read the clock for self-times ([`ExecOptions::profile`]).
+    timed: bool,
+    /// Totals of the materialised build side, its operator tree included under
+    /// [`ExecOptions::profile`]. Compile-time state every worker's pipeline clone shares
+    /// unchanged, so it is folded once, from worker 0's pipeline.
+    pub(crate) build: RuntimeStats,
 }
 
 /// One pipeline stage.
@@ -470,31 +452,28 @@ pub(crate) struct CompiledPipeline {
 }
 
 /// Compile a plan into a pipeline, materialising every hash-join build side along the way
-/// (their execution cost is accumulated into `stats`).
+/// (each probe stage keeps its build side's totals).
 pub(crate) fn compile<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     node: &PlanNode,
     options: &ExecOptions,
-    stats: &mut RuntimeStats,
 ) -> CompiledPipeline {
     let mut stages_top_down: Vec<Stage> = Vec::new();
     let mut current = node;
     loop {
         match current {
             PlanNode::Extend(n) => {
-                let (target_preds, edge_preds) = extension_preds(q, n.child.out(), n.target_vertex);
                 stages_top_down.push(Stage::Extend(ExtendStage::new(
                     n.descriptors.clone(),
                     n.target_label,
-                    target_preds,
-                    edge_preds,
+                    extension_preds(q, n.child.out(), n.target_vertex),
+                    options,
                 )));
                 current = &n.child;
             }
             PlanNode::HashJoin(n) => {
-                let (table, build_profile) =
-                    materialize(graph, q, &n.build, &n.probe, options, stats);
+                let (table, build) = materialize(graph, q, &n.build, &n.probe, options);
                 let key_positions: Vec<usize> = n
                     .key_vertices
                     .iter()
@@ -509,8 +488,9 @@ pub(crate) fn compile<G: GraphView>(
                 stages_top_down.push(Stage::Probe(ProbeStage {
                     table: Arc::new(table),
                     key_positions,
-                    prof: None,
-                    build_profile,
+                    counters: OpCounters::default(),
+                    timed: options.profile,
+                    build,
                 }));
                 current = &n.probe;
             }
@@ -564,27 +544,15 @@ pub(crate) fn compile<G: GraphView>(
                     dst_label: q.vertex(n.edge.dst).label,
                     extra_filters,
                     preds,
-                    prof: None,
+                    counters: OpCounters::default(),
+                    timed: options.profile,
                 };
                 stages_top_down.reverse();
-                let mut pipeline = CompiledPipeline {
+                return CompiledPipeline {
                     scan,
                     stages: stages_top_down,
                     out_layout: node.out().to_vec(),
                 };
-                if options.profile {
-                    pipeline.scan.prof = Some(Default::default());
-                    for s in &mut pipeline.stages {
-                        match s {
-                            Stage::Extend(e) => e.prof = Some(Default::default()),
-                            Stage::Probe(p) => p.prof = Some(Default::default()),
-                            // Adaptive stages are introduced by `compile_adaptive`, which
-                            // enables their accumulators itself.
-                            Stage::Adaptive(_) => {}
-                        }
-                    }
-                }
-                return pipeline;
             }
         }
     }
@@ -606,18 +574,16 @@ impl MatchSink for TableBuilder {
     }
 }
 
-/// Execute the build side of a hash join and materialise it into a [`JoinTable`]. Under
-/// [`ExecOptions::profile`] the second return value is the build side's assembled profile
-/// subtree (its result-tuple outputs folded into the build root's `tuples_out`, mirroring how
-/// the stats fold below books them as intermediates).
+/// Execute the build side of a hash join and materialise it into a [`JoinTable`]. The second
+/// return value is the build side's totals (with its operator tree under
+/// [`ExecOptions::profile`]).
 fn materialize<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     build: &PlanNode,
     probe: &PlanNode,
     options: &ExecOptions,
-    stats: &mut RuntimeStats,
-) -> (JoinTable, Option<Box<OpProfile>>) {
+) -> (JoinTable, RuntimeStats) {
     let in_set = |set: u32, v: usize| set & singleton(v) != 0;
     // The driver delivers build tuples in query-vertex order, so key and payload columns are
     // addressed by query vertex. Key = vertices shared with the probe side, in probe layout
@@ -638,42 +604,30 @@ fn materialize<G: GraphView>(
         payload_vertices,
     };
 
-    let mut inner_options = options.clone();
-    inner_options.output_limit = None;
-    // Build-side tuples populate the join table; bulk-counting them would leave it empty.
-    inner_options.count_tail = false;
-
-    // The build side runs with its own counters: its result tuples are hash-table entries, not
-    // query results, so they must not inflate `output_count`.
-    let mut build_stats = RuntimeStats::default();
-    let mut pipeline = compile(graph, q, build, &inner_options, &mut build_stats);
-    crate::driver::drive(
+    // No limit, and no bulk counting (nobody switches it on for this pipeline): every build
+    // tuple must reach the table. A tripped interrupt leaves the table incomplete; its flag
+    // rides up in the totals, so the facade surfaces the run as cancelled/timed out instead
+    // of returning partial counts (the probe pipeline's own check stops the rest).
+    let mut pipeline = compile(graph, q, build, options);
+    let mut totals = crate::driver::drive(
         &mut pipeline,
         graph,
         q.num_vertices(),
-        &inner_options,
+        options,
         None,
         1,
-        &mut build_stats,
         &mut builder,
     );
-    // Build-side results are hash-table entries: they roll up as intermediates and build
-    // tuples, never as outputs. The interrupt flags fold too: a tripped interrupt leaves the
-    // table incomplete, and the flags make the facade surface the run as cancelled/timed out
-    // instead of returning partial counts (the probe pipeline's own check stops the rest).
-    build_stats.intermediate_tuples += build_stats.output_count;
-    build_stats.hash_build_tuples += build_stats.output_count;
-    build_stats.output_count = 0;
-    stats.merge(&build_stats);
-    let build_profile = if options.profile {
-        let mut prof = assemble_profile(&pipeline);
-        prof.counters.tuples_out += prof.counters.outputs;
-        prof.counters.outputs = 0;
-        Some(Box::new(prof))
-    } else {
-        None
-    };
-    (builder.table, build_profile)
+    // Build-side results are hash-table entries, not query results: the build root books them
+    // as intermediates, and they are the build tuples.
+    let root = pipeline.emitter_mut();
+    totals.hash_build_tuples = std::mem::take(&mut root.outputs);
+    root.tuples_out += totals.hash_build_tuples;
+    pipeline.fold_into(&mut totals);
+    if options.profile {
+        totals.profile = Some(Box::new(assemble_profile(&pipeline)));
+    }
+    (builder.table, totals)
 }
 
 /// Recursive depth-first evaluation of the stage pipeline. Returns `false` to stop.
@@ -681,107 +635,68 @@ pub(crate) fn run_stages<G: GraphView>(
     stages: &mut [Stage],
     graph: &G,
     tuple: &mut Vec<VertexId>,
-    options: &ExecOptions,
     interrupt: Option<&crate::cancel::Interrupt>,
-    stats: &mut RuntimeStats,
     on_result: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
-    if matches!(stages[0], Stage::Extend(_)) {
-        let is_last = stages.len() == 1;
-        let set_len = {
-            let Stage::Extend(stage) = &mut stages[0] else {
-                unreachable!()
-            };
-            let set = stage.extension_set(graph, tuple, options.use_intersection_cache, stats);
-            set.len()
-        };
-        if is_last && options.count_tail {
+    if let Stage::Extend(stage) = &mut stages[0] {
+        let set_len = stage.extension_set(graph, tuple).len();
+        if stage.count_tail {
             // COUNT(*) fast path: the final column's values are never read, so the
             // (already predicate-filtered) set size is the number of results.
-            let Stage::Extend(stage) = &mut stages[0] else {
-                unreachable!()
-            };
-            stats.output_count += set_len as u64;
-            stats.bulk_counted_extensions += 1;
-            if let Some(p) = &mut stage.prof {
-                p.outputs += set_len as u64;
-            }
+            stage.counters.outputs += set_len as u64;
             return true;
         }
-        return run_extend_candidates(
-            stages,
-            graph,
-            tuple,
-            0..set_len,
-            options,
-            interrupt,
-            stats,
-            on_result,
-        );
+        return run_extend_candidates(stages, graph, tuple, 0..set_len, interrupt, on_result);
     }
     let (first, rest) = stages.split_at_mut(1);
     let is_last = rest.is_empty();
     match &mut first[0] {
         Stage::Extend(_) => unreachable!("handled above"),
         Stage::Probe(stage) => {
-            stats.hash_probe_tuples += 1;
-            // The profile accumulator is taken out of the stage for the duration of the probe
-            // so the table borrow below and the accumulator borrows stay disjoint.
-            let prof_t0 = if stage.prof.is_some() {
-                Some(Instant::now())
-            } else {
-                None
+            let t0 = stage.timed.then(Instant::now);
+            let ProbeStage {
+                table,
+                key_positions,
+                counters,
+                ..
+            } = stage;
+            counters.tuples_in += 1;
+            let key: Vec<VertexId> = key_positions.iter().map(|&i| tuple[i]).collect();
+            let lookup = table.map.get(&key);
+            counters.add_elapsed(t0);
+            let Some(payloads) = lookup else {
+                return true;
             };
-            let mut prof = stage.prof.take();
-            let keep = 'probe: {
-                let key: Vec<VertexId> = stage.key_positions.iter().map(|&i| tuple[i]).collect();
-                let lookup = stage.table.map.get(&key);
-                if let (Some(p), Some(t0)) = (prof.as_deref_mut(), prof_t0) {
-                    p.tuples_in += 1;
-                    p.time_ns += t0.elapsed().as_nanos() as u64;
+            let width = table.payload_width;
+            let groups = payloads.len().checked_div(width).unwrap_or(1);
+            for g in 0..groups {
+                if let Some(interrupt) = interrupt {
+                    if interrupt.should_stop() {
+                        return false;
+                    }
                 }
-                let Some(payloads) = lookup else {
-                    break 'probe true;
+                for j in 0..width {
+                    tuple.push(payloads[g * width + j]);
+                }
+                let keep_going = if is_last {
+                    counters.outputs += 1;
+                    on_result(tuple)
+                } else {
+                    counters.tuples_out += 1;
+                    run_stages(rest, graph, tuple, interrupt, on_result)
                 };
-                let width = stage.table.payload_width;
-                let groups = payloads.len().checked_div(width).unwrap_or(1);
-                for g in 0..groups {
-                    if let Some(interrupt) = interrupt {
-                        if interrupt.should_stop(stats) {
-                            break 'probe false;
-                        }
-                    }
-                    for j in 0..width {
-                        tuple.push(payloads[g * width + j]);
-                    }
-                    let keep_going = if is_last {
-                        stats.output_count += 1;
-                        if let Some(p) = prof.as_deref_mut() {
-                            p.outputs += 1;
-                        }
-                        on_result(tuple)
-                    } else {
-                        stats.intermediate_tuples += 1;
-                        if let Some(p) = prof.as_deref_mut() {
-                            p.tuples_out += 1;
-                        }
-                        run_stages(rest, graph, tuple, options, interrupt, stats, on_result)
-                    };
-                    for _ in 0..width {
-                        tuple.pop();
-                    }
-                    if !keep_going {
-                        break 'probe false;
-                    }
+                for _ in 0..width {
+                    tuple.pop();
                 }
-                true
-            };
-            stage.prof = prof;
-            keep
+                if !keep_going {
+                    return false;
+                }
+            }
+            true
         }
-        Stage::Adaptive(stage) => crate::adaptive::run_adaptive_stage(
-            stage, rest, graph, tuple, options, interrupt, stats, on_result,
-        ),
+        Stage::Adaptive(stage) => {
+            crate::adaptive::run_adaptive_stage(stage, rest, graph, tuple, interrupt, on_result)
+        }
     }
 }
 
@@ -790,18 +705,15 @@ pub(crate) fn run_stages<G: GraphView>(
 /// — either computed by [`ExtendStage::extension_set`] for the current tuple, or installed
 /// from a stolen heavy-split segment with [`ExtendStage::install_candidates`]. Split out of
 /// [`run_stages`] so the driver's two-level morsel scheduler can run sub-ranges of one
-/// (hub-vertex) extension set on different workers; counter attribution is unchanged —
-/// every processed candidate books its `intermediate_tuples`/`outputs` in the executing
-/// worker's own pipeline, so the positional profile merge stays exact.
-#[allow(clippy::too_many_arguments)]
+/// (hub-vertex) extension set on different workers; every processed candidate is booked in
+/// the executing worker's own pipeline, so absorbing the workers position by position gives
+/// the run's totals.
 pub(crate) fn run_extend_candidates<G: GraphView>(
     stages: &mut [Stage],
     graph: &G,
     tuple: &mut Vec<VertexId>,
     range: std::ops::Range<usize>,
-    options: &ExecOptions,
     interrupt: Option<&crate::cancel::Interrupt>,
-    stats: &mut RuntimeStats,
     on_result: &mut dyn FnMut(&[VertexId]) -> bool,
 ) -> bool {
     let (first, rest) = stages.split_at_mut(1);
@@ -813,24 +725,18 @@ pub(crate) fn run_extend_candidates<G: GraphView>(
         // One extension candidate is the unit of cooperative-interrupt accounting: a
         // cancelled query stops mid-extension-set instead of draining it.
         if let Some(interrupt) = interrupt {
-            if interrupt.should_stop(stats) {
+            if interrupt.should_stop() {
                 return false;
             }
         }
         let v = stage.cache_set_value(i);
         tuple.push(v);
         let keep_going = if is_last {
-            stats.output_count += 1;
-            if let Some(p) = &mut stage.prof {
-                p.outputs += 1;
-            }
+            stage.counters.outputs += 1;
             on_result(tuple)
         } else {
-            stats.intermediate_tuples += 1;
-            if let Some(p) = &mut stage.prof {
-                p.tuples_out += 1;
-            }
-            run_stages(rest, graph, tuple, options, interrupt, stats, on_result)
+            stage.counters.tuples_out += 1;
+            run_stages(rest, graph, tuple, interrupt, on_result)
         };
         tuple.pop();
         if !keep_going {
@@ -860,39 +766,27 @@ impl ExtendStage {
     }
 }
 
-/// Assemble a pipeline's per-stage accumulators into the [`OpProfile`] tree mirroring the
-/// plan's operator tree. Times become self-times here: every non-scan accumulator timed only
-/// its own work while the scan's accumulator timed the whole drive, so the scan's time is
-/// reduced by the downstream stages' total.
+/// Assemble a pipeline's per-stage counters into the [`OpProfile`] tree mirroring the plan's
+/// operator tree. Times become self-times here: every non-scan operator timed only its own
+/// work while the scan timed the whole drive, so the scan's time is reduced by the downstream
+/// stages' total.
 pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
     let mut stage_time = 0u64;
     for s in &pipeline.stages {
         match s {
-            Stage::Extend(e) => {
-                if let Some(p) = &e.prof {
-                    stage_time += p.time_ns;
-                }
-            }
-            Stage::Probe(p) => {
-                if let Some(c) = &p.prof {
-                    stage_time += c.time_ns;
-                }
-            }
+            Stage::Extend(e) => stage_time += e.counters.time_ns,
+            Stage::Probe(p) => stage_time += p.counters.time_ns,
             Stage::Adaptive(a) => {
-                if let Some(pr) = &a.prof {
-                    stage_time += pr.op.time_ns;
-                }
+                stage_time += a.counters.time_ns;
                 for cand in &a.candidates {
                     for step in &cand.steps {
-                        if let Some(p) = &step.prof {
-                            stage_time += p.time_ns;
-                        }
+                        stage_time += step.counters.time_ns;
                     }
                 }
             }
         }
     }
-    let mut scan_counters = pipeline.scan.prof.as_deref().cloned().unwrap_or_default();
+    let mut scan_counters = pipeline.scan.counters.clone();
     scan_counters.time_ns = scan_counters.time_ns.saturating_sub(stage_time);
     let mut node = OpProfile {
         kind: OpKind::Scan {
@@ -912,7 +806,7 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
                 pos += 1;
                 node = OpProfile {
                     kind: OpKind::Extend { target },
-                    counters: e.prof.as_deref().cloned().unwrap_or_default(),
+                    counters: e.counters.clone(),
                     candidates: Vec::new(),
                     children: vec![node],
                 };
@@ -922,12 +816,12 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
                 let appended = layout[pos..pos + width].to_vec();
                 pos += width;
                 let mut children = vec![node];
-                if let Some(bp) = &p.build_profile {
+                if let Some(bp) = &p.build.profile {
                     children.push((**bp).clone());
                 }
                 node = OpProfile {
                     kind: OpKind::HashJoin { appended },
-                    counters: p.prof.as_deref().cloned().unwrap_or_default(),
+                    counters: p.counters.clone(),
                     candidates: Vec::new(),
                     children,
                 };
@@ -936,15 +830,11 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
                 let span = a.candidates.first().map(|c| c.steps.len()).unwrap_or(0);
                 let targets = layout[pos..pos + span].to_vec();
                 pos += span;
-                let (op, chosen) = match &a.prof {
-                    Some(pr) => (pr.op.clone(), pr.chosen.clone()),
-                    None => (OpCounters::default(), vec![0; a.candidates.len()]),
-                };
                 let candidates = a
                     .candidates
                     .iter()
-                    .enumerate()
-                    .map(|(ci, cand)| {
+                    .zip(&a.chosen)
+                    .map(|(cand, &chosen)| {
                         // `canonical_to_candidate[i]` is the candidate position of the vertex
                         // the fixed plan binds at canonical position `i`; invert it to list
                         // the candidate's own binding order.
@@ -954,18 +844,14 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
                         }
                         CandidateProfile {
                             order,
-                            chosen: chosen.get(ci).copied().unwrap_or(0),
-                            steps: cand
-                                .steps
-                                .iter()
-                                .map(|st| st.prof.as_deref().cloned().unwrap_or_default())
-                                .collect(),
+                            chosen,
+                            steps: cand.steps.iter().map(|st| st.counters.clone()).collect(),
                         }
                     })
                     .collect();
                 node = OpProfile {
                     kind: OpKind::Adaptive { targets },
-                    counters: op,
+                    counters: a.counters.clone(),
                     candidates,
                     children: vec![node],
                 };
@@ -975,38 +861,87 @@ pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
     node
 }
 
-/// Fold `other` into `mine` when profiling is on (both slots are then `Some`).
-pub(crate) fn merge_prof(mine: &mut Option<Box<OpCounters>>, other: &Option<Box<OpCounters>>) {
-    if let (Some(mine), Some(other)) = (mine, other) {
-        mine.merge(other);
-    }
-}
-
 impl CompiledPipeline {
-    /// Fold the profile accumulators of a worker's clone of this pipeline into this one,
-    /// position by position (the join barrier; same fork/absorb discipline as partial sinks).
-    /// Hash-join build subtrees are compile-time state every clone shares unchanged, so they
-    /// are not merged — this pipeline keeps the only copy that is assembled.
-    pub(crate) fn absorb_profile(&mut self, worker: &CompiledPipeline) {
-        merge_prof(&mut self.scan.prof, &worker.scan.prof);
+    /// Switch the operator that emits result tuples to bulk counting
+    /// ([`ExecOptions::count_tail`]) where it is an E/I extension — a fixed stage, or the final
+    /// step of every candidate of an adaptive one.
+    pub(crate) fn enable_count_tail(&mut self) {
+        match self.stages.last_mut() {
+            Some(Stage::Extend(e)) => e.count_tail = true,
+            Some(Stage::Adaptive(a)) => {
+                for step in a.candidates.iter_mut().filter_map(|c| c.steps.last_mut()) {
+                    step.count_tail = true;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Fold the counters of a worker's clone of this pipeline into this one, position by
+    /// position (the join barrier; same fork/absorb discipline as partial sinks). Hash-join
+    /// build totals are compile-time state every clone shares unchanged, so they are not
+    /// merged — this pipeline keeps the only copy that is folded.
+    pub(crate) fn absorb(&mut self, worker: &CompiledPipeline) {
+        self.scan.counters.merge(&worker.scan.counters);
         for (mine, theirs) in self.stages.iter_mut().zip(&worker.stages) {
             match (mine, theirs) {
-                (Stage::Extend(a), Stage::Extend(b)) => merge_prof(&mut a.prof, &b.prof),
-                (Stage::Probe(a), Stage::Probe(b)) => merge_prof(&mut a.prof, &b.prof),
-                (Stage::Adaptive(a), Stage::Adaptive(b)) => a.absorb_profile(b),
+                (Stage::Extend(a), Stage::Extend(b)) => a.counters.merge(&b.counters),
+                (Stage::Probe(a), Stage::Probe(b)) => a.counters.merge(&b.counters),
+                (Stage::Adaptive(a), Stage::Adaptive(b)) => a.absorb(b),
                 _ => unreachable!("a worker's pipeline is a clone of this one"),
             }
         }
     }
 
-    /// The accumulator of the operator that emits result tuples (the last stage, or the scan
-    /// of a scan-only pipeline); `None` when profiling is off.
-    pub(crate) fn last_prof_mut(&mut self) -> Option<&mut OpCounters> {
+    /// The counters of the operator that emits result tuples (the last stage, or the scan of a
+    /// scan-only pipeline) — the only operator that books `outputs`.
+    pub(crate) fn emitter_mut(&mut self) -> &mut OpCounters {
         match self.stages.last_mut() {
-            None => self.scan.prof.as_deref_mut(),
-            Some(Stage::Extend(e)) => e.prof.as_deref_mut(),
-            Some(Stage::Probe(p)) => p.prof.as_deref_mut(),
-            Some(Stage::Adaptive(a)) => a.prof.as_deref_mut().map(|p| &mut p.op),
+            None => &mut self.scan.counters,
+            Some(Stage::Extend(e)) => &mut e.counters,
+            Some(Stage::Probe(p)) => &mut p.counters,
+            Some(Stage::Adaptive(a)) => &mut a.counters,
+        }
+    }
+
+    /// Add what this pipeline's operators (and the build sides behind its probes) counted to
+    /// `stats`: the only place operator work becomes [`RuntimeStats`].
+    pub(crate) fn fold_into(&self, stats: &mut RuntimeStats) {
+        fn add(stats: &mut RuntimeStats, c: &OpCounters) {
+            stats.icost += c.icost;
+            stats.intermediate_tuples += c.tuples_out;
+            stats.output_count += c.outputs;
+            stats.cache_hits += c.cache_hits;
+            stats.cache_misses += c.cache_misses;
+            stats.delta_merges += c.delta_merges;
+            stats.predicate_evals += c.predicate_evals;
+            stats.predicate_drops += c.predicate_drops;
+            stats.kernel_merge += c.kernel_merge;
+            stats.kernel_gallop += c.kernel_gallop;
+            stats.kernel_block += c.kernel_block;
+        }
+        fn add_extend(stats: &mut RuntimeStats, e: &ExtendStage) {
+            add(stats, &e.counters);
+            if e.count_tail {
+                stats.bulk_counted_extensions += e.counters.tuples_in;
+            }
+        }
+        add(stats, &self.scan.counters);
+        for s in &self.stages {
+            match s {
+                Stage::Extend(e) => add_extend(stats, e),
+                Stage::Probe(p) => {
+                    add(stats, &p.counters);
+                    stats.hash_probe_tuples += p.counters.tuples_in;
+                    stats.merge(&p.build);
+                }
+                Stage::Adaptive(a) => {
+                    add(stats, &a.counters);
+                    for step in a.candidates.iter().flat_map(|c| &c.steps) {
+                        add_extend(stats, step);
+                    }
+                }
+            }
         }
     }
 }

@@ -1,44 +1,44 @@
-//! Per-query, per-operator profiling.
+//! Per-operator counters and the per-query profile tree.
 //!
-//! When [`ExecOptions::profile`](crate::ExecOptions::profile) is set, every compiled pipeline
-//! stage carries an [`OpCounters`] accumulator: the executors mirror each
-//! [`RuntimeStats`](crate::RuntimeStats) increment into the operator responsible for it, so the
-//! per-operator numbers sum *exactly* to the run's totals — i-cost (Equation 1 of the paper),
-//! intermediate tuples, intersection-cache hits, predicate evaluations, delta merges. After the
-//! run the stages are assembled into an [`OpProfile`] tree mirroring the plan's operator tree
-//! (available through `RuntimeStats::profile`), which the facade layer renders for `PROFILE`
-//! queries.
+//! Every compiled pipeline stage carries an [`OpCounters`] and the executors count each unit of
+//! work once, on the operator that did it — i-cost (Equation 1 of the paper), intermediate
+//! tuples, intersection-cache hits, predicate evaluations, delta merges. The run's
+//! [`RuntimeStats`](crate::RuntimeStats) counters are the sum of those, taken by one fold over
+//! the pipeline after the join barrier, so the per-operator numbers add up to the run's totals
+//! by construction. [`ExecOptions::profile`](crate::ExecOptions::profile) adds what costs
+//! something: operator self-times, and the stages assembled into an [`OpProfile`] tree mirroring
+//! the plan's operator tree (available through `RuntimeStats::profile`), which the facade layer
+//! renders for `PROFILE` queries. The counters are the same with it on or off.
 //!
 //! Attribution rules:
 //!
-//! * **Counters are exact.** Every `RuntimeStats` counter bump has exactly one mirroring
-//!   per-operator bump, including hash-join build sides (their operators appear as the build
-//!   subtree of the HASH-JOIN node) and adaptive candidates (per-candidate step counters plus
-//!   a routing histogram). `tuples_out` mirrors `intermediate_tuples`; `outputs` mirrors
-//!   `output_count` (COUNT(*) bulk adds included); build-side result tuples are folded into
-//!   the build root's `tuples_out` because that is where `materialize` folds them in the
-//!   roll-up.
+//! * **One ledger.** Hash-join build sides count on their own operators (which appear as the
+//!   build subtree of the HASH-JOIN node) and adaptive candidates on theirs (per-candidate
+//!   step counters plus a routing histogram). `tuples_out` sums to `intermediate_tuples` and
+//!   `outputs` to `output_count` (COUNT(*) bulk adds included); a build side's result tuples
+//!   are hash-table entries, so its root books them as `tuples_out`. Two totals are read off
+//!   `tuples_in`: probes performed (`hash_probe_tuples`) and, on a bulk-counting final E/I,
+//!   `bulk_counted_extensions`.
 //! * **Times are self-times.** An E/I operator's time is the time spent computing (or
 //!   cache-reusing) its extension sets; a probe's is its hash lookups; the SCAN absorbs the
 //!   remaining drive time of the pipeline, so the SCAN time approximates the whole run. Times
-//!   are measured with the monotonic clock and are *not* part of the exactness contract.
-//!
-//! With profiling off, every `prof` slot is `None` and the hot path pays a single predictable
-//! branch per accrual site.
+//!   are measured with the monotonic clock, only under `profile`, and sum to nothing in
+//!   `RuntimeStats`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Raw per-operator counters, mirroring the [`RuntimeStats`](crate::RuntimeStats) fields that
-/// the operator contributed.
+/// What one operator counted: its share of the [`RuntimeStats`](crate::RuntimeStats) fields of
+/// the same names.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpCounters {
-    /// Self wall-time spent in this operator, in nanoseconds (monotonic clock).
+    /// Self wall-time spent in this operator, in nanoseconds (monotonic clock); 0 unless the
+    /// run was profiled.
     pub time_ns: u64,
     /// Input tuples processed (extension sets computed / probes performed / edges scanned).
     pub tuples_in: u64,
-    /// Intermediate tuples emitted (mirrors `RuntimeStats::intermediate_tuples`).
+    /// Intermediate tuples emitted (its share of `RuntimeStats::intermediate_tuples`).
     pub tuples_out: u64,
-    /// Final result tuples emitted (mirrors `RuntimeStats::output_count`).
+    /// Final result tuples emitted (its share of `RuntimeStats::output_count`).
     pub outputs: u64,
     /// I-cost: total adjacency-list elements accessed for intersections (Equation 1).
     pub icost: u64,
@@ -52,7 +52,7 @@ pub struct OpCounters {
     pub predicate_evals: u64,
     /// Tuples/candidates dropped by pushed-down predicates.
     pub predicate_drops: u64,
-    /// Two-way intersections this operator ran on the scalar merge kernel (mirrors
+    /// Two-way intersections this operator ran on the scalar merge kernel (its share of
     /// `RuntimeStats::kernel_merge`).
     pub kernel_merge: u64,
     /// Two-way intersections this operator ran on the galloping kernel.
@@ -62,8 +62,8 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// Fold another accumulator into this one (used to merge per-worker profiles at the
-    /// parallel join barrier — the same fork/absorb discipline as partial sinks).
+    /// Fold another operator's counters into this one (used to absorb per-worker counters at
+    /// the parallel join barrier — the same fork/absorb discipline as partial sinks).
     pub fn merge(&mut self, other: &OpCounters) {
         self.time_ns += other.time_ns;
         self.tuples_in += other.tuples_in;
@@ -78,6 +78,15 @@ impl OpCounters {
         self.kernel_merge += other.kernel_merge;
         self.kernel_gallop += other.kernel_gallop;
         self.kernel_block += other.kernel_block;
+    }
+
+    /// Add the time since `since` — a reading taken only under
+    /// [`ExecOptions::profile`](crate::ExecOptions::profile) — to this operator's self-time.
+    #[inline]
+    pub(crate) fn add_elapsed(&mut self, since: Option<Instant>) {
+        if let Some(t0) = since {
+            self.time_ns += t0.elapsed().as_nanos() as u64;
+        }
     }
 
     /// Self time as a [`Duration`]. Under parallel execution this is summed across workers,

@@ -2,10 +2,12 @@
 
 use std::time::Duration;
 
-/// Counters collected during plan execution. The i-cost counter implements Equation 1 of the
-/// paper exactly: it adds the sizes of every adjacency list that is *accessed* for an
-/// intersection, and skips the lists of intersections served from the cache — so a profiled run
-/// reports the same "actual i-cost" the paper's Tables 4–6 do.
+/// Counters collected during plan execution: the sum of what every operator of the plan counted
+/// for itself (see [`OpCounters`](crate::profile::OpCounters)), plus what only the run as a whole
+/// knows. The i-cost counter implements Equation 1 of the paper exactly: it adds the sizes of
+/// every adjacency list that is *accessed* for an intersection, and skips the lists of
+/// intersections served from the cache — so every run reports the same "actual i-cost" the
+/// paper's Tables 4–6 do.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuntimeStats {
     /// Total size of the adjacency lists accessed by E/I operators (actual i-cost).
@@ -63,16 +65,18 @@ pub struct RuntimeStats {
     pub timed_out: bool,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// The assembled per-operator profile tree, present only when the run was executed with
-    /// [`ExecOptions::profile`](crate::ExecOptions::profile) set. Every counter above is the
-    /// exact sum of the tree's per-operator contributions (see
-    /// [`OpProfile`](crate::profile::OpProfile)). With profiling off this is `None` and the
-    /// stats are identical to an unprofiled build's.
+    /// The per-operator counters the totals above were summed from, assembled into the plan's
+    /// operator tree with operator self-times (see [`OpProfile`](crate::profile::OpProfile)).
+    /// Present only when the run was executed with
+    /// [`ExecOptions::profile`](crate::ExecOptions::profile) set; the counters above are the
+    /// same either way.
     pub profile: Option<Box<crate::profile::OpProfile>>,
 }
 
 impl RuntimeStats {
-    /// Merge another stats object into this one (used when combining per-thread results).
+    /// Merge another stats object into this one (used when combining the stats of several
+    /// runs, or a hash-join build side's into its run's). Operator trees are not merged: this
+    /// one keeps its own.
     pub fn merge(&mut self, other: &RuntimeStats) {
         self.icost += other.icost;
         self.intermediate_tuples += other.intermediate_tuples;
@@ -96,11 +100,6 @@ impl RuntimeStats {
         self.timed_out |= other.timed_out;
         // Elapsed time is wall clock, not CPU time: keep the maximum.
         self.elapsed = self.elapsed.max(other.elapsed);
-        // Per-worker operator profiles are merged positionally by the driver
-        // itself (stage by stage, before assembly); a plain stats merge keeps its own tree.
-        if self.profile.is_none() {
-            self.profile = other.profile.clone();
-        }
     }
 
     /// Fraction of E/I extension-set computations served by the cache.

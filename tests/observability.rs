@@ -78,6 +78,15 @@ fn assert_profile_exact(label: &str, stats: &RuntimeStats) {
     }
 }
 
+/// The Figure 1c plan: two triangles of diamond-X joined on (a2, a3).
+fn figure_1c_plan() -> Plan {
+    let q = patterns::diamond_x();
+    let left = wco_node_for_ordering(&q, &[1, 2, 0]).unwrap();
+    let right = wco_node_for_ordering(&q, &[1, 2, 3]).unwrap();
+    let join = PlanNode::hash_join(&q, left, right).expect("Figure 1c join is valid");
+    Plan::new(q, join, 0.0)
+}
+
 fn executor_options() -> [(&'static str, QueryOptions); 4] {
     [
         ("serial", QueryOptions::new()),
@@ -115,6 +124,20 @@ fn profiler_totals_are_exact_on_all_executors_and_snapshots() {
         let r = db.run(DIAMOND_X, options.profile(true)).unwrap();
         assert_profile_exact(&format!("{name}/dirty"), &r.stats);
     }
+
+    // Limited runs: tuples produced past the limit (by any worker) are deducted from the
+    // operator that emitted them, so the tree still sums to the exact, limited total.
+    const LIMIT: u64 = 25;
+    let hybrid = figure_1c_plan();
+    for (name, options) in executor_options() {
+        let options = options.limit(LIMIT).profile(true);
+        let r = db.run(DIAMOND_X, options.clone()).unwrap();
+        assert_eq!(r.count, LIMIT, "{name}: the limit is below the match count");
+        assert_profile_exact(&format!("{name}/limit"), &r.stats);
+        let r = db.run_plan(&hybrid, options).unwrap();
+        assert_eq!(r.count, LIMIT, "{name}: hybrid plan under a limit");
+        assert_profile_exact(&format!("{name}/hybrid-limit"), &r.stats);
+    }
 }
 
 /// Exactness also holds for hybrid plans: the HASH-JOIN node carries the build subtree, and
@@ -122,12 +145,7 @@ fn profiler_totals_are_exact_on_all_executors_and_snapshots() {
 #[test]
 fn profiler_is_exact_on_hybrid_hash_join_plans() {
     let db = small_db();
-    let q = patterns::diamond_x();
-    // The Figure 1c plan: two triangles joined on (a2, a3).
-    let left = wco_node_for_ordering(&q, &[1, 2, 0]).unwrap();
-    let right = wco_node_for_ordering(&q, &[1, 2, 3]).unwrap();
-    let join = PlanNode::hash_join(&q, left, right).expect("Figure 1c join is valid");
-    let plan = Plan::new(q, join, 0.0);
+    let plan = figure_1c_plan();
     for (name, options) in [
         ("serial", QueryOptions::new()),
         ("parallel", QueryOptions::new().threads(4)),
