@@ -249,9 +249,9 @@ impl Catalogue {
     // --- incremental maintenance (driven by the graphflow-core mutation API) ----------------
 
     /// Point sampling at a new snapshot epoch (called by the facade at statistics refresh
-    /// points and after compaction — not per mutation, so the mutation path never shares the
-    /// live delta-store Arc). Memoised entries survive — they are refreshed lazily once they
-    /// drift past [`CatalogueConfig::refresh_after`] recorded updates.
+    /// points and after compaction, not per mutation). Memoised entries survive — they are
+    /// refreshed lazily once they drift past [`CatalogueConfig::refresh_after`] recorded
+    /// updates.
     pub fn set_snapshot(&mut self, snap: Snapshot) {
         self.graph_version = snap.version();
         self.snap = snap;

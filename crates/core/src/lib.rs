@@ -539,10 +539,11 @@ impl GraphflowDB {
     }
 
     /// A point-in-time snapshot of every db-wide metric: query throughput and latency
-    /// percentiles, plan-cache counters, commit/WAL/checkpoint activity. Cheap (atomic loads;
-    /// on a persistent database also a brief storage-lock acquisition for the WAL counters)
-    /// and safe to call concurrently with queries and commits. Render the snapshot for a
-    /// Prometheus scrape with [`Metrics::render`].
+    /// percentiles, plan-cache counters, commit/WAL/checkpoint activity, and the size of the
+    /// published epoch's delta store. Cheap (atomic loads and one pass over the store's touched
+    /// vertices; on a persistent database also a brief storage-lock acquisition for the WAL
+    /// counters) and safe to call concurrently with queries and commits. Render the snapshot
+    /// for a Prometheus scrape with [`Metrics::render`].
     ///
     /// ```
     /// # use graphflow_core::GraphflowDB;
@@ -558,7 +559,10 @@ impl GraphflowDB {
     /// ```
     pub fn metrics(&self) -> Metrics {
         let wal = self.shared.storage.as_ref().map(|s| s.lock().wal_stats());
-        self.shared.metrics.snapshot(self.plan_cache_stats(), wal)
+        let current = self.snapshot();
+        self.shared
+            .metrics
+            .snapshot(self.plan_cache_stats(), wal, current.delta())
     }
 
     /// The slow-query log: every recorded query whose latency reached the configured

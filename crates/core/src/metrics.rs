@@ -14,6 +14,7 @@
 //! [`GraphflowDB::slow_queries`](crate::GraphflowDB::slow_queries).
 
 use crate::plan_cache::PlanCacheStats;
+use graphflow_graph::DeltaStore;
 use graphflow_storage::WalStats;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -254,7 +255,12 @@ impl MetricsRegistry {
         );
     }
 
-    pub(crate) fn snapshot(&self, plan_cache: PlanCacheStats, wal: Option<WalStats>) -> Metrics {
+    pub(crate) fn snapshot(
+        &self,
+        plan_cache: PlanCacheStats,
+        wal: Option<WalStats>,
+        delta: &DeltaStore,
+    ) -> Metrics {
         let wal = wal.unwrap_or_default();
         Metrics {
             queries_started: self.queries_started.load(Ordering::Relaxed),
@@ -270,6 +276,8 @@ impl MetricsRegistry {
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             checkpoint_time: Duration::from_nanos(self.checkpoint_ns.load(Ordering::Relaxed)),
             snapshot_load_time: Duration::from_nanos(self.snapshot_load_ns.load(Ordering::Relaxed)),
+            delta_pending_edges: delta.overlay_edges() as u64,
+            delta_overlay_bytes: delta.memory_bytes() as u64,
         }
     }
 }
@@ -309,6 +317,12 @@ pub struct Metrics {
     /// Time spent loading the snapshot (and replaying the WAL) when the database was opened;
     /// zero for an in-memory database.
     pub snapshot_load_time: Duration,
+    /// Edge inserts and deletes pending in the published epoch's delta store (what automatic
+    /// compaction counts against its threshold).
+    pub delta_pending_edges: u64,
+    /// Approximate bytes the published epoch's delta store holds: the merged neighbour lists
+    /// reads borrow, the pending edge sets and the property overrides.
+    pub delta_overlay_bytes: u64,
 }
 
 impl Metrics {
@@ -410,6 +424,16 @@ impl Metrics {
             "graphflow_snapshot_load_seconds",
             "Time spent loading the snapshot and replaying the WAL at open.",
             self.snapshot_load_time.as_secs_f64(),
+        );
+        gauge(
+            "graphflow_delta_pending_edges",
+            "Edge inserts and deletes pending in the published epoch's delta store.",
+            self.delta_pending_edges as f64,
+        );
+        gauge(
+            "graphflow_delta_overlay_bytes",
+            "Approximate bytes held by the published epoch's delta store.",
+            self.delta_overlay_bytes as f64,
         );
         let name = "graphflow_query_latency_seconds";
         render_histogram_header(&mut out, name, "Wall-clock latency of finished queries.");
@@ -550,7 +574,9 @@ mod tests {
         let reg = MetricsRegistry::default();
         reg.queries_started.fetch_add(3, Ordering::Relaxed);
         reg.query_latency.observe(Duration::from_millis(3));
-        let text = reg.snapshot(PlanCacheStats::default(), None).render();
+        let text = reg
+            .snapshot(PlanCacheStats::default(), None, &DeltaStore::default())
+            .render();
         assert!(text.contains("graphflow_queries_started_total 3"));
         assert!(text.contains("# TYPE graphflow_query_latency_seconds histogram"));
         assert!(text.contains("graphflow_query_latency_seconds_bucket{le=\"0.0001\"} 0"));

@@ -114,7 +114,10 @@ pub struct WriteTxn<'db> {
     /// The writer lock, held for the whole transaction (serializes writers; commit also uses
     /// it to update the staleness clock).
     guard: MutexGuard<'db, WriterState>,
-    /// Private copy-on-write clone of the epoch the transaction started from.
+    /// Private copy-on-write clone of the epoch the transaction started from. The published
+    /// epoch shares its delta store, so the first staged update copies the store's edge sets
+    /// and its map of per-vertex overlays (a reference-count bump each); the merged adjacency
+    /// lists themselves are copied only for the vertices the transaction touches.
     staged: Snapshot,
     cat_ops: Vec<CatOp>,
     /// Updates staged so far (the staleness-clock currency of the catalogue).
@@ -310,10 +313,8 @@ impl<'db> WriteTxn<'db> {
                 }
             }
             self.guard.updates_since_stats += self.ops;
-            // Republish the snapshot to the catalogue only at refresh points and compactions:
-            // handing it a clone on *every* commit would pin the delta-store `Arc` and turn
-            // each subsequent staging pass into a deep copy of all pending deltas. The
-            // catalogue's *exact* counts are maintained incrementally below and never lag;
+            // Republish the snapshot to the catalogue only at refresh points and compactions.
+            // The catalogue's *exact* counts are maintained incrementally below and never lag;
             // only its *sampled* statistics see a snapshot up to one staleness window old —
             // exactly the drift tolerance `refresh_after` already grants them.
             let mut republish = false;

@@ -36,8 +36,9 @@
 //! Both entry points are generic over [`GraphView`](graphflow_graph::GraphView): pass a frozen
 //! [`Graph`](graphflow_graph::Graph) (every adjacency access monomorphises to a borrowed CSR
 //! slice — the static fast path costs nothing) or a live
-//! [`Snapshot`](graphflow_graph::Snapshot) (vertices with pending deltas transparently merge
-//! their overlays; `RuntimeStats::delta_merges` counts how often that happened).
+//! [`Snapshot`](graphflow_graph::Snapshot) (a partition with pending updates resolves to the
+//! merged list the snapshot's overlay already holds — the writer paid for the merge, the run
+//! borrows it; `RuntimeStats::delta_merges` counts the lists served that way).
 
 pub mod adaptive;
 pub mod agg;

@@ -357,15 +357,15 @@ impl ExtendStage {
         self.cache_key.clear();
         self.cache_key
             .extend(self.descriptors.iter().map(|d| tuple[d.tuple_idx]));
-        // On a plain CSR every list is `NbrList::Borrowed` (no copies); against a snapshot,
-        // only vertices with pending deltas materialise a merged list.
+        // Every list is a borrowed slice: a CSR partition, or on a snapshot with pending
+        // updates the merged list its overlay keeps for a touched one.
         let lists: Vec<NbrList> = self
             .descriptors
             .iter()
             .map(|d| graph.nbrs(tuple[d.tuple_idx], d.dir, d.edge_label, self.target_label))
             .collect();
         self.counters.icost += lists.iter().map(|l| l.len() as u64).sum::<u64>();
-        self.counters.delta_merges += lists.iter().filter(|l| l.is_merged()).count() as u64;
+        self.counters.delta_merges += lists.iter().filter(|l| l.is_overlay()).count() as u64;
         let mut kernels = KernelCounters::default();
         multiway_intersect_views_counted(
             &lists,

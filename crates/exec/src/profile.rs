@@ -46,7 +46,7 @@ pub struct OpCounters {
     pub cache_hits: u64,
     /// Intersection-cache misses.
     pub cache_misses: u64,
-    /// Adjacency lists that required a delta-overlay merge.
+    /// Neighbour lists served from the delta overlay instead of the CSR.
     pub delta_merges: u64,
     /// Pushed-down predicate evaluations.
     pub predicate_evals: u64,
@@ -209,7 +209,7 @@ impl OpProfile {
         self.sum(&|c| c.cache_misses)
     }
 
-    /// Total delta-overlay merges over the tree; equals `RuntimeStats::delta_merges`.
+    /// Total overlay-served neighbour lists over the tree; equals `RuntimeStats::delta_merges`.
     pub fn total_delta_merges(&self) -> u64 {
         self.sum(&|c| c.delta_merges)
     }

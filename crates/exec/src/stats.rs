@@ -20,9 +20,9 @@ pub struct RuntimeStats {
     pub cache_hits: u64,
     /// Intersections actually computed by E/I operators.
     pub cache_misses: u64,
-    /// Adjacency lists that were materialised by merging a CSR partition with a delta overlay
-    /// (always 0 when executing against a plain [`Graph`](graphflow_graph::Graph) or a snapshot
-    /// with no pending deltas) — the observable cost of running over a mutated snapshot.
+    /// Neighbour lists served from the delta overlay instead of the CSR (always 0 when
+    /// executing against a plain [`Graph`](graphflow_graph::Graph) or a snapshot with no
+    /// pending deltas) — how much of a run read partitions that have pending updates.
     pub delta_merges: u64,
     /// Property-predicate evaluations performed by pushed-down filters (at SCAN, E/I
     /// extension and hash-join build time). Extension-set filtering that is served from the

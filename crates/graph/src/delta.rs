@@ -4,17 +4,22 @@
 //! adjacency lists ([`Graph`]) cannot be mutated in place without losing its fast paths. This
 //! module adds writes without giving them up:
 //!
-//! * [`DeltaStore`] holds, per vertex and direction, **sorted insert/delete overlays partitioned
-//!   by `(edge label, neighbour label)`** — mirroring the CSR [`Partition`](crate::graph) scheme
-//!   — plus the inserted/deleted edge sets in SCAN order and the labels of vertices appended
-//!   beyond the base CSR.
+//! * [`DeltaStore`] holds, per touched vertex and direction, the **already-merged, sorted
+//!   neighbour list of every touched `(edge label, neighbour label)` partition** — mirroring the
+//!   CSR [`Partition`](crate::graph) scheme — plus the inserted/deleted edge sets in SCAN order
+//!   (the edge-level truth behind `has_edge`, `scan_edges`, counts and compaction) and the
+//!   labels of vertices appended beyond the base CSR.
 //! * [`Snapshot`] pairs an `Arc<Graph>` base with an `Arc<DeltaStore>` epoch. Cloning a snapshot
 //!   is two reference-count bumps; mutating one goes through [`Arc::make_mut`], so a mutation
 //!   never touches data reachable from previously handed-out clones — in-flight queries are
-//!   isolated from concurrent updates by construction (copy-on-write per epoch).
-//! * [`Snapshot`] implements [`GraphView`], so all executors run against it unchanged. A vertex
-//!   with no pending deltas resolves to a borrowed CSR slice ([`NbrList::Borrowed`]); only
-//!   vertices that were actually touched pay for a [`merge_delta`] pass.
+//!   isolated from concurrent updates by construction. The copy is **per vertex**: the store
+//!   shares each vertex's merged lists with older epochs through an `Arc`, and an update copies
+//!   only the lists of the two vertices it touches.
+//! * [`Snapshot`] implements [`GraphView`], so all executors run against it unchanged, and every
+//!   neighbour list it hands out is a borrowed slice: the CSR partition for an untouched one,
+//!   the overlay's merged list for a touched one. The writer pays for the merge (`O(degree)`
+//!   per update: copy the partition on first touch, a sorted insert or remove after that); a
+//!   reader pays nothing.
 //!
 //! [`Snapshot::rebuild`] folds the deltas back into a fresh CSR (compaction); the result is
 //! observationally identical to the snapshot it came from.
@@ -33,7 +38,6 @@
 use crate::builder::GraphBuilder;
 use crate::graph::{Graph, GraphView, NbrList};
 use crate::ids::{Direction, EdgeLabel, VertexId, VertexLabel};
-use crate::intersect::merge_delta;
 use crate::props::{EdgeKey, PropError, PropType, PropValue, PropertyStore};
 use rustc_hash::FxHashMap;
 use std::borrow::Cow;
@@ -78,93 +82,64 @@ pub enum Update {
     },
 }
 
-/// One `(edge label, neighbour label)` overlay of a vertex's adjacency list: the edges inserted
-/// into and deleted from the matching CSR partition, each kept sorted by neighbour id.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One touched `(edge label, neighbour label)` partition of a vertex's adjacency list, held
+/// already merged: the CSR partition with its pending inserts and deletes applied, sorted by
+/// neighbour id. Never equal to the CSR partition — one that returns to it is dropped.
+#[derive(Debug, Clone)]
 struct OverlayPartition {
     edge_label: EdgeLabel,
     nbr_label: VertexLabel,
-    /// Sorted neighbour ids inserted into this partition (disjoint from the CSR partition).
-    inserts: Vec<VertexId>,
-    /// Sorted neighbour ids deleted from this partition (a subset of the CSR partition).
-    deletes: Vec<VertexId>,
+    nbrs: Vec<VertexId>,
 }
 
-impl OverlayPartition {
-    fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && self.deletes.is_empty()
-    }
-}
-
-/// The pending overlays of one vertex in one direction. Partitions are few (as in the CSR), so
-/// a linear scan beats a map.
+/// The touched partitions of one vertex in one direction. Partitions are few (as in the CSR),
+/// so a linear scan beats a map.
 #[derive(Debug, Clone, Default)]
 struct VertexOverlay {
     parts: Vec<OverlayPartition>,
 }
 
 impl VertexOverlay {
-    fn part(&self, el: EdgeLabel, nl: VertexLabel) -> Option<&OverlayPartition> {
+    fn position(&self, el: EdgeLabel, nl: VertexLabel) -> Option<usize> {
         self.parts
             .iter()
-            .find(|p| p.edge_label == el && p.nbr_label == nl)
-    }
-
-    fn part_mut(&mut self, el: EdgeLabel, nl: VertexLabel) -> &mut OverlayPartition {
-        if let Some(i) = self
-            .parts
-            .iter()
             .position(|p| p.edge_label == el && p.nbr_label == nl)
-        {
-            return &mut self.parts[i];
-        }
-        self.parts.push(OverlayPartition {
-            edge_label: el,
-            nbr_label: nl,
-            inserts: Vec::new(),
-            deletes: Vec::new(),
-        });
-        self.parts.last_mut().unwrap()
-    }
-
-    /// Drop empty partitions so the `None` fast path comes back after an insert+delete pair
-    /// cancels out.
-    fn prune(&mut self) {
-        self.parts.retain(|p| !p.is_empty());
-    }
-
-    fn is_empty(&self) -> bool {
-        self.parts.is_empty()
     }
 }
 
-/// Insert `v` into a sorted vector (no-op when already present).
-fn sorted_insert(list: &mut Vec<VertexId>, v: VertexId) {
-    if let Err(pos) = list.binary_search(&v) {
-        list.insert(pos, v);
-    }
-}
+/// The per-vertex overlays of one direction, each shared with older epochs until written.
+type Overlays = FxHashMap<VertexId, Arc<VertexOverlay>>;
 
-/// Remove `v` from a sorted vector (no-op when absent).
-fn sorted_remove(list: &mut Vec<VertexId>, v: VertexId) {
-    if let Ok(pos) = list.binary_search(&v) {
-        list.remove(pos);
+/// The `(dir, el, nl)` partition of `v` in the base CSR (empty for a vertex appended past it).
+fn csr_list(
+    base: &Graph,
+    v: VertexId,
+    dir: Direction,
+    el: EdgeLabel,
+    nl: VertexLabel,
+) -> &[VertexId] {
+    if (v as usize) < base.num_vertices() {
+        base.adj(dir).list(v, el, nl)
+    } else {
+        &[]
     }
 }
 
 /// The pending mutations of one snapshot epoch, layered over a base CSR.
 ///
-/// Invariants (maintained by [`Snapshot`]'s mutation methods, relied upon by [`merge_delta`]):
-/// inserted edges are absent from the base, deleted edges are present in it, and no edge is in
-/// both sets; every per-partition overlay list is strictly sorted.
+/// Invariants (maintained by [`Snapshot`]'s mutation methods): inserted edges are absent from
+/// the base, deleted edges are present in it, and no edge is in both sets; every overlay
+/// partition is strictly sorted and equals its CSR partition minus the deleted plus the
+/// inserted edges that fall into it. Cloning copies the edge sets and property maps but only
+/// bumps a reference count per touched vertex.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
     /// Labels of vertices appended beyond the base CSR (vertex `base_n + i` has label `[i]`).
     new_vertex_labels: Vec<VertexLabel>,
     /// Forward (out-neighbour) overlays of touched vertices.
-    fwd: FxHashMap<VertexId, VertexOverlay>,
+    fwd: Overlays,
     /// Backward (in-neighbour) overlays of touched vertices.
-    bwd: FxHashMap<VertexId, VertexOverlay>,
+    bwd: Overlays,
     /// Inserted edges in SCAN order `(label, src, dst)`.
     inserted_edges: BTreeSet<(EdgeLabel, VertexId, VertexId)>,
     /// Deleted edges in SCAN order `(label, src, dst)`.
@@ -229,33 +204,35 @@ impl DeltaStore {
         self.inserted_edges.iter().next_back().map(|&(l, _, _)| l.0)
     }
 
-    /// Approximate in-memory size of the overlay structures, in bytes.
+    /// Approximate in-memory size of the overlay structures, in bytes: the merged neighbour
+    /// lists the read path borrows, the edge sets and the property overrides. An overlay shared
+    /// with another epoch is counted in full by each.
     pub fn memory_bytes(&self) -> usize {
-        let overlay = |m: &FxHashMap<VertexId, VertexOverlay>| -> usize {
-            m.values()
-                .map(|o| {
-                    o.parts.len() * std::mem::size_of::<OverlayPartition>()
-                        + o.parts
-                            .iter()
-                            .map(|p| (p.inserts.len() + p.deletes.len()) * 4)
-                            .sum::<usize>()
-                        + 16
-                })
-                .sum()
+        use std::mem::size_of;
+        let overlay = |m: &Overlays| -> usize {
+            // Map slot + the `Arc`'s two counters + the overlay, then what it points to.
+            m.capacity() * size_of::<(VertexId, Arc<VertexOverlay>)>()
+                + m.values()
+                    .map(|o| {
+                        2 * size_of::<usize>()
+                            + size_of::<VertexOverlay>()
+                            + o.parts.capacity() * size_of::<OverlayPartition>()
+                            + o.parts
+                                .iter()
+                                .map(|p| p.nbrs.capacity() * size_of::<VertexId>())
+                                .sum::<usize>()
+                    })
+                    .sum::<usize>()
         };
         let props = self
             .vertex_props
             .values()
-            .map(|(_, m)| m.len() * (4 + std::mem::size_of::<PropValue>()))
+            .map(|(_, m)| m.len() * (size_of::<VertexId>() + size_of::<PropValue>()))
             .sum::<usize>()
             + self
                 .edge_props
                 .values()
-                .map(|(_, m)| {
-                    m.len()
-                        * (std::mem::size_of::<EdgeKey>()
-                            + std::mem::size_of::<Option<PropValue>>())
-                })
+                .map(|(_, m)| m.len() * (size_of::<EdgeKey>() + size_of::<Option<PropValue>>()))
                 .sum::<usize>();
         overlay(&self.fwd)
             + overlay(&self.bwd)
@@ -264,14 +241,14 @@ impl DeltaStore {
             + props
     }
 
-    fn adj(&self, dir: Direction) -> &FxHashMap<VertexId, VertexOverlay> {
+    fn adj(&self, dir: Direction) -> &Overlays {
         match dir {
             Direction::Fwd => &self.fwd,
             Direction::Bwd => &self.bwd,
         }
     }
 
-    fn adj_mut(&mut self, dir: Direction) -> &mut FxHashMap<VertexId, VertexOverlay> {
+    fn adj_mut(&mut self, dir: Direction) -> &mut Overlays {
         match dir {
             Direction::Fwd => &mut self.fwd,
             Direction::Bwd => &mut self.bwd,
@@ -285,21 +262,80 @@ impl DeltaStore {
             || self.deleted_edges.range(range).next().is_some()
     }
 
-    /// Mutate the `(dir, v, el, nl)` overlay partition, then drop it if it cancelled to empty.
-    fn with_part(
-        &mut self,
-        dir: Direction,
+    /// The merged `(dir, el, nl)` list of `v`, if that partition was touched.
+    fn part(
+        &self,
         v: VertexId,
+        dir: Direction,
         el: EdgeLabel,
         nl: VertexLabel,
-        f: impl FnOnce(&mut OverlayPartition),
+    ) -> Option<&[VertexId]> {
+        let overlay = self.adj(dir).get(&v)?;
+        Some(&overlay.parts[overlay.position(el, nl)?].nbrs)
+    }
+
+    /// Record the insertion (`insert`) or deletion of the edge `src -> dst` in the edge sets
+    /// and apply it to the merged lists of both endpoints; the caller has checked that the
+    /// edge is absent, or present.
+    ///
+    /// An update that undoes a pending one (re-insert of a deleted base edge, delete of a
+    /// pending insert) cancels it in the edge sets instead of adding to them, and only then
+    /// can a partition have returned to its CSR content — it is dropped, so that reads of it
+    /// borrow the CSR again. Copy-on-write per vertex: an overlay still shared with an older
+    /// epoch is copied, every other overlay of the store stays shared.
+    fn apply_edge(
+        &mut self,
+        base: &Graph,
+        (src, sl): (VertexId, VertexLabel),
+        (dst, dl): (VertexId, VertexLabel),
+        el: EdgeLabel,
+        insert: bool,
     ) {
-        let map = self.adj_mut(dir);
-        let overlay = map.entry(v).or_default();
-        f(overlay.part_mut(el, nl));
-        overlay.prune();
-        if overlay.is_empty() {
-            map.remove(&v);
+        let key = (el, src, dst);
+        let (undone, recorded) = if insert {
+            (&mut self.deleted_edges, &mut self.inserted_edges)
+        } else {
+            (&mut self.inserted_edges, &mut self.deleted_edges)
+        };
+        let cancels = undone.remove(&key);
+        if !cancels {
+            recorded.insert(key);
+        }
+        for (dir, v, nbr, nl) in [
+            (Direction::Fwd, src, dst, dl),
+            (Direction::Bwd, dst, src, sl),
+        ] {
+            let csr = csr_list(base, v, dir, el, nl);
+            let map = self.adj_mut(dir);
+            let overlay = Arc::make_mut(map.entry(v).or_default());
+            // Lists and partition vectors grow by exactly what is needed: the store holds a
+            // second copy of every touched list, and doubling would make it a third.
+            let i = overlay.position(el, nl).unwrap_or_else(|| {
+                overlay.parts.reserve_exact(1);
+                overlay.parts.push(OverlayPartition {
+                    edge_label: el,
+                    nbr_label: nl,
+                    nbrs: csr.to_vec(),
+                });
+                overlay.parts.len() - 1
+            });
+            let nbrs = &mut overlay.parts[i].nbrs;
+            match nbrs.binary_search(&nbr) {
+                Err(pos) if insert => {
+                    nbrs.reserve_exact(1);
+                    nbrs.insert(pos, nbr);
+                }
+                Ok(pos) if !insert => {
+                    nbrs.remove(pos);
+                }
+                _ => unreachable!("apply_edge: {src}->{dst} ({el}) contradicts has_edge"),
+            }
+            if cancels && nbrs[..] == *csr {
+                overlay.parts.swap_remove(i);
+                if overlay.parts.is_empty() {
+                    map.remove(&v);
+                }
+            }
         }
     }
 }
@@ -426,25 +462,7 @@ impl Snapshot {
         }
         let sl = self.vertex_label(src);
         let dl = self.vertex_label(dst);
-        let key = (el, src, dst);
-        let delta = Arc::make_mut(&mut self.delta);
-        if delta.deleted_edges.remove(&key) {
-            // Re-inserting a deleted base edge: cancel the delete.
-            delta.with_part(Direction::Fwd, src, el, dl, |p| {
-                sorted_remove(&mut p.deletes, dst)
-            });
-            delta.with_part(Direction::Bwd, dst, el, sl, |p| {
-                sorted_remove(&mut p.deletes, src)
-            });
-        } else {
-            delta.inserted_edges.insert(key);
-            delta.with_part(Direction::Fwd, src, el, dl, |p| {
-                sorted_insert(&mut p.inserts, dst)
-            });
-            delta.with_part(Direction::Bwd, dst, el, sl, |p| {
-                sorted_insert(&mut p.inserts, src)
-            });
-        }
+        Arc::make_mut(&mut self.delta).apply_edge(&self.base, (src, sl), (dst, dl), el, true);
         self.version += 1;
         true
     }
@@ -457,25 +475,8 @@ impl Snapshot {
         }
         let sl = self.vertex_label(src);
         let dl = self.vertex_label(dst);
-        let key = (el, src, dst);
         let delta = Arc::make_mut(&mut self.delta);
-        if delta.inserted_edges.remove(&key) {
-            // Deleting a pending insert: cancel it.
-            delta.with_part(Direction::Fwd, src, el, dl, |p| {
-                sorted_remove(&mut p.inserts, dst)
-            });
-            delta.with_part(Direction::Bwd, dst, el, sl, |p| {
-                sorted_remove(&mut p.inserts, src)
-            });
-        } else {
-            delta.deleted_edges.insert(key);
-            delta.with_part(Direction::Fwd, src, el, dl, |p| {
-                sorted_insert(&mut p.deletes, dst)
-            });
-            delta.with_part(Direction::Bwd, dst, el, sl, |p| {
-                sorted_insert(&mut p.deletes, src)
-            });
-        }
+        delta.apply_edge(&self.base, (src, sl), (dst, dl), el, false);
         // Properties die with their edge: drop pending overrides and tombstone base values so
         // neither a later re-insert nor compaction resurrects them.
         let edge: EdgeKey = (src, dst, el);
@@ -699,37 +700,18 @@ impl GraphView for Snapshot {
     }
 
     fn nbrs(&self, v: VertexId, dir: Direction, el: EdgeLabel, nl: VertexLabel) -> NbrList<'_> {
-        let base_list: &[VertexId] = if (v as usize) < self.base.num_vertices() {
-            self.base.adj(dir).list(v, el, nl)
-        } else {
-            &[]
-        };
+        let base_list = csr_list(&self.base, v, dir, el, nl);
         if self.delta.is_empty() {
-            return NbrList::Borrowed(base_list);
+            return NbrList::csr(base_list);
         }
-        let Some(overlay) = self.delta.adj(dir).get(&v) else {
-            return NbrList::Borrowed(base_list);
-        };
-        match overlay.part(el, nl) {
-            None => NbrList::Borrowed(base_list),
-            Some(p) => {
-                let mut out = Vec::new();
-                merge_delta(base_list, &p.inserts, &p.deletes, &mut out);
-                NbrList::Merged(out)
-            }
+        match self.delta.part(v, dir, el, nl) {
+            None => NbrList::csr(base_list),
+            Some(merged) => NbrList::overlay(merged),
         }
     }
 
     fn degree(&self, v: VertexId, dir: Direction, el: EdgeLabel, nl: VertexLabel) -> usize {
-        let base = if (v as usize) < self.base.num_vertices() {
-            self.base.adj(dir).degree(v, el, nl)
-        } else {
-            0
-        };
-        match self.delta.adj(dir).get(&v).and_then(|o| o.part(el, nl)) {
-            Some(p) => base + p.inserts.len() - p.deletes.len(),
-            None => base,
-        }
+        self.nbrs(v, dir, el, nl).len()
     }
 
     fn has_edge(&self, u: VertexId, v: VertexId, el: EdgeLabel) -> bool {
@@ -835,7 +817,7 @@ mod tests {
         assert_eq!(GraphView::num_edges(&s), 3);
         assert!(!s
             .nbrs(0, Direction::Fwd, EdgeLabel(0), VertexLabel(0))
-            .is_merged());
+            .is_overlay());
         assert_eq!(nbr_vec(&s, 0, Direction::Fwd), vec![1, 2]);
         assert!(matches!(s.scan_edges(EdgeLabel(0)), Cow::Borrowed(_)));
         assert_eq!(s.version(), 0);
@@ -889,7 +871,7 @@ mod tests {
         assert!(!s.has_pending_deltas(), "all updates cancelled out");
         assert!(!s
             .nbrs(0, Direction::Fwd, EdgeLabel(0), VertexLabel(0))
-            .is_merged());
+            .is_overlay());
         assert_eq!(nbr_vec(&s, 0, Direction::Fwd), vec![1, 2]);
         assert_eq!(s.version(), 4, "versions advance even when updates cancel");
     }
@@ -1087,10 +1069,44 @@ mod tests {
     }
 
     #[test]
-    fn memory_bytes_grows_with_deltas() {
+    fn memory_bytes_counts_the_merged_lists() {
         let mut s = base_triangle();
         let clean = s.memory_bytes();
         s.insert_edge(2, 0, EdgeLabel(0));
-        assert!(s.memory_bytes() > clean);
+        // One pending edge (12 bytes in the edge set) and a merged list at either endpoint:
+        // `[0]` for 2's out-neighbours, `[2]` for 0's in-neighbours.
+        assert!(s.memory_bytes() >= clean + 12 + 2 * 4);
+        let one = s.memory_bytes();
+        // Touching a longer list costs its full merged copy: 0's out-neighbours `[1, 2]` + 0.
+        s.insert_edge(0, 0, EdgeLabel(0));
+        assert!(s.memory_bytes() >= one + 12 + 3 * 4);
+    }
+
+    /// The copy-on-write unit is one vertex's overlay, not the store: a mutation copies the
+    /// overlays of the vertices it touches and shares every other one with the older epoch.
+    #[test]
+    fn a_mutation_copies_only_the_overlays_it_touches() {
+        let mut s = base_triangle();
+        s.insert_edge(2, 0, EdgeLabel(0)); // touches fwd[2] and bwd[0]
+        s.insert_edge(1, 0, EdgeLabel(0)); // touches fwd[1] and bwd[0]
+        let published = s.clone();
+        s.insert_edge(2, 1, EdgeLabel(0)); // touches fwd[2] and bwd[1]
+        let (old, new) = (&published.delta, &s.delta);
+        assert!(!Arc::ptr_eq(old, new), "the store itself is a new epoch");
+        assert!(
+            Arc::ptr_eq(&old.fwd[&1], &new.fwd[&1]) && Arc::ptr_eq(&old.bwd[&0], &new.bwd[&0]),
+            "untouched overlays are the same allocation in both epochs"
+        );
+        assert!(
+            !Arc::ptr_eq(&old.fwd[&2], &new.fwd[&2]),
+            "a touched one is copied"
+        );
+        assert_eq!(nbr_vec(&published, 2, Direction::Fwd), vec![0]);
+        assert_eq!(nbr_vec(&s, 2, Direction::Fwd), vec![0, 1]);
+        assert!(!old.bwd.contains_key(&1) && new.bwd.contains_key(&1));
+        // A second update of the same vertex within the new epoch writes in place.
+        let before = Arc::as_ptr(&s.delta.fwd[&2]);
+        s.delete_edge(2, 1, EdgeLabel(0));
+        assert_eq!(before, Arc::as_ptr(&s.delta.fwd[&2]));
     }
 }

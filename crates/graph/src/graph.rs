@@ -316,32 +316,48 @@ impl Graph {
     }
 }
 
-/// A neighbour list handed out by a [`GraphView`]: either a borrowed CSR slice (the static fast
-/// path — no copy, no allocation) or an owned list merged from a CSR slice and a delta overlay.
+/// A neighbour list handed out by a [`GraphView`]: always a borrowed slice — no copy, no
+/// allocation — of either a CSR partition or, for a partition with pending updates, the merged
+/// list the delta overlay keeps for it (the writer merged it, once per update; see
+/// [`Snapshot`](crate::delta::Snapshot)).
 ///
 /// Dereferences to `&[VertexId]`, always sorted and duplicate-free.
-#[derive(Debug, Clone)]
-pub enum NbrList<'a> {
-    /// A slice borrowed directly from the CSR (or an empty slice).
-    Borrowed(&'a [VertexId]),
-    /// A list materialised by merging a CSR partition with delta inserts/deletes.
-    Merged(Vec<VertexId>),
+#[derive(Debug, Clone, Copy)]
+pub struct NbrList<'a> {
+    nbrs: &'a [VertexId],
+    from_overlay: bool,
 }
 
-impl NbrList<'_> {
-    /// The neighbours as a sorted slice.
+impl<'a> NbrList<'a> {
+    /// A slice borrowed directly from the CSR (or an empty slice).
     #[inline]
-    pub fn as_slice(&self) -> &[VertexId] {
-        match self {
-            NbrList::Borrowed(s) => s,
-            NbrList::Merged(v) => v,
+    pub fn csr(nbrs: &'a [VertexId]) -> Self {
+        NbrList {
+            nbrs,
+            from_overlay: false,
         }
     }
 
-    /// Whether this list took the delta-merge path (used by runtime statistics).
+    /// A merged list borrowed from the delta overlay.
     #[inline]
-    pub fn is_merged(&self) -> bool {
-        matches!(self, NbrList::Merged(_))
+    pub fn overlay(nbrs: &'a [VertexId]) -> Self {
+        NbrList {
+            nbrs,
+            from_overlay: true,
+        }
+    }
+
+    /// The neighbours as a sorted slice.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [VertexId] {
+        self.nbrs
+    }
+
+    /// Whether the delta overlay served this list instead of the CSR (runtime statistics
+    /// count these as `delta_merges`).
+    #[inline]
+    pub fn is_overlay(&self) -> bool {
+        self.from_overlay
     }
 }
 
@@ -350,7 +366,7 @@ impl std::ops::Deref for NbrList<'_> {
 
     #[inline]
     fn deref(&self) -> &[VertexId] {
-        self.as_slice()
+        self.nbrs
     }
 }
 
@@ -358,8 +374,8 @@ impl std::ops::Deref for NbrList<'_> {
 ///
 /// Implemented by [`Graph`] (every method resolves to a borrowed CSR slice; the compiler
 /// monomorphises executors against it, so static workloads pay nothing for the abstraction) and
-/// by [`Snapshot`](crate::delta::Snapshot) (CSR base + frozen delta epoch; vertices without
-/// pending deltas still take the borrowed fast path).
+/// by [`Snapshot`](crate::delta::Snapshot) (CSR base + frozen delta epoch; a touched partition
+/// resolves to the merged list the epoch holds for it, every other one to its CSR slice).
 pub trait GraphView: Sync {
     /// Number of vertices.
     fn num_vertices(&self) -> usize;
@@ -379,8 +395,8 @@ pub trait GraphView: Sync {
     /// The sorted neighbours of `v` in direction `dir` restricted to the given labels.
     fn nbrs(&self, v: VertexId, dir: Direction, el: EdgeLabel, nl: VertexLabel) -> NbrList<'_>;
 
-    /// Size of the `(dir, el, nl)` adjacency partition of `v`, without materialising a merged
-    /// list (the adaptive executor re-costs orderings with this).
+    /// Size of the `(dir, el, nl)` adjacency partition of `v` (the adaptive executor re-costs
+    /// orderings with this).
     fn degree(&self, v: VertexId, dir: Direction, el: EdgeLabel, nl: VertexLabel) -> usize;
 
     /// Whether the directed edge `u -> v` with edge label `el` exists.
@@ -431,7 +447,7 @@ impl GraphView for Graph {
 
     #[inline]
     fn nbrs(&self, v: VertexId, dir: Direction, el: EdgeLabel, nl: VertexLabel) -> NbrList<'_> {
-        NbrList::Borrowed(self.adj(dir).list(v, el, nl))
+        NbrList::csr(self.adj(dir).list(v, el, nl))
     }
 
     #[inline]
@@ -605,7 +621,7 @@ mod tests {
         use crate::graph::GraphView;
         let g = triangle();
         let l = g.nbrs(0, Direction::Fwd, EdgeLabel(0), VertexLabel(0));
-        assert!(!l.is_merged());
+        assert!(!l.is_overlay());
         assert_eq!(&*l, &[1, 2]);
         assert_eq!(g.degree(0, Direction::Fwd, EdgeLabel(0), VertexLabel(0)), 2);
         assert!(matches!(

@@ -267,42 +267,6 @@ pub fn multiway_intersect_views_counted<L>(
     }
 }
 
-/// Merge a sorted base list with a sorted delta overlay: emit `(base \ deletes) ∪ inserts` into
-/// `out`, sorted. This is the merge-aware neighbour iteration behind
-/// [`Snapshot::nbrs`](crate::delta::Snapshot): the dynamic-graph overlay keeps per-partition
-/// inserts and deletes sorted exactly so this stays a single linear pass feeding the
-/// intersection kernels above.
-///
-/// Invariants assumed (and maintained by the delta store): `inserts ∩ base = ∅`,
-/// `deletes ⊆ base`, `inserts ∩ deletes = ∅`, all inputs strictly sorted.
-pub fn merge_delta(
-    base: &[VertexId],
-    inserts: &[VertexId],
-    deletes: &[VertexId],
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    out.reserve(base.len() + inserts.len() - deletes.len().min(base.len()));
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < base.len() {
-        let b = base[i];
-        // Drop deleted base entries.
-        if k < deletes.len() && deletes[k] == b {
-            k += 1;
-            i += 1;
-            continue;
-        }
-        // Emit inserts that sort before the next surviving base entry.
-        while j < inserts.len() && inserts[j] < b {
-            out.push(inserts[j]);
-            j += 1;
-        }
-        out.push(b);
-        i += 1;
-    }
-    out.extend_from_slice(&inserts[j..]);
-}
-
 /// Naive reference intersection used by tests and property checks.
 pub fn naive_intersect(lists: &[&[VertexId]]) -> Vec<VertexId> {
     if lists.is_empty() {

@@ -287,50 +287,6 @@ fn multiway_beyond_bitmask_width_falls_back() {
     assert_eq!(out, (0..40).collect::<Vec<u32>>());
 }
 
-// --- merge_delta (unchanged semantics) --------------------------------------------------
-
-#[test]
-fn merge_delta_basic() {
-    let mut out = Vec::new();
-    merge_delta(&[2, 4, 6, 8], &[1, 5, 9], &[4, 8], &mut out);
-    assert_eq!(out, vec![1, 2, 5, 6, 9]);
-    merge_delta(&[], &[3, 7], &[], &mut out);
-    assert_eq!(out, vec![3, 7]);
-    merge_delta(&[1, 2, 3], &[], &[1, 2, 3], &mut out);
-    assert!(out.is_empty());
-    merge_delta(&[1, 2, 3], &[], &[], &mut out);
-    assert_eq!(out, vec![1, 2, 3]);
-}
-
-#[test]
-fn prop_merge_delta_equals_set_arithmetic() {
-    let mut rng = StdRng::seed_from_u64(0xDE17A);
-    for _ in 0..200 {
-        let base = random_sorted_list(&mut rng, 200, 60);
-        // deletes ⊆ base, inserts ∩ base = ∅.
-        let deletes: Vec<u32> = base
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_range(0..3u32) == 0)
-            .collect();
-        let inserts = {
-            let mut l = random_sorted_list(&mut rng, 200, 40);
-            l.retain(|v| base.binary_search(v).is_err());
-            l
-        };
-        let mut out = Vec::new();
-        merge_delta(&base, &inserts, &deletes, &mut out);
-        let mut expected: Vec<u32> = base
-            .iter()
-            .copied()
-            .filter(|v| deletes.binary_search(v).is_err())
-            .chain(inserts.iter().copied())
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
-    }
-}
-
 // Randomised property checks over seeded inputs (deterministic, no external test harness).
 
 #[test]

@@ -19,11 +19,11 @@
 //! for the paper's SNAP datasets ([`generator`]), an edge-list loader ([`loader`]) and basic
 //! structural statistics ([`stats`]) used by the dataset profiles and by tests.
 //!
-//! On top of the frozen CSR, [`delta`] adds the **dynamic-graph subsystem**: a per-vertex
-//! sorted insert/delete overlay store and an `Arc`-based [`Snapshot`] type that freezes one
-//! delta epoch. Both the CSR and snapshots implement [`GraphView`], the read abstraction the
-//! executors are compiled against, so static workloads keep their borrowed-slice fast paths
-//! while updated vertices transparently take a [`merge_delta`] pass.
+//! On top of the frozen CSR, [`delta`] adds the **dynamic-graph subsystem**: an overlay store
+//! that keeps the already-merged neighbour lists of every touched vertex, and an `Arc`-based
+//! [`Snapshot`] type that freezes one delta epoch. Both the CSR and snapshots implement
+//! [`GraphView`], the read abstraction the executors are compiled against, and both hand out
+//! borrowed slices only: the writer merges a touched list once per update, readers never do.
 
 pub mod builder;
 pub mod delta;
@@ -41,9 +41,9 @@ pub use delta::{DeltaStore, Snapshot, Update};
 pub use graph::{Adjacency, Graph, GraphView, NbrList};
 pub use ids::{Direction, EdgeLabel, VertexId, VertexLabel};
 pub use intersect::{
-    intersect_sorted, intersect_sorted_into, intersect_sorted_into_counted, merge_delta,
-    multiway_intersect, multiway_intersect_views, multiway_intersect_views_counted, select_kernel,
-    set_simd_enabled, simd_active, Kernel, KernelCounters,
+    intersect_sorted, intersect_sorted_into, intersect_sorted_into_counted, multiway_intersect,
+    multiway_intersect_views, multiway_intersect_views_counted, select_kernel, set_simd_enabled,
+    simd_active, Kernel, KernelCounters,
 };
 pub use props::{EdgeKey, PropError, PropType, PropValue, PropertyStore};
 pub use serialize::DecodeError;

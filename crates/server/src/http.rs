@@ -3,7 +3,7 @@
 //! exactly the protocol subset the wire API needs: request-line + headers, `Content-Length`
 //! bodies, keep-alive connections, and chunked streaming responses.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request line plus all headers, to bound memory per connection.
@@ -82,18 +82,19 @@ pub enum ReadOutcome {
 /// set on the underlying socket (mapping `WouldBlock`/`TimedOut` to
 /// [`ReadOutcome::TimedOut`]).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
-    let mut head = String::new();
-    let mut line = String::new();
+    let mut head_bytes = 0usize;
+    let mut line = Vec::new();
     // Request line.
-    match read_line(reader, &mut line) {
-        Ok(0) => return ReadOutcome::Closed,
-        Ok(_) => {}
+    let request_line = match head_line(reader, &mut line) {
+        Ok(None) => return ReadOutcome::Closed,
+        Ok(Some(text)) => text,
         // Idle keep-alive only when *nothing* arrived; a timeout after partial bytes is a
         // dead or stalled client (the partial line cannot be resumed).
-        Err(e) if is_timeout(&e) && line.is_empty() => return ReadOutcome::TimedOut,
-        Err(e) => return ReadOutcome::Io(e),
-    }
-    let request_line = line.trim_end().to_string();
+        Err(ReadOutcome::Io(e)) if is_timeout(&e) && line.is_empty() => {
+            return ReadOutcome::TimedOut;
+        }
+        Err(outcome) => return outcome,
+    };
     let mut parts = request_line.split_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_ascii_uppercase(), t.to_string(), v),
@@ -110,23 +111,20 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
     // Headers.
     let mut headers = Vec::new();
     loop {
-        line.clear();
-        match read_line(reader, &mut line) {
-            Ok(0) => return ReadOutcome::Malformed(HttpError::new(400, "truncated headers")),
-            Ok(_) => {}
-            // A timeout mid-request is a dead client, not an idle keep-alive.
-            Err(e) if is_timeout(&e) => return ReadOutcome::Io(e),
-            Err(e) => return ReadOutcome::Io(e),
-        }
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
+        let header = match head_line(reader, &mut line) {
+            Ok(None) => return ReadOutcome::Malformed(HttpError::new(400, "truncated headers")),
+            Ok(Some(text)) => text,
+            // A timeout mid-request is a dead client, not an idle keep-alive: `Io`.
+            Err(outcome) => return outcome,
+        };
+        if header.is_empty() {
             break;
         }
-        head.push_str(trimmed);
-        if head.len() > MAX_HEAD_BYTES {
+        head_bytes += header.len();
+        if head_bytes > MAX_HEAD_BYTES {
             return ReadOutcome::Malformed(HttpError::new(431, "headers too large"));
         }
-        match trimmed.split_once(':') {
+        match header.split_once(':') {
             Some((name, value)) => {
                 headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
             }
@@ -166,28 +164,33 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
     })
 }
 
-/// `read_line` with a hard cap so a peer cannot feed an unbounded line.
-fn read_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> std::io::Result<usize> {
+/// The next line of the request head as text, without its line ending; `None` at end of
+/// stream. Never buffers more than [`MAX_HEAD_BYTES`] of a line, so a peer cannot feed an
+/// unbounded one (431), and rejects bytes that are not UTF-8 (400) instead of guessing an
+/// encoding for them. On `Err` the bytes that did arrive are left in `line`.
+fn head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+) -> Result<Option<String>, ReadOutcome> {
     line.clear();
-    let mut taken = 0usize;
-    loop {
-        let mut byte = [0u8; 1];
-        let n = reader.read(&mut byte)?;
-        if n == 0 {
-            return Ok(taken);
+    let cap = MAX_HEAD_BYTES as u64 + 1;
+    match reader.by_ref().take(cap).read_until(b'\n', line) {
+        Ok(0) => return Ok(None),
+        Ok(n) if n > MAX_HEAD_BYTES => {
+            return Err(ReadOutcome::Malformed(HttpError::new(
+                431,
+                "headers too large",
+            )));
         }
-        taken += 1;
-        if taken > MAX_HEAD_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "line too long",
-            ));
-        }
-        line.push(byte[0] as char);
-        if byte[0] == b'\n' {
-            return Ok(taken);
-        }
+        Ok(_) => {}
+        Err(e) => return Err(ReadOutcome::Io(e)),
     }
+    while matches!(line.last(), Some(b'\n' | b'\r')) {
+        line.pop();
+    }
+    String::from_utf8(std::mem::take(line))
+        .map(Some)
+        .map_err(|_| ReadOutcome::Malformed(HttpError::new(400, "request head is not UTF-8")))
 }
 
 fn is_timeout(e: &std::io::Error) -> bool {
@@ -241,8 +244,11 @@ pub fn write_response(
     } else {
         "Connection: close\r\n\r\n"
     });
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // One write for head and body: on a `TCP_NODELAY` socket two writes are two segments and
+    // two wake-ups of the client.
+    let mut response = head.into_bytes();
+    response.extend_from_slice(body);
+    stream.write_all(&response)?;
     stream.flush()
 }
 
@@ -380,6 +386,93 @@ mod tests {
             ReadOutcome::Malformed(e) => assert_eq!(e.status, 413),
             other => panic!("expected 413, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn oversized_lines_are_rejected_without_buffering_them() {
+        let mut raw = b"GET /".to_vec();
+        raw.resize(MAX_HEAD_BYTES + 100, b'a');
+        raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+        match parse(&raw) {
+            ReadOutcome::Malformed(e) => assert_eq!(e.status, 431),
+            other => panic!("expected 431, got {other:?}"),
+        }
+        // The cap is per line and on the whole head: many short headers hit the second.
+        let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
+        for i in 0..MAX_HEAD_BYTES / 16 + 1 {
+            raw.extend_from_slice(format!("X-Pad-{i:06}: xxxx\r\n").as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        match parse(&raw) {
+            ReadOutcome::Malformed(e) => assert_eq!(e.status, 431),
+            other => panic!("expected 431, got {other:?}"),
+        }
+    }
+
+    /// A line that arrives in pieces (here: through a three-byte read buffer) is put together.
+    #[test]
+    fn lines_split_across_reads_are_reassembled() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client
+            .write_all(
+                b"POST /txn HTTP/1.1\r\nX-Graphflow-Tenant: acme\r\nContent-Length: 5\r\n\r\nhello",
+            )
+            .unwrap();
+        drop(client);
+        let (server_side, _) = listener.accept().unwrap();
+        let mut reader = BufReader::with_capacity(3, server_side);
+        let req = match read_request(&mut reader) {
+            ReadOutcome::Request(r) => r,
+            other => panic!("expected request, got {other:?}"),
+        };
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/txn"));
+        assert_eq!(req.header("x-graphflow-tenant"), Some("acme"));
+        assert_eq!(req.body, b"hello");
+        assert!(matches!(read_request(&mut reader), ReadOutcome::Closed));
+    }
+
+    #[test]
+    fn non_utf8_heads_are_rejected_not_reinterpreted() {
+        for raw in [
+            &b"GET /caf\xe9 HTTP/1.1\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-Graphflow-Tenant: caf\xe9\r\n\r\n"[..],
+        ] {
+            match parse(raw) {
+                ReadOutcome::Malformed(e) => assert_eq!(e.status, 400),
+                other => panic!("expected 400, got {other:?}"),
+            }
+        }
+        // Valid UTF-8 beyond ASCII passes through unchanged.
+        match parse("GET / HTTP/1.1\r\nX-Graphflow-Tenant: café\r\n\r\n".as_bytes()) {
+            ReadOutcome::Request(r) => assert_eq!(r.header("x-graphflow-tenant"), Some("café")),
+            other => panic!("expected request, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fixed_length_responses_go_out_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        let extra = [("X-Graphflow-Epoch", "7".to_string())];
+        write_response(
+            &mut server_side,
+            200,
+            "application/json",
+            &extra,
+            b"{}",
+            true,
+        )
+        .unwrap();
+        drop(server_side);
+        let mut raw = String::new();
+        client.read_to_string(&mut raw).unwrap();
+        assert_eq!(
+            raw,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             X-Graphflow-Epoch: 7\r\nConnection: keep-alive\r\n\r\n{}"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ fn main() {
         let result = db.run(fraud_pattern, QueryOptions::default()).unwrap();
         println!(
             "batch {batch_no}: applied {applied}/40 updates -> version {}, \
-             {} triangles ({} delta-merged lists touched)",
+             {} triangles ({} neighbour lists read from the delta overlay)",
             db.graph_version(),
             result.count,
             result.stats.delta_merges

@@ -356,6 +356,41 @@ fn rendered_metrics_are_valid_prometheus_text() {
     assert!(text.contains("graphflow_query_latency_seconds_bucket{le=\"+Inf\"}"));
 }
 
+/// The delta-store gauges follow the published epoch: zero pending edges on a clean database,
+/// one per pending insert or delete after a commit (with the bytes the merged lists and edge
+/// sets take), and back to zero pending after compaction.
+#[test]
+fn delta_gauges_follow_the_published_epoch() {
+    let gauge = |db: &GraphflowDB, name: &str| -> f64 {
+        let text = db.metrics().render();
+        assert!(text.contains(&format!("# TYPE {name} gauge")), "{name}");
+        text.lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no sample for {name}"))
+    };
+    let db = small_db();
+    assert_eq!(gauge(&db, "graphflow_delta_pending_edges"), 0.0);
+    let clean_bytes = gauge(&db, "graphflow_delta_overlay_bytes");
+
+    let mut txn = db.begin_write();
+    assert!(txn.insert_edge(0, 399, EdgeLabel(0)) || txn.delete_edge(0, 399, EdgeLabel(0)));
+    assert!(txn.insert_edge(1, 398, EdgeLabel(0)) || txn.delete_edge(1, 398, EdgeLabel(0)));
+    // Staged but unpublished updates are not the published epoch's.
+    assert_eq!(gauge(&db, "graphflow_delta_pending_edges"), 0.0);
+    txn.commit();
+    assert_eq!(gauge(&db, "graphflow_delta_pending_edges"), 2.0);
+    let dirty_bytes = gauge(&db, "graphflow_delta_overlay_bytes");
+    // Two edges, twelve bytes each in the edge sets, and at least their four merged entries.
+    assert!(dirty_bytes >= clean_bytes + 2.0 * 12.0 + 4.0 * 4.0);
+    let m = db.metrics();
+    assert_eq!(m.delta_pending_edges, 2);
+    assert_eq!(m.delta_overlay_bytes as f64, dirty_bytes);
+
+    db.compact();
+    assert_eq!(gauge(&db, "graphflow_delta_pending_edges"), 0.0);
+    assert_eq!(gauge(&db, "graphflow_delta_overlay_bytes"), clean_bytes);
+}
+
 // --- slow-query log ---------------------------------------------------------------------
 
 #[test]

@@ -8,13 +8,16 @@
 use graphflow_baselines::{backtracking_count, BacktrackOptions};
 use graphflow_catalog::{count_matches, Catalogue};
 use graphflow_core::{GraphflowDB, QueryOptions};
-use graphflow_graph::{Graph, GraphBuilder};
+use graphflow_graph::{
+    Direction, EdgeLabel, Graph, GraphBuilder, GraphView, Snapshot, Update, VertexId, VertexLabel,
+};
 use graphflow_plan::cost::CostModel;
 use graphflow_plan::spectrum::{enumerate_spectrum, SpectrumLimits};
 use graphflow_query::patterns;
 use graphflow_query::QueryGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 const CASES: usize = 24;
@@ -186,4 +189,269 @@ fn prepared_streaming_agrees_with_counting() {
         assert!(db.prepare_query(q).unwrap().was_cached(), "case {case}");
         assert_eq!(db.plan_cache_stats().hits, 1, "case {case}");
     }
+}
+
+// --- the delta overlay against from-scratch CSRs ----------------------------------------
+
+const VERTEX_LABELS: u16 = 3;
+const EDGE_LABELS: u16 = 3;
+
+type Edge = (VertexId, VertexId, EdgeLabel);
+
+/// What the overlay test believes the graph to be, kept with plain set arithmetic.
+#[derive(Clone, Default)]
+struct Model {
+    labels: Vec<VertexLabel>,
+    edges: BTreeSet<Edge>,
+}
+
+impl Model {
+    /// The model as a CSR built from scratch — the reference every snapshot is held against.
+    fn csr(&self) -> Graph {
+        let mut b = GraphBuilder::with_vertices(self.labels.len());
+        for (v, &label) in self.labels.iter().enumerate() {
+            b.set_vertex_label(v as VertexId, label);
+        }
+        for &(s, d, l) in &self.edges {
+            b.add_labelled_edge(s, d, l);
+        }
+        b.build()
+    }
+
+    fn random_edge(&self, rng: &mut StdRng) -> Edge {
+        let n = self.labels.len() as VertexId;
+        (
+            rng.gen_range(0..n),
+            rng.gen_range(0..n),
+            EdgeLabel(rng.gen_range(0..EDGE_LABELS)),
+        )
+    }
+}
+
+/// Every `(vertex, direction, edge label, neighbour label)` partition of a view.
+fn partitions<G: GraphView>(
+    view: &G,
+) -> impl Iterator<Item = (VertexId, Direction, EdgeLabel, VertexLabel)> {
+    let n = view.num_vertices() as VertexId;
+    let (els, vls) = (
+        view.num_edge_labels().max(EDGE_LABELS),
+        view.num_vertex_labels().max(VERTEX_LABELS),
+    );
+    (0..n).flat_map(move |v| {
+        [Direction::Fwd, Direction::Bwd]
+            .into_iter()
+            .flat_map(move |dir| {
+                (0..els).flat_map(move |el| {
+                    (0..vls).map(move |nl| (v, dir, EdgeLabel(el), VertexLabel(nl)))
+                })
+            })
+    })
+}
+
+/// `view` and the from-scratch CSR `want` agree on everything a [`GraphView`] says about
+/// vertices and edges: `nbrs`, `degree`, `has_edge` and `scan_edges`, for every vertex,
+/// direction and partition.
+fn assert_same_graph<G: GraphView>(view: &G, want: &Graph, ctx: &str) {
+    assert_eq!(view.num_vertices(), want.num_vertices(), "{ctx}: vertices");
+    assert_eq!(view.num_edges(), want.num_edges(), "{ctx}: edges");
+    for (v, dir, el, nl) in partitions(view) {
+        let got = view.nbrs(v, dir, el, nl);
+        let expected = want.nbrs(v, dir, el, nl);
+        assert_eq!(&*got, &*expected, "{ctx}: nbrs({v}, {dir:?}, {el}, {nl})");
+        assert_eq!(
+            view.degree(v, dir, el, nl),
+            expected.len(),
+            "{ctx}: degree({v}, {dir:?}, {el}, {nl})"
+        );
+    }
+    let n = want.num_vertices() as VertexId;
+    for el in (0..view.num_edge_labels().max(EDGE_LABELS)).map(EdgeLabel) {
+        assert_eq!(
+            &view.scan_edges(el)[..],
+            want.edges_with_label(el),
+            "{ctx}: scan_edges({el})"
+        );
+        for u in 0..n {
+            assert_eq!(
+                view.vertex_label(u),
+                want.vertex_label(u),
+                "{ctx}: label of {u}"
+            );
+            for v in 0..n {
+                assert_eq!(
+                    view.has_edge(u, v, el),
+                    want.has_edge(u, v, el),
+                    "{ctx}: has_edge({u}, {v}, {el})"
+                );
+            }
+        }
+    }
+}
+
+/// How many partitions `snap` serves from its overlay — asserting that each of them differs
+/// from the base CSR's: a partition whose updates cancelled out must borrow the CSR again.
+fn overlay_partitions(snap: &Snapshot, ctx: &str) -> usize {
+    let base = snap.base();
+    partitions(snap)
+        .filter(|&(v, dir, el, nl)| {
+            let list = snap.nbrs(v, dir, el, nl);
+            if list.is_overlay() {
+                let in_base: &[VertexId] = if (v as usize) < base.num_vertices() {
+                    base.neighbours(v, dir, el, nl)
+                } else {
+                    &[]
+                };
+                assert_ne!(
+                    &*list, in_base,
+                    "{ctx}: overlay of ({v}, {dir:?}, {el}, {nl})"
+                );
+            }
+            list.is_overlay()
+        })
+        .count()
+}
+
+/// Random interleavings of every kind of update, checked after every step against a CSR built
+/// from scratch; clones keep their epoch; cancelling pairs and compaction leave no trace.
+#[test]
+fn delta_overlay_agrees_with_from_scratch_csr() {
+    let mut rng = StdRng::seed_from_u64(7007);
+    // Interleavings the sequence must have hit for the test to mean what it says.
+    let (mut reinserted, mut cancelled, mut overlaid) = (0, 0, 0);
+    for case in 0..CASES / 2 {
+        let mut model = Model::default();
+        for _ in 0..rng.gen_range(6usize..20) {
+            model
+                .labels
+                .push(VertexLabel(rng.gen_range(0..VERTEX_LABELS)));
+        }
+        for _ in 0..rng.gen_range(10usize..80) {
+            let e = model.random_edge(&mut rng);
+            model.edges.insert(e);
+        }
+        let mut snap = Snapshot::from(model.csr());
+        // Edges this case deleted / inserted so far: what re-inserts and cancelling deletes draw from.
+        let (mut graveyard, mut born): (Vec<Edge>, Vec<Edge>) = (Vec::new(), Vec::new());
+        let mut frozen: Vec<(Snapshot, Graph)> = Vec::new();
+
+        for step in 0..60 {
+            let ctx = format!("case {case} step {step}");
+            let version = snap.version();
+            match rng.gen_range(0..12u32) {
+                // Insert a random edge (a self-loop every so often; sometimes a duplicate).
+                roll @ 0..=3 => {
+                    let (s, d, l) = model.random_edge(&mut rng);
+                    let e = if roll == 0 { (s, s, l) } else { (s, d, l) };
+                    assert_eq!(
+                        snap.insert_edge(e.0, e.1, e.2),
+                        model.edges.insert(e),
+                        "{ctx}"
+                    );
+                    born.push(e);
+                }
+                // Delete an existing edge, base or pending.
+                4 | 5 if !model.edges.is_empty() => {
+                    let pick = rng.gen_range(0..model.edges.len());
+                    let e = *model.edges.iter().nth(pick).unwrap();
+                    model.edges.remove(&e);
+                    assert!(snap.delete_edge(e.0, e.1, e.2), "{ctx}");
+                    graveyard.push(e);
+                }
+                // Delete an edge that probably does not exist.
+                6 => {
+                    let e = model.random_edge(&mut rng);
+                    assert_eq!(
+                        snap.delete_edge(e.0, e.1, e.2),
+                        model.edges.remove(&e),
+                        "{ctx}"
+                    );
+                }
+                // Re-insert an edge deleted earlier.
+                7 if !graveyard.is_empty() => {
+                    let e = graveyard.swap_remove(rng.gen_range(0..graveyard.len()));
+                    let fresh = model.edges.insert(e);
+                    assert_eq!(snap.insert_edge(e.0, e.1, e.2), fresh, "{ctx}");
+                    reinserted += usize::from(fresh);
+                }
+                // Delete an edge inserted earlier.
+                8 if !born.is_empty() => {
+                    let e = born.swap_remove(rng.gen_range(0..born.len()));
+                    let present = model.edges.remove(&e);
+                    assert_eq!(snap.delete_edge(e.0, e.1, e.2), present, "{ctx}");
+                    cancelled += usize::from(present);
+                }
+                // A new labelled vertex with an edge in each direction.
+                9 => {
+                    let label = VertexLabel(rng.gen_range(0..VERTEX_LABELS));
+                    let v = snap.insert_vertex(label);
+                    assert_eq!(v as usize, model.labels.len(), "{ctx}");
+                    model.labels.push(label);
+                    let (other, _, l) = model.random_edge(&mut rng);
+                    for e in [(v, other, l), (other, v, l)] {
+                        assert_eq!(
+                            snap.insert_edge(e.0, e.1, e.2),
+                            model.edges.insert(e),
+                            "{ctx}"
+                        );
+                    }
+                }
+                // An edge whose endpoint is created on demand, through the update API.
+                10 => {
+                    let (src, _, label) = model.random_edge(&mut rng);
+                    let dst = model.labels.len() as VertexId + 1;
+                    assert!(
+                        snap.apply_update(&Update::InsertEdge { src, dst, label }),
+                        "{ctx}"
+                    );
+                    model.labels.resize(dst as usize + 1, VertexLabel(0));
+                    model.edges.insert((src, dst, label));
+                }
+                // Keep a clone of this epoch, or fold the deltas into a fresh base.
+                _ => {
+                    if rng.gen_range(0..3u32) > 0 {
+                        frozen.push((snap.clone(), model.csr()));
+                    } else {
+                        snap.compact();
+                        assert!(!snap.has_pending_deltas(), "{ctx}");
+                        assert_eq!(overlay_partitions(&snap, &ctx), 0, "{ctx}");
+                        assert_eq!(
+                            snap.version(),
+                            version,
+                            "{ctx}: compaction keeps the version"
+                        );
+                    }
+                }
+            }
+            let want = model.csr();
+            assert_same_graph(&snap, &want, &ctx);
+            overlaid += overlay_partitions(&snap, &ctx);
+            let rebuilt = snap.rebuild();
+            rebuilt.check_invariants().unwrap();
+            assert_same_graph(&rebuilt, &want, &format!("{ctx}, rebuilt"));
+        }
+
+        // Later updates and compactions reached no clone: each still shows its own epoch.
+        for (i, (clone, want)) in frozen.iter().enumerate() {
+            assert_same_graph(clone, want, &format!("case {case} clone {i}"));
+        }
+
+        // On a clean snapshot a pair of updates that cancels leaves nothing behind.
+        let ctx = format!("case {case} cancelling pairs");
+        snap.compact();
+        let want = model.csr();
+        let absent = std::iter::repeat_with(|| model.random_edge(&mut rng))
+            .find(|e| !model.edges.contains(e))
+            .unwrap();
+        assert!(snap.insert_edge(absent.0, absent.1, absent.2), "{ctx}");
+        assert!(overlay_partitions(&snap, &ctx) > 0, "{ctx}");
+        assert!(snap.delete_edge(absent.0, absent.1, absent.2), "{ctx}");
+        if let Some(&present) = model.edges.iter().next() {
+            assert!(snap.delete_edge(present.0, present.1, present.2), "{ctx}");
+            assert!(snap.insert_edge(present.0, present.1, present.2), "{ctx}");
+        }
+        assert!(!snap.has_pending_deltas(), "{ctx}");
+        assert_eq!(overlay_partitions(&snap, &ctx), 0, "{ctx}");
+        assert_same_graph(&snap, &want, &ctx);
+    }
+    assert!(reinserted > 0 && cancelled > 0 && overlaid > 0);
 }
