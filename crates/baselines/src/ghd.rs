@@ -18,7 +18,7 @@
 //!   EH plan spectra of Figure 9.
 
 use graphflow_catalog::Catalogue;
-use graphflow_plan::cost::{estimate_cost, CostModel};
+use graphflow_plan::cost::{CostModel, Estimator};
 use graphflow_plan::plan::{Plan, PlanNode};
 use graphflow_plan::wco::wco_node_for_ordering;
 use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
@@ -78,11 +78,12 @@ impl<'a> GhdPlanner<'a> {
     pub fn plan(&self, q: &QueryGraph, policy: OrderingPolicy) -> Option<Plan> {
         let ghds = self.min_width_ghds(q);
         let ghd = ghds.first()?;
-        self.instantiate(q, ghd, policy)
+        self.instantiate(&mut self.estimator(q), ghd, policy)
     }
 
     /// Every (min-width GHD, per-bag ordering) combination — the EH plan spectrum of Figure 9.
     pub fn spectrum(&self, q: &QueryGraph) -> Vec<Plan> {
+        let est = &mut self.estimator(q);
         let mut plans = Vec::new();
         for ghd in self.min_width_ghds(q) {
             let per_bag_orderings: Vec<Vec<Vec<usize>>> = ghd
@@ -101,7 +102,7 @@ impl<'a> GhdPlanner<'a> {
                     .enumerate()
                     .map(|(i, &j)| &per_bag_orderings[i][j])
                     .collect();
-                if let Some(plan) = self.build_plan(q, &ghd, &orderings) {
+                if let Some(plan) = self.build_plan(est, &orderings) {
                     plans.push(plan);
                 }
                 // Advance the mixed-radix counter; exhausting it moves on to the next GHD.
@@ -122,17 +123,28 @@ impl<'a> GhdPlanner<'a> {
         plans
     }
 
-    fn instantiate(&self, q: &QueryGraph, ghd: &Ghd, policy: OrderingPolicy) -> Option<Plan> {
+    /// The one estimate table every plan of `q` built here is priced through.
+    fn estimator<'q>(&'q self, q: &'q QueryGraph) -> Estimator<'q> {
+        Estimator::new(q, self.catalogue, self.model)
+    }
+
+    fn instantiate(
+        &self,
+        est: &mut Estimator<'_>,
+        ghd: &Ghd,
+        policy: OrderingPolicy,
+    ) -> Option<Plan> {
         let orderings: Vec<Vec<usize>> = ghd
             .bags
             .iter()
-            .map(|&bag| self.pick_ordering(q, bag, policy))
+            .map(|&bag| self.pick_ordering(est, bag, policy))
             .collect::<Option<Vec<_>>>()?;
         let refs: Vec<&Vec<usize>> = orderings.iter().collect();
-        self.build_plan(q, ghd, &refs)
+        self.build_plan(est, &refs)
     }
 
-    fn build_plan(&self, q: &QueryGraph, _ghd: &Ghd, orderings: &[&Vec<usize>]) -> Option<Plan> {
+    fn build_plan(&self, est: &mut Estimator<'_>, orderings: &[&Vec<usize>]) -> Option<Plan> {
+        let q = est.query();
         let mut nodes: Vec<PlanNode> = Vec::new();
         for ordering in orderings {
             nodes.push(bag_node(q, ordering)?);
@@ -142,24 +154,25 @@ impl<'a> GhdPlanner<'a> {
         let mut acc = nodes.remove(0);
         for node in nodes {
             // Build on the smaller side by estimated cardinality.
-            let c_acc = estimate_cost(q, self.catalogue, &self.model, &acc).output_cardinality;
-            let c_node = estimate_cost(q, self.catalogue, &self.model, &node).output_cardinality;
+            let c_acc = est.estimate_cost(&acc).output_cardinality;
+            let c_node = est.estimate_cost(&node).output_cardinality;
             acc = if c_node <= c_acc {
                 PlanNode::hash_join(q, node, acc)?
             } else {
                 PlanNode::hash_join(q, acc, node)?
             };
         }
-        let cost = estimate_cost(q, self.catalogue, &self.model, &acc);
+        let cost = est.estimate_cost(&acc);
         Some(Plan::new(q.clone(), acc, cost.total()))
     }
 
     fn pick_ordering(
         &self,
-        q: &QueryGraph,
+        est: &mut Estimator<'_>,
         bag: VertexSet,
         policy: OrderingPolicy,
     ) -> Option<Vec<usize>> {
+        let q = est.query();
         let orderings = executable_orderings(q, bag);
         if orderings.is_empty() {
             return None;
@@ -171,7 +184,7 @@ impl<'a> GhdPlanner<'a> {
                     .into_iter()
                     .filter_map(|sigma| {
                         let node = bag_node(q, &sigma)?;
-                        let cost = estimate_cost(q, self.catalogue, &self.model, &node);
+                        let cost = est.estimate_cost(&node);
                         Some((cost.total(), sigma))
                     })
                     .collect();

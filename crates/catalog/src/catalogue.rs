@@ -6,11 +6,12 @@ use crate::key::{extension_key, ExtensionKey};
 use crate::matcher::{count_matches, sample_extension_stats};
 use graphflow_graph::{Direction, EdgeLabel, Graph, GraphView, Snapshot, VertexLabel};
 use graphflow_query::canonical::{canonical_code, CanonicalCode};
-use graphflow_query::extension::descriptors_for_extension;
-use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
+use graphflow_query::extension::{descriptors_for_extension, ExtensionSpec};
+use graphflow_query::querygraph::{set_iter, set_len, set_of, set_rank, singleton, VertexSet};
 use graphflow_query::QueryGraph;
 use parking_lot::Mutex;
 use rustc_hash::FxHashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Exact per-vertex-label counts, sorted by label, as exported for a durability snapshot.
 pub type VertexCounts = Vec<(VertexLabel, u64)>;
@@ -18,6 +19,8 @@ pub type VertexCounts = Vec<(VertexLabel, u64)>;
 /// durability snapshot.
 pub type EdgeCounts = Vec<((EdgeLabel, VertexLabel, VertexLabel), u64)>;
 use std::sync::Arc;
+
+type Triple = (EdgeLabel, VertexLabel, VertexLabel);
 
 /// Configuration of catalogue construction (paper Section 5.1 and Appendix B).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,9 +96,18 @@ pub struct Catalogue {
     snap: Snapshot,
     config: CatalogueConfig,
     caches: Mutex<Caches>,
+    /// Estimation requests received from outside the catalogue
+    /// ([`Catalogue::extension_estimate`] and [`Catalogue::estimate_cardinality`] calls; the
+    /// catalogue's own recursion is not counted). A statistic, hence relaxed; clones share
+    /// it, so the count stays monotonic across the facade's copy-on-write swaps.
+    lookups: Arc<AtomicU64>,
     /// `edge_counts[(el, src label, dst label)]` — exact edge counts per label triple,
     /// maintained incrementally under updates.
-    edge_counts: FxHashMap<(EdgeLabel, VertexLabel, VertexLabel), u64>,
+    edge_counts: FxHashMap<Triple, u64>,
+    /// `edge_counts` summed over the far endpoint's label: edges in the `(direction, edge
+    /// label, neighbour label)` adjacency partition, over all vertices. Kept beside the
+    /// triples by the same `record_edge_*` calls.
+    list_counts: FxHashMap<(Direction, EdgeLabel, VertexLabel), u64>,
     /// Number of vertices per vertex label, maintained incrementally under updates.
     vertex_counts: FxHashMap<VertexLabel, u64>,
     /// Updates recorded per `(edge label, src label, dst label)` triple since construction.
@@ -107,7 +119,8 @@ pub struct Catalogue {
 }
 
 impl Clone for Catalogue {
-    /// Deep copy, including the memoised sample caches (taken under their lock). Backs
+    /// Deep copy, including the memoised sample caches (taken under their lock); only the
+    /// lookup counter is shared with the original. Backs
     /// copy-on-write sharing of a catalogue between a committing writer and in-flight
     /// readers (`Arc::make_mut` in the `graphflow-core` facade).
     fn clone(&self) -> Self {
@@ -115,7 +128,9 @@ impl Clone for Catalogue {
             snap: self.snap.clone(),
             config: self.config,
             caches: Mutex::new(self.caches.lock().clone()),
+            lookups: self.lookups.clone(),
             edge_counts: self.edge_counts.clone(),
+            list_counts: self.list_counts.clone(),
             vertex_counts: self.vertex_counts.clone(),
             update_counts: self.update_counts.clone(),
             update_tick: self.update_tick,
@@ -132,8 +147,7 @@ impl Catalogue {
 
     /// Create a catalogue over a live [`Snapshot`] (base CSR + pending deltas).
     pub fn for_snapshot(snap: Snapshot, config: CatalogueConfig) -> Self {
-        let mut edge_counts: FxHashMap<(EdgeLabel, VertexLabel, VertexLabel), u64> =
-            FxHashMap::default();
+        let mut edge_counts: FxHashMap<Triple, u64> = FxHashMap::default();
         for el in 0..snap.num_edge_labels() {
             for &(s, d, l) in snap.scan_edges(EdgeLabel(el)).iter() {
                 *edge_counts
@@ -145,17 +159,7 @@ impl Catalogue {
         for v in 0..snap.num_vertices() as u32 {
             *vertex_counts.entry(snap.vertex_label(v)).or_insert(0) += 1;
         }
-        let graph_version = snap.version();
-        Catalogue {
-            snap,
-            config,
-            caches: Mutex::new(Caches::default()),
-            edge_counts,
-            vertex_counts,
-            update_counts: FxHashMap::default(),
-            update_tick: 0,
-            graph_version,
-        }
+        Self::for_snapshot_with_counts(snap, config, vertex_counts, edge_counts)
     }
 
     /// Create a catalogue over a live [`Snapshot`] with **restored** exact counts instead of
@@ -167,14 +171,22 @@ impl Catalogue {
         snap: Snapshot,
         config: CatalogueConfig,
         vertex_counts: impl IntoIterator<Item = (VertexLabel, u64)>,
-        edge_counts: impl IntoIterator<Item = ((EdgeLabel, VertexLabel, VertexLabel), u64)>,
+        edge_counts: impl IntoIterator<Item = (Triple, u64)>,
     ) -> Self {
         let graph_version = snap.version();
+        let edge_counts: FxHashMap<Triple, u64> = edge_counts.into_iter().collect();
+        let mut list_counts = FxHashMap::default();
+        for (&(el, src, dst), &c) in &edge_counts {
+            *list_counts.entry((Direction::Fwd, el, dst)).or_insert(0) += c;
+            *list_counts.entry((Direction::Bwd, el, src)).or_insert(0) += c;
+        }
         Catalogue {
             snap,
             config,
             caches: Mutex::new(Caches::default()),
-            edge_counts: edge_counts.into_iter().collect(),
+            lookups: Arc::default(),
+            edge_counts,
+            list_counts,
             vertex_counts: vertex_counts.into_iter().collect(),
             update_counts: FxHashMap::default(),
             update_tick: 0,
@@ -261,13 +273,28 @@ impl Catalogue {
     /// current and advancing the staleness clock.
     pub fn record_edge_insert(&mut self, el: EdgeLabel, src: VertexLabel, dst: VertexLabel) {
         *self.edge_counts.entry((el, src, dst)).or_insert(0) += 1;
+        *self
+            .list_counts
+            .entry((Direction::Fwd, el, dst))
+            .or_insert(0) += 1;
+        *self
+            .list_counts
+            .entry((Direction::Bwd, el, src))
+            .or_insert(0) += 1;
         self.bump_update((el, src, dst));
     }
 
     /// Record the deletion of an edge with the given label triple.
     pub fn record_edge_delete(&mut self, el: EdgeLabel, src: VertexLabel, dst: VertexLabel) {
-        if let Some(c) = self.edge_counts.get_mut(&(el, src, dst)) {
-            *c = c.saturating_sub(1);
+        if let Some(c) = self
+            .edge_counts
+            .get_mut(&(el, src, dst))
+            .filter(|c| **c > 0)
+        {
+            *c -= 1;
+            for key in [(Direction::Fwd, el, dst), (Direction::Bwd, el, src)] {
+                *self.list_counts.get_mut(&key).expect("sums cover triples") -= 1;
+            }
         }
         self.bump_update((el, src, dst));
     }
@@ -278,7 +305,7 @@ impl Catalogue {
         self.update_tick += 1;
     }
 
-    fn bump_update(&mut self, triple: (EdgeLabel, VertexLabel, VertexLabel)) {
+    fn bump_update(&mut self, triple: Triple) {
         *self.update_counts.entry(triple).or_insert(0) += 1;
         self.update_tick += 1;
     }
@@ -327,23 +354,15 @@ impl Catalogue {
     /// removed by the larger-than-`h` fallback rule.
     pub fn avg_list_size(&self, dir: Direction, el: EdgeLabel, nbr_label: VertexLabel) -> f64 {
         let n = self.snap.num_vertices().max(1) as f64;
-        let count: u64 = match dir {
-            // Forward lists point at `nbr_label` destinations.
-            Direction::Fwd => self
-                .edge_counts
-                .iter()
-                .filter(|((l, _, d), _)| *l == el && *d == nbr_label)
-                .map(|(_, c)| *c)
-                .sum(),
-            // Backward lists point at `nbr_label` sources.
-            Direction::Bwd => self
-                .edge_counts
-                .iter()
-                .filter(|((l, s, _), _)| *l == el && *s == nbr_label)
-                .map(|(_, c)| *c)
-                .sum(),
-        };
-        count as f64 / n
+        // Forward lists point at `nbr_label` destinations, backward lists at sources.
+        let count = self.list_counts.get(&(dir, el, nbr_label)).copied();
+        count.unwrap_or(0) as f64 / n
+    }
+
+    /// Number of estimation requests ([`Catalogue::extension_estimate`] and
+    /// [`Catalogue::estimate_cardinality`]) received so far.
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 
     /// Eagerly materialise every entry needed to estimate the given queries (all of their
@@ -372,9 +391,7 @@ impl Catalogue {
                     if subset & singleton(target) != 0 {
                         continue;
                     }
-                    if descriptors_for_extension(q, &prefix, target).is_some() {
-                        let _ = self.extension_estimate(q, &prefix, target);
-                    }
+                    let _ = self.extension(q, &prefix, target);
                 }
             }
         }
@@ -392,12 +409,60 @@ impl Catalogue {
         prefix: &[usize],
         target: usize,
     ) -> Option<ExtensionEstimate> {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.extension(q, prefix, target)
+    }
+
+    /// [`Catalogue::extension_estimate`] for the catalogue's own recursion (not a lookup).
+    fn extension(
+        &self,
+        q: &QueryGraph,
+        prefix: &[usize],
+        target: usize,
+    ) -> Option<ExtensionEstimate> {
         let spec = descriptors_for_extension(q, prefix, target)?;
-        if prefix.len() <= self.config.h {
-            Some(self.direct_estimate(q, prefix, target, &spec.descriptors.len()))
+        Some(if prefix.len() <= self.config.h {
+            self.direct_estimate(q, prefix, &spec)
         } else {
-            Some(self.fallback_estimate(q, prefix, target))
-        }
+            self.fallback_estimate(q, prefix, &spec)
+        })
+    }
+
+    /// Read the (possibly memoised) entry of extending the sub-query induced by `prefix_set`
+    /// by `target`. `read` gets the entry and the canonical position of each vertex of `q`.
+    ///
+    /// An entry sampled more than `refresh_after` updates ago is treated as missing and
+    /// resampled against the current snapshot (lazy refresh).
+    fn with_entry<R>(
+        &self,
+        q: &QueryGraph,
+        prefix_set: VertexSet,
+        target: usize,
+        read: impl FnOnce(&CatalogueEntry, &dyn Fn(usize) -> u8) -> R,
+    ) -> R {
+        // Project q onto prefix ∪ {target}; projections number their vertices in ascending
+        // order of the original index.
+        let set = prefix_set | singleton(target);
+        let (proj, _) = q.project(set);
+        let proj_target = set_rank(set, target);
+        let (key, perm) = extension_key(&proj, proj_target);
+        let canon_pos = |v: usize| perm[set_rank(set, v)] as u8;
+
+        let stale = {
+            let caches = self.caches.lock();
+            match caches.entries.get(&key) {
+                Some(memo) if !self.is_stale(memo.tick) => return read(&memo.entry, &canon_pos),
+                memo => memo.is_some(),
+            }
+        };
+        // Sample outside the lock.
+        let entry = self.compute_entry(&proj, proj_target, &perm);
+        let out = read(&entry, &canon_pos);
+        let mut caches = self.caches.lock();
+        caches.refreshes += u64::from(stale);
+        let tick = self.update_tick;
+        caches.entries.insert(key, MemoEntry { entry, tick });
+        out
     }
 
     /// Direct (possibly memoised) entry lookup for prefixes of at most `h` vertices.
@@ -405,69 +470,26 @@ impl Catalogue {
         &self,
         q: &QueryGraph,
         prefix: &[usize],
-        target: usize,
-        _num_desc: &usize,
+        spec: &ExtensionSpec,
     ) -> ExtensionEstimate {
-        // Project q onto prefix ∪ {target}.
-        let mut set: VertexSet = singleton(target);
-        for &v in prefix {
-            set |= singleton(v);
-        }
-        let (proj, mapping) = q.project(set);
-        let proj_target = mapping
-            .iter()
-            .position(|&o| o == target)
-            .expect("target in mapping");
-        let (key, perm) = extension_key(&proj, proj_target);
-
-        // Compute or fetch the entry; an entry sampled more than `refresh_after` updates ago is
-        // treated as missing and resampled against the current snapshot (lazy refresh).
-        let cached = self.caches.lock().entries.get(&key).cloned();
-        let entry = match cached {
-            Some(memo) if !self.is_stale(memo.tick) => memo.entry,
-            cached => {
-                let entry = self.compute_entry(&proj, proj_target, &perm);
-                let mut caches = self.caches.lock();
-                if cached.is_some() {
-                    caches.refreshes += 1;
-                }
-                caches.entries.insert(
-                    key,
-                    MemoEntry {
-                        entry: entry.clone(),
-                        tick: self.update_tick,
-                    },
-                );
-                entry
-            }
-        };
-
-        // Align the entry's canonical descriptors with the caller's descriptor order.
-        let spec = descriptors_for_extension(q, prefix, target).expect("descriptors exist");
-        let sizes = spec
-            .descriptors
-            .iter()
-            .map(|d| {
-                let orig_vertex = prefix[d.tuple_idx];
-                let proj_vertex = mapping
-                    .iter()
-                    .position(|&o| o == orig_vertex)
-                    .expect("prefix vertex in mapping");
+        self.with_entry(q, set_of(prefix), spec.target_vertex, |entry, canon_pos| {
+            // Align the entry's canonical descriptors with the caller's descriptor order.
+            let sizes = spec.descriptors.iter().map(|d| {
                 let canon = CanonDescriptor {
-                    canon_pos: perm[proj_vertex] as u8,
+                    canon_pos: canon_pos(prefix[d.tuple_idx]),
                     dir: d.dir,
                     edge_label: d.edge_label,
                 };
                 entry
                     .size_for(&canon)
                     .unwrap_or_else(|| self.avg_list_size(d.dir, d.edge_label, spec.target_label))
-            })
-            .collect();
-        ExtensionEstimate {
-            avg_list_sizes: sizes,
-            mu: entry.mu,
-            exact_entry: true,
-        }
+            });
+            ExtensionEstimate {
+                avg_list_sizes: sizes.collect(),
+                mu: entry.mu,
+                exact_entry: true,
+            }
+        })
     }
 
     /// Sample a new entry for the projected extension (the new vertex is `proj_target`).
@@ -547,60 +569,52 @@ impl Catalogue {
         &self,
         q: &QueryGraph,
         prefix: &[usize],
-        target: usize,
+        spec: &ExtensionSpec,
     ) -> ExtensionEstimate {
-        let spec = descriptors_for_extension(q, prefix, target).expect("checked by caller");
-        let excess = prefix.len() - self.config.h;
-        let mut best: Option<ExtensionEstimate> = None;
-
-        // Enumerate subsets of prefix positions of size `excess` to remove.
-        let positions: Vec<usize> = (0..prefix.len()).collect();
-        let subsets = k_subsets(&positions, excess);
-        for removed in subsets {
-            let reduced: Vec<usize> = prefix
+        let target = spec.target_vertex;
+        let prefix_set = set_of(prefix);
+        let mut best: Option<f64> = None;
+        // Every combination of `excess` prefix positions to remove, in lexicographic order.
+        let mut removed: Vec<usize> = (0..prefix.len() - self.config.h).collect();
+        loop {
+            let reduced = removed
                 .iter()
-                .enumerate()
-                .filter(|(i, _)| !removed.contains(i))
-                .map(|(_, &v)| v)
-                .collect();
+                .fold(prefix_set, |acc, &i| acc & !singleton(prefix[i]));
             // The reduced prefix must stay connected and keep at least one descriptor to target.
-            let reduced_set: VertexSet = reduced.iter().fold(0, |acc, &v| acc | singleton(v));
-            if !q.is_connected_subset(reduced_set) {
-                continue;
+            if q.is_connected_subset(reduced)
+                && spec
+                    .descriptors
+                    .iter()
+                    .any(|d| reduced & singleton(prefix[d.tuple_idx]) != 0)
+            {
+                let mu = self.with_entry(q, reduced, target, |entry, _| entry.mu);
+                if best.is_none_or(|b| mu < b) {
+                    best = Some(mu);
+                }
             }
-            let est = match self.extension_estimate(q, &reduced, target) {
-                Some(e) => e,
-                None => continue,
-            };
-            if best.as_ref().is_none_or(|b| est.mu < b.mu) {
-                best = Some(est);
+            if !next_combination(&mut removed, prefix.len()) {
+                break;
             }
         }
 
-        // Sizes must be reported for every original descriptor: take sizes from the best
-        // reduced estimate where the descriptor survived, and the coarse per-label average
-        // elsewhere.
+        // Sizes are reported conservatively for every original descriptor: the coarse
+        // per-label average.
         let coarse: Vec<f64> = spec
             .descriptors
             .iter()
             .map(|d| self.avg_list_size(d.dir, d.edge_label, spec.target_label))
             .collect();
-        match best {
-            Some(b) => ExtensionEstimate {
-                avg_list_sizes: coarse, // conservative sizes for all descriptors
-                mu: b.mu,
-                exact_entry: false,
-            },
-            None => ExtensionEstimate {
-                // No valid reduction: fall back to the smallest coarse list size as `µ` proxy.
-                mu: coarse
+        ExtensionEstimate {
+            // No valid reduction: fall back to the smallest coarse list size as `µ` proxy.
+            mu: best.unwrap_or_else(|| {
+                coarse
                     .iter()
                     .copied()
                     .fold(f64::INFINITY, f64::min)
-                    .max(0.0),
-                avg_list_sizes: coarse,
-                exact_entry: false,
-            },
+                    .max(0.0)
+            }),
+            avg_list_sizes: coarse,
+            exact_entry: false,
         }
     }
 
@@ -608,17 +622,22 @@ impl Catalogue {
     /// "Cardinality of Q_k"): pick a WCO ordering of the sub-query and multiply the `µ` of its
     /// extension entries, seeded by the exact count of the first matched query edge.
     pub fn estimate_cardinality(&self, q: &QueryGraph, set: VertexSet) -> f64 {
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.cardinality(q, set)
+    }
+
+    /// [`Catalogue::estimate_cardinality`] for the catalogue's own recursion (not a lookup).
+    fn cardinality(&self, q: &QueryGraph, set: VertexSet) -> f64 {
         let k = set_len(set);
-        if k == 0 {
-            return 0.0;
+        if k <= 1 {
+            return match set_iter(set).next() {
+                Some(v) => self.vertex_count(q.vertex(v).label) as f64,
+                None => 0.0,
+            };
         }
         let (proj, _mapping) = q.project(set);
-        if k == 1 {
-            let v = set_iter(set).next().unwrap();
-            return self.vertex_count(q.vertex(v).label) as f64;
-        }
-        // Canonicalisation is brute force and only worthwhile for small sub-queries; larger
-        // projections (possible in the pruned large-query mode) are estimated uncached.
+        // Canonical codes are for small sub-queries; larger projections (possible in the
+        // pruned large-query mode) are estimated uncached.
         if proj.num_vertices() > 8 {
             return self.estimate_cardinality_uncached(q, set, &proj);
         }
@@ -652,20 +671,13 @@ impl Catalogue {
         if vertices.len() == 2 {
             return self.two_vertex_cardinality(proj);
         }
-        // Pick a connected ordering whose first two vertices share a query edge. For larger
-        // sub-queries (pruned large-query mode) a single greedy ordering avoids enumerating the
-        // full ordering space.
+        // Pick a connected ordering (its first two vertices then share a query edge): the
+        // lexicographically first one, or for larger sub-queries (pruned large-query mode) the
+        // greedy one from the first query edge.
         let sigma = if proj.num_vertices() > 8 {
             greedy_ordering(proj)
         } else {
-            graphflow_query::qvo::connected_orderings(proj)
-                .into_iter()
-                .find(|s| {
-                    proj.edges().iter().any(|e| {
-                        (e.src == s[0] && e.dst == s[1]) || (e.src == s[1] && e.dst == s[0])
-                    })
-                })
-                .unwrap_or_else(|| (0..proj.num_vertices()).collect())
+            graphflow_query::qvo::first_connected_ordering(proj)
         };
 
         // Seed with the exact count of the first edge, then multiply the µ of each extension.
@@ -674,7 +686,7 @@ impl Catalogue {
         let mut card = self.two_vertex_cardinality(&first_proj);
         for kk in 2..sigma.len() {
             let est = self
-                .extension_estimate(proj, &sigma[..kk], sigma[kk])
+                .extension(proj, &sigma[..kk], sigma[kk])
                 .map(|e| e.mu)
                 .unwrap_or(0.0);
             card *= est;
@@ -735,7 +747,7 @@ impl Catalogue {
                     }
                 }
             }
-            product *= self.estimate_cardinality(q, comp);
+            product *= self.cardinality(q, comp);
             remaining.retain(|&v| comp & singleton(v) == 0);
         }
         product
@@ -790,29 +802,18 @@ fn greedy_ordering(q: &QueryGraph) -> Vec<usize> {
     order
 }
 
-/// All `k`-element subsets of `items` (by value).
-fn k_subsets(items: &[usize], k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut current = Vec::new();
-    fn rec(
-        items: &[usize],
-        k: usize,
-        start: usize,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if current.len() == k {
-            out.push(current.clone());
-            return;
-        }
-        for i in start..items.len() {
-            current.push(items[i]);
-            rec(items, k, i + 1, current, out);
-            current.pop();
-        }
+/// Advance `combo` (ascending indices below `n`) to the next combination in lexicographic
+/// order; `false` when it was the last one.
+fn next_combination(combo: &mut [usize], n: usize) -> bool {
+    let k = combo.len();
+    let Some(i) = (0..k).rev().find(|&i| combo[i] < n - k + i) else {
+        return false;
+    };
+    combo[i] += 1;
+    for j in i + 1..k {
+        combo[j] = combo[j - 1] + 1;
     }
-    rec(items, k, 0, &mut current, &mut out);
-    out
+    true
 }
 
 #[cfg(test)]
@@ -846,6 +847,93 @@ mod tests {
         assert!(
             (cat.avg_list_size(Direction::Fwd, EdgeLabel(0), VertexLabel(0)) - 4.0).abs() < 1e-9
         );
+    }
+
+    #[test]
+    fn list_size_sums_follow_the_triples_under_updates() {
+        // `avg_list_size` reads sums kept beside the triple counts; they must equal a scan of
+        // the triples after any mix of inserts and deletes (a delete of a triple that is
+        // absent or already at zero changes neither).
+        let mut cat = Catalogue::with_defaults(complete_graph(4));
+        let (l0, l1, l2) = (VertexLabel(0), VertexLabel(1), VertexLabel(2));
+        cat.record_edge_insert(EdgeLabel(1), l0, l1);
+        cat.record_edge_insert(EdgeLabel(1), l2, l1);
+        cat.record_edge_insert(EdgeLabel(1), l0, l2);
+        cat.record_edge_delete(EdgeLabel(1), l2, l1);
+        cat.record_edge_delete(EdgeLabel(1), l2, l1); // already zero
+        cat.record_edge_delete(EdgeLabel(2), l1, l1); // never seen
+        cat.record_edge_delete(EdgeLabel(0), l0, l0);
+        let n = cat.snapshot().num_vertices() as f64;
+        for el in 0..3 {
+            for nbr in [l0, l1, l2] {
+                for dir in [Direction::Fwd, Direction::Bwd] {
+                    let scanned: u64 = cat
+                        .edge_counts
+                        .iter()
+                        .filter(|((l, s, d), _)| {
+                            l.0 == el && nbr == if dir == Direction::Fwd { *d } else { *s }
+                        })
+                        .map(|(_, c)| *c)
+                        .sum();
+                    assert_eq!(
+                        cat.avg_list_size(dir, EdgeLabel(el), nbr),
+                        scanned as f64 / n,
+                        "{dir:?} {el} {nbr:?}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            cat.avg_list_size(Direction::Fwd, EdgeLabel(0), l0),
+            11.0 / 4.0
+        );
+        assert_eq!(
+            cat.avg_list_size(Direction::Bwd, EdgeLabel(1), l0),
+            2.0 / 4.0
+        );
+        // Restoring from exported counts rebuilds the same sums.
+        let (vertex, edge) = cat.exact_counts();
+        let restored =
+            Catalogue::for_snapshot_with_counts(cat.snapshot().clone(), cat.config(), vertex, edge);
+        assert_eq!(
+            restored.avg_list_size(Direction::Fwd, EdgeLabel(1), l1),
+            cat.avg_list_size(Direction::Fwd, EdgeLabel(1), l1)
+        );
+    }
+
+    #[test]
+    fn lookups_count_requests_from_outside_only() {
+        let cat = Catalogue::with_defaults(complete_graph(6));
+        let q = patterns::directed_clique(5);
+        assert_eq!(cat.lookups(), 0);
+        // One request, however much the catalogue recurses to answer it (a 5-vertex
+        // cardinality multiplies three extension estimates, the last through the fallback).
+        cat.estimate_cardinality(&q, q.full_set());
+        assert_eq!(cat.lookups(), 1);
+        cat.extension_estimate(&q, &[0, 1, 2, 3], 4);
+        assert_eq!(cat.lookups(), 2);
+        cat.estimate_cardinality(&patterns::diamond_x(), 0b1001); // Cartesian: two components
+        assert_eq!(cat.lookups(), 3);
+        cat.prepopulate(&[patterns::diamond_x()]);
+        assert_eq!(cat.lookups(), 3);
+        // A copy-on-write clone keeps counting into the same total.
+        let clone = cat.clone();
+        clone.estimate_cardinality(&q, 0b11);
+        assert_eq!(cat.lookups(), 4);
+    }
+
+    #[test]
+    fn combinations_come_in_lexicographic_order() {
+        let mut combo = vec![0, 1];
+        let mut seen = vec![combo.clone()];
+        while next_combination(&mut combo, 4) {
+            seen.push(combo.clone());
+        }
+        assert_eq!(
+            seen,
+            [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]].map(|c| c.to_vec())
+        );
+        assert!(!next_combination(&mut [0, 1, 2], 3));
     }
 
     #[test]

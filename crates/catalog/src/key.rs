@@ -7,73 +7,25 @@
 //! sub-query `Q_k` in which the *new* query vertex is pinned to the last canonical position and
 //! the remaining vertices are permuted to minimise the code.
 
-use graphflow_query::canonical::CanonicalCode;
+use graphflow_query::canonical::{canonical_form_pinned, CanonicalCode};
 use graphflow_query::QueryGraph;
 
 /// The canonical key of an extension `(Q_{k-1}, A, a_k^{l_k})`.
 pub type ExtensionKey = CanonicalCode;
-
-fn encode_pinned(q: &QueryGraph, perm: &[usize]) -> Vec<u64> {
-    let mut code = Vec::with_capacity(1 + q.num_vertices() + q.num_edges());
-    code.push(q.num_vertices() as u64);
-    let mut vlabels = vec![0u64; q.num_vertices()];
-    for (orig, v) in q.vertices().iter().enumerate() {
-        vlabels[perm[orig]] = v.label.0 as u64;
-    }
-    code.extend_from_slice(&vlabels);
-    let mut edges: Vec<u64> = q
-        .edges()
-        .iter()
-        .map(|e| ((perm[e.src] as u64) << 32) | ((perm[e.dst] as u64) << 16) | e.label.0 as u64)
-        .collect();
-    edges.sort_unstable();
-    code.extend_from_slice(&edges);
-    code
-}
 
 /// Compute the canonical key of extending `q` minus `new_vertex` by `new_vertex`, together with
 /// the permutation `perm[original index] = canonical position` that realises it.
 ///
 /// The new vertex is always assigned the last canonical position, so isomorphic extensions get
 /// identical keys even when the "old" part is relabelled, while extensions of the same `Q_k` by
-/// *different* vertices get different keys.
+/// *different* vertices get different keys. The search is the partition-bounded one of
+/// [`graphflow_query::canonical`], with the new vertex as a cell of its own.
 pub fn extension_key(q: &QueryGraph, new_vertex: usize) -> (ExtensionKey, Vec<usize>) {
-    let n = q.num_vertices();
     assert!(
-        (2..=9).contains(&n),
-        "extension_key expects small sub-queries, got {n} vertices"
+        q.num_vertices() >= 2,
+        "an extension has a prefix and a new vertex"
     );
-    assert!(new_vertex < n);
-    let others: Vec<usize> = (0..n).filter(|&v| v != new_vertex).collect();
-
-    let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
-    // Permute the non-new vertices over canonical positions 0..n-1; the new vertex is pinned.
-    let mut positions: Vec<usize> = (0..others.len()).collect();
-    permute(&mut positions, 0, &mut |assignment| {
-        let mut perm = vec![0usize; n];
-        for (i, &orig) in others.iter().enumerate() {
-            perm[orig] = assignment[i];
-        }
-        perm[new_vertex] = n - 1;
-        let code = encode_pinned(q, &perm);
-        if best.as_ref().is_none_or(|(b, _)| code < *b) {
-            best = Some((code, perm));
-        }
-    });
-    let (code, perm) = best.expect("at least one permutation");
-    (CanonicalCode(code), perm)
-}
-
-fn permute(items: &mut Vec<usize>, k: usize, f: &mut impl FnMut(&[usize])) {
-    if k == items.len() {
-        f(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, f);
-        items.swap(k, i);
-    }
+    canonical_form_pinned(q, new_vertex)
 }
 
 #[cfg(test)]

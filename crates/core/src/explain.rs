@@ -17,7 +17,7 @@ use crate::results::ResultSet;
 use graphflow_catalog::Catalogue;
 use graphflow_exec::{CandidateProfile, OpCounters, OpKind, OpProfile, RuntimeStats};
 use graphflow_graph::PropValue;
-use graphflow_plan::cost::{estimate_cost, CostModel};
+use graphflow_plan::cost::{CostModel, Estimator};
 use graphflow_plan::{Plan, PlanClass, PlanNode};
 use graphflow_query::QueryGraph;
 use std::fmt;
@@ -133,7 +133,10 @@ impl QueryProfile {
             query: plan.query.to_string(),
             plan_class: plan.class(),
             estimated_cost: plan.estimated_cost,
-            root: estimate_node(&plan.root, &plan.query, catalogue, model),
+            root: estimate_node(
+                &plan.root,
+                &mut Estimator::new(&plan.query, catalogue, *model),
+            ),
             stats: None,
         }
     }
@@ -146,9 +149,10 @@ impl QueryProfile {
         model: &CostModel,
         stats: RuntimeStats,
     ) -> QueryProfile {
+        let est = &mut Estimator::new(&plan.query, catalogue, *model);
         let root = match &stats.profile {
-            Some(prof) => annotate(&plan.root, prof, &plan.query, catalogue, model),
-            None => estimate_node(&plan.root, &plan.query, catalogue, model),
+            Some(prof) => annotate(&plan.root, prof, est),
+            None => estimate_node(&plan.root, est),
         };
         QueryProfile {
             query: plan.query.to_string(),
@@ -314,20 +318,15 @@ fn operator_label(node: &PlanNode, q: &QueryGraph) -> String {
     }
 }
 
-fn estimate_node(
-    node: &PlanNode,
-    q: &QueryGraph,
-    catalogue: &Catalogue,
-    model: &CostModel,
-) -> ProfileNode {
-    let cost = estimate_cost(q, catalogue, model, node);
+/// The estimate-only report of a subtree; every node's cost is priced through the one
+/// per-query estimate table, so the repeated walks ask the catalogue nothing twice.
+fn estimate_node(node: &PlanNode, est: &mut Estimator<'_>) -> ProfileNode {
+    let q = est.query();
+    let cost = est.estimate_cost(node);
     let children = match node {
         PlanNode::Scan(_) => Vec::new(),
-        PlanNode::Extend(n) => vec![estimate_node(&n.child, q, catalogue, model)],
-        PlanNode::HashJoin(n) => vec![
-            estimate_node(&n.build, q, catalogue, model),
-            estimate_node(&n.probe, q, catalogue, model),
-        ],
+        PlanNode::Extend(n) => vec![estimate_node(&n.child, est)],
+        PlanNode::HashJoin(n) => vec![estimate_node(&n.build, est), estimate_node(&n.probe, est)],
     };
     ProfileNode {
         operator: operator_label(node, q),
@@ -343,32 +342,27 @@ fn estimate_node(
 /// the executor assembled the profile from this very plan — except that an adaptive stage
 /// collapses a chain of consecutive E/I plan nodes into one `OpKind::Adaptive` profile node
 /// (its `targets` name the chain, topmost last).
-fn annotate(
-    node: &PlanNode,
-    prof: &OpProfile,
-    q: &QueryGraph,
-    catalogue: &Catalogue,
-    model: &CostModel,
-) -> ProfileNode {
-    let cost = estimate_cost(q, catalogue, model, node);
+fn annotate(node: &PlanNode, prof: &OpProfile, est: &mut Estimator<'_>) -> ProfileNode {
+    let q = est.query();
+    let cost = est.estimate_cost(node);
     match &prof.kind {
         OpKind::Scan { .. } | OpKind::Extend { .. } | OpKind::HashJoin { .. } => {
             let children = match node {
                 PlanNode::Scan(_) => Vec::new(),
                 PlanNode::Extend(n) => match prof.children.first() {
-                    Some(up) => vec![annotate(&n.child, up, q, catalogue, model)],
-                    None => vec![estimate_node(&n.child, q, catalogue, model)],
+                    Some(up) => vec![annotate(&n.child, up, est)],
+                    None => vec![estimate_node(&n.child, est)],
                 },
                 PlanNode::HashJoin(n) => {
                     // Profile children are [probe (upstream), build]; the report's
                     // convention is [build, probe].
                     let build = match prof.children.get(1) {
-                        Some(b) => annotate(&n.build, b, q, catalogue, model),
-                        None => estimate_node(&n.build, q, catalogue, model),
+                        Some(b) => annotate(&n.build, b, est),
+                        None => estimate_node(&n.build, est),
                     };
                     let probe = match prof.children.first() {
-                        Some(p) => annotate(&n.probe, p, q, catalogue, model),
-                        None => estimate_node(&n.probe, q, catalogue, model),
+                        Some(p) => annotate(&n.probe, p, est),
+                        None => estimate_node(&n.probe, est),
                     };
                     vec![build, probe]
                 }
@@ -394,8 +388,8 @@ fn annotate(
             }
             let names: Vec<&str> = targets.iter().map(|&t| q.vertex(t).name.as_str()).collect();
             let children = match prof.children.first() {
-                Some(up) => vec![annotate(below, up, q, catalogue, model)],
-                None => vec![estimate_node(below, q, catalogue, model)],
+                Some(up) => vec![annotate(below, up, est)],
+                None => vec![estimate_node(below, est)],
             };
             ProfileNode {
                 operator: format!("ADAPTIVE EXTEND/INTERSECT -> {{{}}}", names.join(", ")),

@@ -560,9 +560,12 @@ impl GraphflowDB {
     pub fn metrics(&self) -> Metrics {
         let wal = self.shared.storage.as_ref().map(|s| s.lock().wal_stats());
         let current = self.snapshot();
-        self.shared
-            .metrics
-            .snapshot(self.plan_cache_stats(), wal, current.delta())
+        self.shared.metrics.snapshot(
+            self.plan_cache_stats(),
+            wal,
+            current.delta(),
+            &self.catalogue(),
+        )
     }
 
     /// The slow-query log: every recorded query whose latency reached the configured

@@ -14,6 +14,7 @@
 //! [`GraphflowDB::slow_queries`](crate::GraphflowDB::slow_queries).
 
 use crate::plan_cache::PlanCacheStats;
+use graphflow_catalog::Catalogue;
 use graphflow_graph::DeltaStore;
 use graphflow_storage::WalStats;
 use parking_lot::Mutex;
@@ -240,6 +241,7 @@ pub(crate) struct MetricsRegistry {
     pub(crate) queries_cancelled: AtomicU64,
     pub(crate) queries_timed_out: AtomicU64,
     pub(crate) query_latency: LatencyHisto,
+    pub(crate) optimize_latency: LatencyHisto,
     pub(crate) txn_commits: AtomicU64,
     pub(crate) checkpoints: AtomicU64,
     pub(crate) checkpoint_ns: AtomicU64,
@@ -260,6 +262,7 @@ impl MetricsRegistry {
         plan_cache: PlanCacheStats,
         wal: Option<WalStats>,
         delta: &DeltaStore,
+        catalogue: &Catalogue,
     ) -> Metrics {
         let wal = wal.unwrap_or_default();
         Metrics {
@@ -268,7 +271,10 @@ impl MetricsRegistry {
             queries_cancelled: self.queries_cancelled.load(Ordering::Relaxed),
             queries_timed_out: self.queries_timed_out.load(Ordering::Relaxed),
             query_latency: self.query_latency.snapshot(),
+            optimize_latency: self.optimize_latency.snapshot(),
             plan_cache,
+            catalogue_lookups: catalogue.lookups(),
+            catalogue_entries: catalogue.num_entries() as u64,
             txn_commits: self.txn_commits.load(Ordering::Relaxed),
             wal_appends: wal.appends,
             wal_bytes_written: wal.bytes_written,
@@ -300,8 +306,16 @@ pub struct Metrics {
     pub queries_timed_out: u64,
     /// Latency histogram over every finished query (completed, cancelled or timed out).
     pub query_latency: LatencyHistogram,
+    /// Time the optimizer took on every plan-cache **miss** and on every query too large for
+    /// the cache (catalogue sampling included); hits record nothing.
+    pub optimize_latency: LatencyHistogram,
     /// Plan-cache counters (hits, misses, evictions, invalidations, size).
     pub plan_cache: PlanCacheStats,
+    /// Estimation requests the subgraph catalogue has served (one per filled slot of an
+    /// optimizer's per-query estimate table, plus the adaptive compiler's).
+    pub catalogue_lookups: u64,
+    /// Sampled extension entries the catalogue currently memoises.
+    pub catalogue_entries: u64,
     /// Committed write transactions.
     pub txn_commits: u64,
     /// WAL commit frames appended (0 for an in-memory database).
@@ -376,6 +390,11 @@ impl Metrics {
             self.plan_cache.evictions,
         );
         counter(
+            "graphflow_catalogue_lookups_total",
+            "Estimation requests served by the subgraph catalogue.",
+            self.catalogue_lookups,
+        );
+        counter(
             "graphflow_txn_commits_total",
             "Committed write transactions.",
             self.txn_commits,
@@ -416,6 +435,11 @@ impl Metrics {
             self.plan_cache.capacity as f64,
         );
         gauge(
+            "graphflow_catalogue_entries",
+            "Sampled extension entries memoised by the subgraph catalogue.",
+            self.catalogue_entries as f64,
+        );
+        gauge(
             "graphflow_checkpoint_seconds_total",
             "Total wall time spent writing checkpoints.",
             self.checkpoint_time.as_secs_f64(),
@@ -438,6 +462,13 @@ impl Metrics {
         let name = "graphflow_query_latency_seconds";
         render_histogram_header(&mut out, name, "Wall-clock latency of finished queries.");
         render_histogram_series(&mut out, name, "", &self.query_latency);
+        let name = "graphflow_optimize_seconds";
+        render_histogram_header(
+            &mut out,
+            name,
+            "Optimizer time on plan-cache misses and bypasses, catalogue sampling included.",
+        );
+        render_histogram_series(&mut out, name, "", &self.optimize_latency);
         out
     }
 }
@@ -574,14 +605,24 @@ mod tests {
         let reg = MetricsRegistry::default();
         reg.queries_started.fetch_add(3, Ordering::Relaxed);
         reg.query_latency.observe(Duration::from_millis(3));
+        let graph = std::sync::Arc::new(graphflow_graph::GraphBuilder::new().build());
         let text = reg
-            .snapshot(PlanCacheStats::default(), None, &DeltaStore::default())
+            .snapshot(
+                PlanCacheStats::default(),
+                None,
+                &DeltaStore::default(),
+                &Catalogue::with_defaults(graph),
+            )
             .render();
         assert!(text.contains("graphflow_queries_started_total 3"));
         assert!(text.contains("# TYPE graphflow_query_latency_seconds histogram"));
         assert!(text.contains("graphflow_query_latency_seconds_bucket{le=\"0.0001\"} 0"));
         assert!(text.contains("graphflow_query_latency_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("graphflow_query_latency_seconds_count 1"));
+        assert!(text.contains("# TYPE graphflow_optimize_seconds histogram"));
+        assert!(text.contains("graphflow_optimize_seconds_count 0"));
+        assert!(text.contains("graphflow_catalogue_lookups_total 0"));
+        assert!(text.contains("graphflow_catalogue_entries 0"));
         // Every non-comment line is `name[{labels}] value`.
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let (name, value) = line.rsplit_once(' ').unwrap();

@@ -208,13 +208,15 @@ impl GraphflowDB {
     /// numbering. That happens once, here: execution, `EXPLAIN`, `PROFILE` and the slow-query
     /// log then all speak the caller's query, and no result tuple is ever translated.
     ///
-    /// Canonicalisation is brute force over vertex permutations, so queries larger than
+    /// Canonicalisation searches the permutations of symmetric-looking vertices (factorial
+    /// in the worst case), so queries larger than
     /// [`graphflow_query::MAX_CANONICAL_VERTICES`] bypass the cache and are optimized
     /// directly — correct, just not amortized. A cheap exact-form index in front of the
-    /// canonical search makes repeated *identical* patterns skip the `O(n!)` search too.
+    /// canonical search makes repeated *identical* patterns skip the search too. Only a miss
+    /// or a bypass runs the optimizer, and only those are timed (`graphflow_optimize_seconds`).
     fn plan_cached(&self, query: QueryGraph) -> Result<(PlanHandle, bool), Error> {
         if query.num_vertices() > graphflow_query::MAX_CANONICAL_VERTICES {
-            return Ok((Arc::new(self.plan(&query)?), false));
+            return Ok((Arc::new(self.plan_timed(&query)?), false));
         }
         let identity: Vec<usize> = (0..query.num_vertices()).collect();
         let mut exact = graphflow_query::exact_code(&query);
@@ -254,11 +256,23 @@ impl GraphflowDB {
         // bump) lands while the optimizer runs, this plan is inserted under the old key and
         // can never be served to post-change lookups.
         let version = self.cache_version();
-        let plan: PlanHandle = Arc::new(self.plan(&query)?);
+        let plan: PlanHandle = Arc::new(self.plan_timed(&query)?);
         self.shared
             .plan_cache
             .insert(code, plan.clone(), perm, version);
         Ok((plan, false))
+    }
+
+    /// [`plan`](GraphflowDB::plan), timed into `graphflow_optimize_seconds`: every optimizer
+    /// run a prepare pays for — a plan-cache miss or a query too large for the cache.
+    fn plan_timed(&self, query: &QueryGraph) -> Result<Plan, Error> {
+        let started = Instant::now();
+        let plan = self.plan(query);
+        self.shared
+            .metrics
+            .optimize_latency
+            .observe(started.elapsed());
+        plan
     }
 
     /// Run `plan` into a counting or collecting sink, as the options ask, and package the

@@ -2,16 +2,22 @@
 //! 4.2 and 5.2), with predicate selectivities propagated *through* intermediate-result
 //! cardinalities.
 //!
-//! Costing is **incremental**: [`cost_step`] computes the cost of one operator from the
-//! already-computed [`PlanCost`]s of its children, which is what lets the DP optimizer cost a
-//! candidate in O(1) instead of re-walking the subtree. [`estimate_cost`] is the recursive
-//! wrapper over `cost_step` used wherever a whole subtree has to be costed from scratch
-//! (spectrum enumeration, EXPLAIN).
+//! Everything the model prices is a function of a **vertex subset** of the query (plus, for an
+//! extension, the target vertex): `|Q_k|`, `µ` and the intersected list sizes do not depend on
+//! the plan that produced the sub-query. An [`Estimator`] is the per-query table of those
+//! numbers: it asks the catalogue each question once, on first use, and every costing path —
+//! the DP optimizer, the WCO and spectrum enumerations, `EXPLAIN`, the baselines — prices
+//! through it. Costing is **incremental**: [`Estimator::cost_step`] computes the cost of one
+//! operator from the already-computed [`PlanCost`]s of its children, which is table lookups
+//! and a few multiplications once the table is warm; [`Estimator::estimate_cost`] walks a whole
+//! subtree bottom-up through it. There is no free costing function: a caller that prices more
+//! than one operator of a query holds one table for all of them.
 
 use crate::plan::PlanNode;
 use graphflow_catalog::Catalogue;
-use graphflow_query::querygraph::{singleton, VertexSet};
-use graphflow_query::QueryGraph;
+use graphflow_query::querygraph::{set_of, singleton, VertexSet};
+use graphflow_query::{QueryEdge, QueryGraph};
+use rustc_hash::FxHashMap;
 
 /// Weights and switches of the cost model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,124 +140,215 @@ impl PlanCost {
     }
 }
 
-/// Cost one operator given the costs of its children (`[]` for SCAN, `[child]` for E/I,
-/// `[build, probe]` for HASH-JOIN).
+/// What the catalogue says about extending the sub-query on one vertex subset by one target
+/// (all zero for a Cartesian extension).
+#[derive(Default)]
+struct Extension {
+    /// Estimated number of extensions per prefix match (`µ`).
+    mu: f64,
+    /// The estimated average size of each intersected list with the prefix vertex it hangs
+    /// off, grouped by vertex. A caller sums them in its own tuple order, so the sum is the
+    /// one a direct catalogue call with that caller's prefix would have produced, bit for bit.
+    sizes: Vec<(usize, f64)>,
+}
+
+/// The per-query estimate table: every catalogue answer one query's costing needs, asked once.
 ///
-/// * **SCAN** seeds the chain: output cardinality is the catalogue estimate of the edge's
-///   2-vertex sub-query times the selectivity of the predicates it binds.
-/// * **E/I** contributes `multiplier × Σ |L_i|` i-cost, where the multiplier is the child's
-///   *propagated* output cardinality (Equation 2) or — when the model is cache-conscious and
-///   the intersection only accesses query vertices matched *before* the child's most recently
-///   matched vertex — the cardinality of the projection onto the accessed vertices, capped by
-///   the child cardinality (Section 5.2, "Intersection cache utilization"; the cap reflects
-///   that the cache cannot miss more often than there are child tuples). Its output
-///   cardinality is `child × µ × Δsel`, with `Δsel` the combined selectivity of the predicates
-///   newly bound by the target vertex — this is what propagates a filter on an interior vertex
-///   into every sub-plan that binds it.
-/// * **HASH-JOIN** contributes `w1·|build| + w2·|probe|` on the children's propagated
-///   cardinalities; its output cardinality is the catalogue estimate of the union sub-query
-///   scaled by the selectivity of every predicate the union binds.
-pub fn cost_step(
-    q: &QueryGraph,
-    catalogue: &Catalogue,
-    model: &CostModel,
-    node: &PlanNode,
-    child_costs: &[PlanCost],
-) -> PlanCost {
-    let sel = |set: VertexSet| {
-        if model.filter_aware {
-            q.predicate_selectivity(set)
+/// * `card(S) · sel(S)` per vertex subset `S` — the estimated cardinality of the sub-query
+///   induced by `S` times the selectivity of the predicates `S` binds (1 when the model is
+///   filter-blind);
+/// * `(list sizes, µ)` per `(S, target)` — the catalogue's estimate for extending the
+///   sub-query on `S` by `target`.
+///
+/// Slots are filled lazily from [`Catalogue::estimate_cardinality`] and
+/// [`Catalogue::extension_estimate`], which remain the definition of an estimate; the table
+/// only decides how often they are asked. It lives for one optimize / explain / enumeration
+/// and must not outlive a catalogue refresh.
+pub struct Estimator<'a> {
+    q: &'a QueryGraph,
+    catalogue: &'a Catalogue,
+    model: CostModel,
+    /// Undirected neighbours of every query vertex.
+    nbrs: Vec<VertexSet>,
+    cards: FxHashMap<VertexSet, f64>,
+    extensions: FxHashMap<(VertexSet, usize), Extension>,
+}
+
+impl<'a> Estimator<'a> {
+    /// An empty table for costing plans of `q` against `catalogue` under `model`.
+    pub fn new(q: &'a QueryGraph, catalogue: &'a Catalogue, model: CostModel) -> Self {
+        Estimator {
+            q,
+            catalogue,
+            model,
+            nbrs: q.neighbour_sets(),
+            cards: FxHashMap::default(),
+            extensions: FxHashMap::default(),
+        }
+    }
+
+    /// The query this table prices plans of.
+    pub fn query(&self) -> &'a QueryGraph {
+        self.q
+    }
+
+    /// Number of filled slots, i.e. of catalogue lookups made so far: one per distinct subset
+    /// and one per distinct `(subset, target)` asked about.
+    pub fn filled_slots(&self) -> usize {
+        self.cards.len() + self.extensions.len()
+    }
+
+    fn sel(&self, set: VertexSet) -> f64 {
+        if self.model.filter_aware {
+            self.q.predicate_selectivity(set)
         } else {
             1.0
         }
-    };
-    match node {
-        PlanNode::Scan(n) => {
-            let set = singleton(n.edge.src) | singleton(n.edge.dst);
-            PlanCost {
-                icost: 0.0,
-                join_cost: 0.0,
-                output_cardinality: catalogue.estimate_cardinality(q, set) * sel(set),
-            }
+    }
+
+    /// `card(set) · sel(set)`.
+    fn cardinality(&mut self, set: VertexSet) -> f64 {
+        if let Some(&c) = self.cards.get(&set) {
+            return c;
         }
-        PlanNode::Extend(n) => {
-            let child = child_costs[0];
-            let child_set = n.child.vertex_set();
-            let prefix = n.child.out();
-            let est = catalogue
-                .extension_estimate(q, prefix, n.target_vertex)
-                .unwrap_or(graphflow_catalog::ExtensionEstimate {
-                    avg_list_sizes: vec![],
-                    mu: 0.0,
-                    exact_entry: false,
+        let c = self.catalogue.estimate_cardinality(self.q, set) * self.sel(set);
+        self.cards.insert(set, c);
+        c
+    }
+
+    /// `(Σ list sizes in the order of prefix, µ)` of extending the sub-query on the vertices
+    /// of `prefix` by `target`; zeros for a Cartesian extension.
+    fn extension(&mut self, prefix: &[usize], set: VertexSet, target: usize) -> (f64, f64) {
+        let (q, catalogue) = (self.q, self.catalogue);
+        let ext = self.extensions.entry((set, target)).or_insert_with(|| {
+            let est = catalogue.extension_estimate(q, prefix, target);
+            est.map_or_else(Extension::default, |est| {
+                // One size per query edge between a prefix vertex and the target, in tuple
+                // order (the catalogue's descriptor order).
+                let per_vertex = prefix.iter().flat_map(|&v| {
+                    let edges = q.edges().iter().filter(move |e| {
+                        (e.src == v && e.dst == target) || (e.dst == v && e.src == target)
+                    });
+                    edges.map(move |_| v)
                 });
-            let sum_sizes: f64 = est.avg_list_sizes.iter().sum();
-
-            // Choose the multiplier: cardinality of the child, or of the accessed projection
-            // when the intersection cache will be reused.
-            let accessed: VertexSet = n
-                .descriptors
-                .iter()
-                .map(|d| singleton(prefix[d.tuple_idx]))
-                .fold(0, |a, b| a | b);
-            let last_matched = last_matched_vertex(&n.child);
-            let multiplier = if model.cache_conscious
-                && last_matched.is_some_and(|lv| accessed & singleton(lv) == 0)
-            {
-                (catalogue.estimate_cardinality(q, accessed) * sel(accessed))
-                    .min(child.output_cardinality)
-            } else {
-                child.output_cardinality
-            };
-
-            // Selectivity of exactly the predicates the target vertex newly binds (per-op
-            // selectivities are strictly positive, so the ratio is well defined).
-            let delta_sel = {
-                let child_sel = sel(child_set);
-                if child_sel > 0.0 {
-                    sel(node.vertex_set()) / child_sel
-                } else {
-                    1.0
+                Extension {
+                    mu: est.mu,
+                    sizes: per_vertex.zip(est.avg_list_sizes).collect(),
                 }
-            };
-            PlanCost {
-                icost: child.icost + multiplier * sum_sizes,
-                join_cost: child.join_cost,
-                output_cardinality: child.output_cardinality * est.mu * delta_sel,
+            })
+        });
+        let mut sum = 0.0;
+        for &v in prefix {
+            for &(_, size) in ext.sizes.iter().filter(|(u, _)| *u == v) {
+                sum += size;
             }
         }
-        PlanNode::HashJoin(_) => {
-            let (build, probe) = (child_costs[0], child_costs[1]);
-            let union = node.vertex_set();
-            PlanCost {
-                icost: build.icost + probe.icost,
-                join_cost: build.join_cost
-                    + probe.join_cost
-                    + model.w1 * build.output_cardinality
-                    + model.w2 * probe.output_cardinality,
-                output_cardinality: catalogue.estimate_cardinality(q, union) * sel(union),
-            }
+        (sum, ext.mu)
+    }
+
+    /// Cost of a SCAN of `edge`: its output cardinality is the catalogue estimate of the edge's
+    /// 2-vertex sub-query times the selectivity of the predicates it binds.
+    pub fn scan(&mut self, edge: QueryEdge) -> PlanCost {
+        PlanCost {
+            icost: 0.0,
+            join_cost: 0.0,
+            output_cardinality: self.cardinality(singleton(edge.src) | singleton(edge.dst)),
         }
     }
-}
 
-/// Estimate the cost of a plan subtree by walking it bottom-up through [`cost_step`].
-pub fn estimate_cost(
-    q: &QueryGraph,
-    catalogue: &Catalogue,
-    model: &CostModel,
-    node: &PlanNode,
-) -> PlanCost {
-    match node {
-        PlanNode::Scan(_) => cost_step(q, catalogue, model, node, &[]),
-        PlanNode::Extend(n) => {
-            let child = estimate_cost(q, catalogue, model, &n.child);
-            cost_step(q, catalogue, model, node, &[child])
+    /// Cost of an E/I operator extending a child of cost `child` — whose output tuples carry
+    /// the query vertices `prefix`, the last matched being `last_matched` (see
+    /// [`last_matched_vertex`]) — by `target`.
+    ///
+    /// It contributes `multiplier × Σ |L_i|` i-cost, where the multiplier is the child's
+    /// *propagated* output cardinality (Equation 2) or — when the model is cache-conscious and
+    /// the intersection only accesses query vertices matched *before* the child's most recently
+    /// matched vertex — the cardinality of the projection onto the accessed vertices, capped by
+    /// the child cardinality (Section 5.2, "Intersection cache utilization"; the cap reflects
+    /// that the cache cannot miss more often than there are child tuples). Its output
+    /// cardinality is `child × µ × Δsel`, with `Δsel` the combined selectivity of the predicates
+    /// newly bound by the target vertex — this is what propagates a filter on an interior vertex
+    /// into every sub-plan that binds it.
+    pub fn extend(
+        &mut self,
+        child: PlanCost,
+        prefix: &[usize],
+        last_matched: Option<usize>,
+        target: usize,
+    ) -> PlanCost {
+        let child_set = set_of(prefix);
+        let (sum_sizes, mu) = self.extension(prefix, child_set, target);
+
+        // Choose the multiplier: cardinality of the child, or of the accessed projection
+        // when the intersection cache will be reused.
+        let accessed = self.nbrs[target] & child_set;
+        let multiplier = if self.model.cache_conscious
+            && last_matched.is_some_and(|lv| accessed & singleton(lv) == 0)
+        {
+            self.cardinality(accessed).min(child.output_cardinality)
+        } else {
+            child.output_cardinality
+        };
+
+        // Selectivity of exactly the predicates the target vertex newly binds (per-op
+        // selectivities are strictly positive, so the ratio is well defined).
+        let child_sel = self.sel(child_set);
+        let delta_sel = if child_sel > 0.0 {
+            self.sel(child_set | singleton(target)) / child_sel
+        } else {
+            1.0
+        };
+        PlanCost {
+            icost: child.icost + multiplier * sum_sizes,
+            join_cost: child.join_cost,
+            output_cardinality: child.output_cardinality * mu * delta_sel,
         }
-        PlanNode::HashJoin(n) => {
-            let build = estimate_cost(q, catalogue, model, &n.build);
-            let probe = estimate_cost(q, catalogue, model, &n.probe);
-            cost_step(q, catalogue, model, node, &[build, probe])
+    }
+
+    /// Cost of a HASH-JOIN producing the sub-query on `union`: `w1·|build| + w2·|probe|` on the
+    /// children's propagated cardinalities; its output cardinality is the catalogue estimate of
+    /// the union sub-query scaled by the selectivity of every predicate the union binds.
+    pub fn join(&mut self, build: PlanCost, probe: PlanCost, union: VertexSet) -> PlanCost {
+        PlanCost {
+            icost: build.icost + probe.icost,
+            join_cost: build.join_cost
+                + probe.join_cost
+                + self.model.w1 * build.output_cardinality
+                + self.model.w2 * probe.output_cardinality,
+            output_cardinality: self.cardinality(union),
+        }
+    }
+
+    /// Cost one operator given the costs of its children (`[]` for SCAN, `[child]` for E/I,
+    /// `[build, probe]` for HASH-JOIN); see [`Estimator::scan`], [`Estimator::extend`] and
+    /// [`Estimator::join`].
+    pub fn cost_step(&mut self, node: &PlanNode, child_costs: &[PlanCost]) -> PlanCost {
+        match node {
+            PlanNode::Scan(n) => self.scan(n.edge),
+            PlanNode::Extend(n) => self.extend(
+                child_costs[0],
+                n.child.out(),
+                last_matched_vertex(&n.child),
+                n.target_vertex,
+            ),
+            PlanNode::HashJoin(_) => self.join(child_costs[0], child_costs[1], node.vertex_set()),
+        }
+    }
+
+    /// Estimate the cost of a plan subtree by walking it bottom-up through
+    /// [`Estimator::cost_step`].
+    pub fn estimate_cost(&mut self, node: &PlanNode) -> PlanCost {
+        match node {
+            PlanNode::Scan(_) => self.cost_step(node, &[]),
+            PlanNode::Extend(n) => {
+                let child = self.estimate_cost(&n.child);
+                self.cost_step(node, &[child])
+            }
+            PlanNode::HashJoin(n) => {
+                let build = self.estimate_cost(&n.build);
+                let probe = self.estimate_cost(&n.probe);
+                self.cost_step(node, &[build, probe])
+            }
         }
     }
 }
@@ -278,6 +375,27 @@ mod tests {
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_query::patterns;
     use std::sync::Arc;
+
+    /// [`Estimator::cost_step`] on a table built for this one call.
+    fn cost_step(
+        q: &QueryGraph,
+        catalogue: &Catalogue,
+        model: &CostModel,
+        node: &PlanNode,
+        child_costs: &[PlanCost],
+    ) -> PlanCost {
+        Estimator::new(q, catalogue, *model).cost_step(node, child_costs)
+    }
+
+    /// [`Estimator::estimate_cost`] on a table built for this one call.
+    fn estimate_cost(
+        q: &QueryGraph,
+        catalogue: &Catalogue,
+        model: &CostModel,
+        node: &PlanNode,
+    ) -> PlanCost {
+        Estimator::new(q, catalogue, *model).estimate_cost(node)
+    }
 
     fn complete_graph(n: usize) -> Arc<Graph> {
         let mut b = GraphBuilder::new();

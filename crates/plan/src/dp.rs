@@ -4,8 +4,8 @@
 //! For every connected `k`-vertex sub-query `Q_k` (k = 2..m) the optimizer keeps a small set of
 //! non-dominated sub-plans rather than a single best one. Sub-plans are classed by their
 //! **interesting order** — the query vertex their output stream varies fastest in
-//! ([`last_matched_vertex`]), `None` for hash-join-rooted sub-plans, which guarantee no
-//! grouping. The interesting order is exactly what downstream cache-conscious E/I costing
+//! ([`last_matched_vertex`](crate::cost::last_matched_vertex)), `None` for hash-join-rooted
+//! sub-plans, which guarantee no grouping. The interesting order is exactly what downstream cache-conscious E/I costing
 //! depends on, so keeping the cheapest sub-plan per (subset, order) class *losslessly* subsumes
 //! the paper's up-front `enumerateAllWCOPlans` phase: a cheaper chain with the same last vertex
 //! can always be substituted without changing any downstream cost term. Candidates per subset
@@ -23,6 +23,11 @@
 //! * **upper bounding** — operator costs only accumulate, so any sub-plan already costlier
 //!   than a quickly-computed greedy full plan can never complete into the optimum.
 //!
+//! The table holds no plan trees. A kept sub-plan is an entry: its root operator, the
+//! indices of its children's entries, its cost and its output layout; candidates are costed
+//! through the per-query [`Estimator`] from their children's stored costs, without building
+//! anything, and only the winning entry is turned into a [`PlanNode`] tree.
+//!
 //! Joins that could be expressed as a single E/I extension (the probe or build side adds only
 //! one query vertex) are searched too: the Section 4.3 restriction that omits them is lossy on
 //! Q2 (its optimal plan joins two open wedges) and is therefore not implemented. For queries
@@ -31,13 +36,13 @@
 //! pruned mode of Section 4.4, which retains only the `subqueries_kept_per_level` cheapest
 //! sub-queries per level.
 
-use crate::cost::{cost_step, estimate_cost, last_matched_vertex, CostModel};
+use crate::cost::{CostModel, Estimator, PlanCost};
 use crate::plan::{Plan, PlanNode};
-use crate::wco::SubPlan;
 use graphflow_catalog::Catalogue;
 use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
-use graphflow_query::QueryGraph;
+use graphflow_query::{QueryEdge, QueryGraph};
 use rustc_hash::FxHashMap;
+use std::ops::Range;
 
 /// Hard cap on non-dominated sub-plans retained per vertex subset (a safety valve: the
 /// dominance rule alone keeps at most one Pareto frontier per order class, which for an
@@ -130,31 +135,30 @@ impl<'a> DpOptimizer<'a> {
     /// restricted plan space (which does not happen for connected queries with the default
     /// options).
     pub fn optimize(&self, q: &QueryGraph) -> Option<Plan> {
+        self.optimize_in(&mut Estimator::new(q, self.catalogue, self.model))
+    }
+
+    /// [`DpOptimizer::optimize`] of the estimator's query, priced through its table.
+    fn optimize_in(&self, est: &mut Estimator<'_>) -> Option<Plan> {
+        let q = est.query();
         let m = q.num_vertices();
         if m < 2 || !q.is_connected() {
             return None;
         }
         if m == 2 {
             let edge = q.edges().first().copied()?;
-            let node = PlanNode::scan(edge);
-            let cost = estimate_cost(q, self.catalogue, &self.model, &node);
-            return Some(Plan::new(q.clone(), node, cost.total()));
+            let cost = est.scan(edge);
+            return Some(Plan::new(q.clone(), PlanNode::scan(edge), cost.total()));
         }
         let table = if m <= self.options.full_enumeration_limit {
-            self.optimize_exhaustive(q)
+            self.optimize_exhaustive(est)
         } else {
-            self.optimize_pruned(q)
+            self.optimize_pruned(est)
         };
-        table
-            .get(&q.full_set())
-            .and_then(|entries| {
-                entries.iter().min_by(|a, b| {
-                    a.total_cost()
-                        .partial_cmp(&b.total_cost())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-            })
-            .map(|sp| Plan::new(q.clone(), sp.node.clone(), sp.total_cost()))
+        // A sub-query's entries are kept cheapest first.
+        let best = table.entries_of(q.full_set()).next()?;
+        let cost = table.entries[best].cost.total();
+        Some(Plan::new(q.clone(), table.materialise(q, best), cost))
     }
 
     /// Cost of a greedily-built full plan (cheapest scan, then always the cheapest next E/I
@@ -162,92 +166,78 @@ impl<'a> DpOptimizer<'a> {
     /// plan-space restrictions, so its cost is achievable within the space whenever it
     /// completes; `None` when it dead-ends (e.g. closing a cycle needs a multiway intersection
     /// in a space that forbids them).
-    fn greedy_upper_bound(&self, q: &QueryGraph) -> Option<f64> {
-        let mut best: Option<SubPlan> = None;
+    fn greedy_upper_bound(&self, est: &mut Estimator<'_>) -> Option<f64> {
+        let q = est.query();
+        let mut best: Option<(QueryEdge, PlanCost)> = None;
         for &e in q.edges() {
-            let node = PlanNode::scan(e);
-            let cost = cost_step(q, self.catalogue, &self.model, &node, &[]);
-            if best.as_ref().is_none_or(|b| cost.total() < b.total_cost()) {
-                best = Some(SubPlan { node, cost });
+            let cost = est.scan(e);
+            if best.is_none_or(|(_, b)| cost.total() < b.total()) {
+                best = Some((e, cost));
             }
         }
-        let mut current = best?;
+        let (edge, mut cost) = best?;
+        let mut layout = vec![edge.src, edge.dst];
+        let mut covered = singleton(edge.src) | singleton(edge.dst);
         let full = q.full_set();
-        while current.node.vertex_set() != full {
-            let covered = current.node.vertex_set();
-            let mut next: Option<SubPlan> = None;
+        while covered != full {
+            let mut next: Option<(usize, PlanCost)> = None;
             for target in set_iter(full & !covered) {
-                let Some(node) = PlanNode::extend(q, current.node.clone(), target) else {
-                    continue;
-                };
-                if !self.options.allow_multiway_extend && multiway(&node) {
+                if !self.extendable(q, covered, target) {
                     continue;
                 }
-                let cost = cost_step(q, self.catalogue, &self.model, &node, &[current.cost]);
-                if next.as_ref().is_none_or(|b| cost.total() < b.total_cost()) {
-                    next = Some(SubPlan { node, cost });
+                let cand = est.extend(cost, &layout, layout.last().copied(), target);
+                if next.is_none_or(|(_, b)| cand.total() < b.total()) {
+                    next = Some((target, cand));
                 }
             }
-            current = next?;
+            let (target, cand) = next?;
+            layout.push(target);
+            covered |= singleton(target);
+            cost = cand;
         }
-        Some(current.total_cost())
+        Some(cost.total())
     }
 
     /// Exhaustive DP over every connected vertex subset.
-    fn optimize_exhaustive(&self, q: &QueryGraph) -> FxHashMap<VertexSet, Vec<SubPlan>> {
-        let m = q.num_vertices();
-        let upper = self.greedy_upper_bound(q).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
+    fn optimize_exhaustive(&self, est: &mut Estimator<'_>) -> Table {
+        let q = est.query();
+        let upper = self.greedy_upper_bound(est).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
+        let mut table = Table::default();
+        let mut cands: Vec<Candidate> = Vec::new();
+        self.insert_scans(est, &mut table, upper);
 
-        // Initialise 2-vertex sub-queries (single query edges) with SCAN plans; antiparallel
-        // edge pairs contribute one entry per orientation (distinct interesting orders).
-        let mut table: FxHashMap<VertexSet, Vec<SubPlan>> = FxHashMap::default();
-        for (set, cands) in self.scan_candidates(q) {
-            table.insert(set, prune_entries(cands, upper));
-        }
+        // Every connected sub-query, once: the DP's subsets, and (through the table) its join
+        // sides. Ascending, so each level below is ascending too.
+        let full = q.full_set();
+        let connected: Vec<VertexSet> = (1..=full)
+            .filter(|&s| set_len(s) >= 3 && q.is_connected_subset(s))
+            .collect();
 
         // Grow sub-queries one level at a time.
-        let full = q.full_set();
-        for k in 3..=m {
-            let subsets: Vec<VertexSet> = (1u32..=full)
-                .filter(|&s| s & full == s && set_len(s) == k && q.is_connected_subset(s))
-                .collect();
-            for set in subsets {
-                let mut cands: Vec<SubPlan> = Vec::new();
+        for k in 3..=q.num_vertices() {
+            for &set in connected.iter().filter(|&&s| set_len(s) == k) {
+                cands.clear();
 
                 // (i) extend every kept plan of a (k-1)-vertex sub-query by one E/I.
                 for target in set_iter(set) {
-                    let sub = set & !singleton(target);
-                    if !q.is_connected_subset(sub) {
-                        continue;
-                    }
-                    let Some(children) = table.get(&sub) else {
-                        continue;
-                    };
-                    for child in children {
-                        if let Some(cand) = self.extend_candidate(q, child, target) {
-                            cands.push(cand);
-                        }
+                    for child in table.entries_of(set & !singleton(target)) {
+                        cands.extend(self.extend_candidate(est, &table, child, target));
                     }
                 }
 
                 // (ii) binary joins of kept plans of two covering sub-queries (bushy trees
                 // arise naturally: either side may itself be join-rooted).
                 if self.options.allow_hash_join {
-                    for (c1, c2) in cover_pairs(q, set) {
-                        let (Some(e1), Some(e2)) = (table.get(&c1), table.get(&c2)) else {
-                            continue;
-                        };
-                        for (build_side, probe_side) in [(e1, e2), (e2, e1)] {
-                            if let Some(cand) = self.join_candidate(q, build_side, probe_side) {
-                                cands.push(cand);
-                            }
+                    for (c1, c2) in cover_pairs(&table, set) {
+                        for (build, probe) in [(c1, c2), (c2, c1)] {
+                            cands.extend(self.join_candidate(est, &table, build, probe));
                         }
                     }
                 }
 
-                let kept = prune_entries(cands, upper);
-                if !kept.is_empty() {
-                    table.insert(set, kept);
+                prune_entries(&mut cands, upper);
+                if !cands.is_empty() {
+                    table.insert(set, &cands);
                 }
             }
         }
@@ -256,48 +246,44 @@ impl<'a> DpOptimizer<'a> {
 
     /// Pruned DP for very large queries (Section 4.4): only the cheapest few sub-queries are
     /// kept per level.
-    fn optimize_pruned(&self, q: &QueryGraph) -> FxHashMap<VertexSet, Vec<SubPlan>> {
+    ///
+    /// Which sub-queries tie for a level's last places, and which of two equally cheap joins a
+    /// sub-query keeps, is decided by the order candidates are met in, and that order is the
+    /// iteration order of the two hash maps below (deterministic: the hasher is unseeded). A
+    /// tie is the common case — a path's sub-paths are isomorphic — and the choice cascades up
+    /// the levels, so both maps see exactly the key sequence they always have:
+    /// `tests/golden/dp_picks.txt` pins the resulting picks.
+    fn optimize_pruned(&self, est: &mut Estimator<'_>) -> Table {
+        let q = est.query();
         let m = q.num_vertices();
-        let upper = self.greedy_upper_bound(q).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
-        let mut table: FxHashMap<VertexSet, Vec<SubPlan>> = FxHashMap::default();
-        for (set, cands) in self.scan_candidates(q) {
-            table.insert(set, prune_entries(cands, upper));
-        }
-        let mut frontier: Vec<VertexSet> = table.keys().copied().collect();
+        let upper = self.greedy_upper_bound(est).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
+        let mut table = Table::default();
+        self.insert_scans(est, &mut table, upper);
+        let mut frontier: Vec<VertexSet> = table.by_set.keys().copied().collect();
 
         for k in 3..=m {
-            let mut level: FxHashMap<VertexSet, Vec<SubPlan>> = FxHashMap::default();
+            let mut level: FxHashMap<VertexSet, Vec<Candidate>> = FxHashMap::default();
             for &sub in &frontier {
-                if set_len(sub) != k - 1 {
-                    continue;
-                }
-                let Some(children) = table.get(&sub).cloned() else {
-                    continue;
-                };
-                for target in 0..m {
-                    if sub & singleton(target) != 0 {
-                        continue;
-                    }
-                    for child in &children {
-                        if let Some(cand) = self.extend_candidate(q, child, target) {
-                            level.entry(cand.node.vertex_set()).or_default().push(cand);
+                for target in set_iter(q.full_set() & !sub) {
+                    for child in table.entries_of(sub) {
+                        if let Some(cand) = self.extend_candidate(est, &table, child, target) {
+                            level.entry(sub | singleton(target)).or_default().push(cand);
                         }
                     }
                 }
             }
-            // Also try joins between retained sub-queries (both already in the table).
+            // Also try joins between retained sub-queries (both already in the table), either
+            // as the build side.
             if self.options.allow_hash_join {
-                let keys: Vec<VertexSet> = table.keys().copied().collect();
-                for &a in &keys {
-                    for &b in &keys {
+                let retained: Vec<VertexSet> = table.by_set.keys().copied().collect();
+                for (i, &a) in retained.iter().enumerate() {
+                    for &b in &retained[i + 1..] {
                         if set_len(a | b) != k || a | b == a || a | b == b || a & b == 0 {
                             continue;
                         }
-                        for (build_side, probe_side) in [(a, b), (b, a)] {
-                            if let Some(cand) =
-                                self.join_candidate(q, &table[&build_side], &table[&probe_side])
-                            {
-                                level.entry(cand.node.vertex_set()).or_default().push(cand);
+                        for (build, probe) in [(a, b), (b, a)] {
+                            if let Some(cand) = self.join_candidate(est, &table, build, probe) {
+                                level.entry(a | b).or_default().push(cand);
                             }
                         }
                     }
@@ -305,54 +291,83 @@ impl<'a> DpOptimizer<'a> {
             }
 
             // Keep only the cheapest few sub-queries at this level (always keep the full query).
-            let mut entries: Vec<(VertexSet, Vec<SubPlan>)> = level
+            let mut kept: Vec<(f64, VertexSet, Vec<Candidate>)> = level
                 .into_iter()
-                .map(|(set, cands)| (set, prune_entries(cands, upper)))
-                .filter(|(_, kept)| !kept.is_empty())
+                .filter_map(|(set, mut cands)| {
+                    prune_entries(&mut cands, upper);
+                    let cheapest = cands.first()?.cost.total();
+                    Some((cheapest, set, cands))
+                })
                 .collect();
-            entries.sort_by(|a, b| {
-                min_total(&a.1)
-                    .partial_cmp(&min_total(&b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
+            kept.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let keep = if k == m {
-                entries.len()
+                kept.len()
             } else {
                 self.options.subqueries_kept_per_level.max(1)
             };
             frontier.clear();
-            for (set, kept) in entries.into_iter().take(keep.max(1)) {
+            for (_, set, cands) in kept.into_iter().take(keep) {
                 frontier.push(set);
-                table.insert(set, kept);
+                table.insert(set, &cands);
             }
         }
         table
     }
 
-    /// SCAN sub-plans grouped by 2-vertex subset.
-    fn scan_candidates(&self, q: &QueryGraph) -> FxHashMap<VertexSet, Vec<SubPlan>> {
-        let mut out: FxHashMap<VertexSet, Vec<SubPlan>> = FxHashMap::default();
-        for &e in q.edges() {
-            let set = singleton(e.src) | singleton(e.dst);
-            let node = PlanNode::scan(e);
-            let cost = cost_step(q, self.catalogue, &self.model, &node, &[]);
-            out.entry(set).or_default().push(SubPlan { node, cost });
+    /// Seed the table with the SCAN sub-plans of every 2-vertex sub-query (kept or not: a
+    /// sub-query whose scans all exceed `upper` is retained with no entries); antiparallel
+    /// edge pairs contribute one entry per orientation (distinct interesting orders).
+    fn insert_scans(&self, est: &mut Estimator<'_>, table: &mut Table, upper: f64) {
+        let mut by_pair: FxHashMap<VertexSet, Vec<Candidate>> = FxHashMap::default();
+        for &e in est.query().edges() {
+            let scan = Candidate {
+                op: Op::Scan(e),
+                cost: est.scan(e),
+            };
+            let pair = singleton(e.src) | singleton(e.dst);
+            by_pair.entry(pair).or_default().push(scan);
         }
-        out
+        for (pair, mut cands) in by_pair {
+            prune_entries(&mut cands, upper);
+            table.insert(pair, &cands);
+        }
     }
 
-    /// Cost an E/I extension of `child` by `target` incrementally; `None` when the extension is
-    /// Cartesian or excluded by the plan-space options.
-    fn extend_candidate(&self, q: &QueryGraph, child: &SubPlan, target: usize) -> Option<SubPlan> {
-        let node = PlanNode::extend(q, child.node.clone(), target)?;
-        if !self.options.allow_multiway_extend && multiway(&node) {
+    /// Whether an E/I extension of a sub-plan covering `covered` by `target` exists in the
+    /// configured plan space: `target` is new, adjacent to `covered`, and the intersection is
+    /// multiway only when the space allows it.
+    fn extendable(&self, q: &QueryGraph, covered: VertexSet, target: usize) -> bool {
+        let lists = q.edges().iter().filter(|e| {
+            (e.src == target && covered & singleton(e.dst) != 0)
+                || (e.dst == target && covered & singleton(e.src) != 0)
+        });
+        let lists = lists.count();
+        covered & singleton(target) == 0
+            && lists >= 1
+            && (lists == 1 || self.options.allow_multiway_extend)
+    }
+
+    /// Cost an E/I extension of entry `child` by `target` incrementally; `None` when the
+    /// extension is Cartesian or excluded by the plan-space options.
+    fn extend_candidate(
+        &self,
+        est: &mut Estimator<'_>,
+        table: &Table,
+        child: usize,
+        target: usize,
+    ) -> Option<Candidate> {
+        let entry = &table.entries[child];
+        if !self.extendable(est.query(), entry.set, target) {
             return None;
         }
-        let cost = cost_step(q, self.catalogue, &self.model, &node, &[child.cost]);
-        Some(SubPlan { node, cost })
+        Some(Candidate {
+            op: Op::Extend { child, target },
+            cost: est.extend(entry.cost, &entry.layout, entry.op.order_class(), target),
+        })
     }
 
-    /// The cheapest join of one entry from `build_side` with one from `probe_side`.
+    /// The cheapest join of one kept plan of sub-query `build` with one of `probe`; `None`
+    /// when either has none or the pair violates the projection constraint.
     ///
     /// A join's output order class is always `None` and its output cardinality depends only on
     /// the union subset, so the cheapest join over all entry pairs is found by independently
@@ -360,49 +375,129 @@ impl<'a> DpOptimizer<'a> {
     /// — no need to enumerate the cross product.
     fn join_candidate(
         &self,
-        q: &QueryGraph,
-        build_side: &[SubPlan],
-        probe_side: &[SubPlan],
-    ) -> Option<SubPlan> {
-        let build = cheapest_for_join(build_side, self.model.w1)?;
-        let probe = cheapest_for_join(probe_side, self.model.w2)?;
-        let node = PlanNode::hash_join(q, build.node.clone(), probe.node.clone())?;
-        let cost = cost_step(
-            q,
-            self.catalogue,
-            &self.model,
-            &node,
-            &[build.cost, probe.cost],
-        );
-        Some(SubPlan { node, cost })
+        est: &mut Estimator<'_>,
+        table: &Table,
+        build: VertexSet,
+        probe: VertexSet,
+    ) -> Option<Candidate> {
+        let b = table.cheapest_for_join(build, self.model.w1)?;
+        let p = table.cheapest_for_join(probe, self.model.w2)?;
+        if !PlanNode::joinable(est.query(), build, probe) {
+            return None;
+        }
+        let cost = est.join(table.entries[b].cost, table.entries[p].cost, build | probe);
+        let op = Op::Join { build: b, probe: p };
+        Some(Candidate { op, cost })
     }
 }
 
-/// Whether the root operator is a multiway (>= 2 descriptor) intersection.
-fn multiway(node: &PlanNode) -> bool {
-    matches!(node, PlanNode::Extend(e) if e.descriptors.len() >= 2)
+/// The root operator of a DP sub-plan; children are indices into [`Table::entries`].
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Scan(QueryEdge),
+    Extend { child: usize, target: usize },
+    Join { build: usize, probe: usize },
 }
 
-/// The entry minimising `total_cost + w × output_cardinality` — the per-side objective of a
-/// hash-join candidate.
-fn cheapest_for_join(entries: &[SubPlan], w: f64) -> Option<&SubPlan> {
-    entries.iter().min_by(|a, b| {
-        let ka = a.total_cost() + w * a.cost.output_cardinality;
-        let kb = b.total_cost() + w * b.cost.output_cardinality;
-        ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal)
-    })
+impl Op {
+    /// The sub-plan's interesting order ([`last_matched_vertex`](crate::cost::last_matched_vertex)
+    /// of the tree it stands for): the vertex matched last, `None` for a join.
+    fn order_class(&self) -> Option<usize> {
+        match *self {
+            Op::Scan(e) => Some(e.dst),
+            Op::Extend { target, .. } => Some(target),
+            Op::Join { .. } => None,
+        }
+    }
 }
 
-/// Cheapest total cost among a subset's kept entries.
-fn min_total(entries: &[SubPlan]) -> f64 {
-    entries
-        .iter()
-        .map(|e| e.total_cost())
-        .fold(f64::INFINITY, f64::min)
+/// A costed operator over kept entries, not yet (and mostly never) in the table.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    op: Op,
+    cost: PlanCost,
 }
 
-/// Dominance pruning: sort candidates by total cost, then keep a candidate only if no kept
-/// entry of a compatible order class beats it on both cost and output cardinality.
+/// A kept sub-plan.
+#[derive(Debug)]
+struct Entry {
+    op: Op,
+    set: VertexSet,
+    cost: PlanCost,
+    /// The query vertices its output tuples carry, in tuple order.
+    layout: Vec<usize>,
+}
+
+/// The DP table: the kept sub-plans of every retained sub-query, back-pointers instead of
+/// trees.
+#[derive(Debug, Default)]
+struct Table {
+    entries: Vec<Entry>,
+    /// The entries of each retained sub-query (consecutive), cheapest first.
+    by_set: FxHashMap<VertexSet, Range<usize>>,
+}
+
+impl Table {
+    /// Indices of the kept entries of sub-query `set` (none when it was never retained).
+    fn entries_of(&self, set: VertexSet) -> Range<usize> {
+        self.by_set.get(&set).cloned().unwrap_or(0..0)
+    }
+
+    /// Retain `kept` (already pruned) as the sub-plans of `set`.
+    fn insert(&mut self, set: VertexSet, kept: &[Candidate]) {
+        let first = self.entries.len();
+        for c in kept {
+            let layout_of = |i: usize| self.entries[i].layout.iter().copied();
+            let layout = match c.op {
+                Op::Scan(e) => vec![e.src, e.dst],
+                Op::Extend { child, target } => layout_of(child).chain([target]).collect(),
+                // The probe layout followed by the build-only vertices.
+                Op::Join { build, probe } => {
+                    let probed = self.entries[probe].set;
+                    let build_only = layout_of(build).filter(|&v| probed & singleton(v) == 0);
+                    layout_of(probe).chain(build_only).collect()
+                }
+            };
+            let (op, cost) = (c.op, c.cost);
+            self.entries.push(Entry {
+                op,
+                set,
+                cost,
+                layout,
+            });
+        }
+        self.by_set.insert(set, first..self.entries.len());
+    }
+
+    /// The entry of `set` minimising `total_cost + w × output_cardinality` — the per-side
+    /// objective of a hash-join candidate.
+    fn cheapest_for_join(&self, set: VertexSet, w: f64) -> Option<usize> {
+        let key = |i: usize| {
+            let cost = &self.entries[i].cost;
+            cost.total() + w * cost.output_cardinality
+        };
+        self.entries_of(set).min_by(|&a, &b| {
+            key(a)
+                .partial_cmp(&key(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
+
+    /// Build the operator tree entry `i` stands for.
+    fn materialise(&self, q: &QueryGraph, i: usize) -> PlanNode {
+        match self.entries[i].op {
+            Op::Scan(e) => Some(PlanNode::scan(e)),
+            Op::Extend { child, target } => PlanNode::extend(q, self.materialise(q, child), target),
+            Op::Join { build, probe } => {
+                PlanNode::hash_join(q, self.materialise(q, build), self.materialise(q, probe))
+            }
+        }
+        .expect("the DP keeps only operators the plan constructors accept")
+    }
+}
+
+/// Dominance pruning, in place: sort candidates by total cost, then keep a candidate only if no
+/// kept entry of a compatible order class beats it on both cost and output cardinality.
 ///
 /// Order-class compatibility: an entry dominates another of the *same* class outright; a
 /// join-rooted (`None`-class) candidate is additionally dominated by *any* cheaper, smaller
@@ -411,75 +506,64 @@ fn min_total(entries: &[SubPlan]) -> f64 {
 /// the child cardinality), and joins only look at cost and cardinality. Candidates costlier
 /// than `upper` (the greedy full-plan bound) are dropped outright: operator costs only
 /// accumulate, so they can never complete into the optimum.
-fn prune_entries(mut cands: Vec<SubPlan>, upper: f64) -> Vec<SubPlan> {
-    cands.retain(|c| c.total_cost() <= upper);
+fn prune_entries(cands: &mut Vec<Candidate>, upper: f64) {
+    cands.retain(|c| c.cost.total() <= upper);
     cands.sort_by(|a, b| {
-        a.total_cost()
-            .partial_cmp(&b.total_cost())
+        a.cost
+            .total()
+            .partial_cmp(&b.cost.total())
             .unwrap_or(std::cmp::Ordering::Equal)
     });
-    let mut kept: Vec<SubPlan> = Vec::new();
-    for c in cands {
-        if kept.len() >= MAX_ENTRIES_PER_SUBSET {
+    let mut kept = 0;
+    for i in 0..cands.len() {
+        if kept >= MAX_ENTRIES_PER_SUBSET {
             break;
         }
-        let c_class = last_matched_vertex(&c.node);
-        let dominated = kept.iter().any(|k| {
-            let k_class = last_matched_vertex(&k.node);
-            (k_class == c_class || c_class.is_none())
+        let c = cands[i];
+        let c_class = c.op.order_class();
+        let dominated = cands[..kept].iter().any(|k| {
+            (k.op.order_class() == c_class || c_class.is_none())
                 && k.cost.output_cardinality <= c.cost.output_cardinality
         });
         if !dominated {
-            kept.push(c);
+            cands[kept] = c;
+            kept += 1;
         }
     }
-    kept
+    cands.truncate(kept);
 }
 
-/// All unordered pairs of connected, proper subsets `(C1, C2)` of `set` with `C1 ∪ C2 = set`,
-/// sharing at least one vertex (the HASH-JOIN candidates of Algorithm 1, line 12).
-fn cover_pairs(q: &QueryGraph, set: VertexSet) -> Vec<(VertexSet, VertexSet)> {
-    let members: Vec<usize> = set_iter(set).collect();
-    let k = members.len();
-    let mut out = Vec::new();
-    // Enumerate subsets of `set` by bitmask over member positions.
-    let total = 1u32 << k;
-    for mask1 in 1..total - 1 {
-        let c1: VertexSet = members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask1 & (1 << i) != 0)
-            .fold(0, |acc, (_, &v)| acc | singleton(v));
-        if !q.is_connected_subset(c1) {
-            continue;
-        }
-        for mask2 in (mask1 + 1)..total {
-            if mask1 | mask2 != total - 1 {
-                continue;
-            }
-            let c2: VertexSet = members
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask2 & (1 << i) != 0)
-                .fold(0, |acc, (_, &v)| acc | singleton(v));
-            if c2 == set || c1 == set {
-                continue;
-            }
-            if c1 & c2 == 0 {
-                continue;
-            }
-            if !q.is_connected_subset(c2) {
-                continue;
-            }
-            out.push((c1, c2));
-        }
-    }
-    out
+/// All unordered pairs of retained, proper sub-queries `(C1, C2)` of `set` with
+/// `C1 ∪ C2 = set`, sharing at least one vertex (the HASH-JOIN candidates of Algorithm 1, line
+/// 12), ascending in `C1` then `C2`. The table only ever retains connected sub-queries, so
+/// `C2` is found by running through the sub-masks of `C1` it may share, not through every
+/// mask of `set`.
+fn cover_pairs(table: &Table, set: VertexSet) -> impl Iterator<Item = (VertexSet, VertexSet)> + '_ {
+    let retained = |c: VertexSet| !table.entries_of(c).is_empty();
+    proper_submasks(set)
+        .filter(move |&c1| retained(c1))
+        .flat_map(move |c1| {
+            let rest = set & !c1;
+            proper_submasks(c1)
+                .map(move |shared| rest | shared)
+                .filter(move |&c2| c2 > c1 && retained(c2))
+                .map(move |c2| (c1, c2))
+        })
+}
+
+/// The non-empty proper sub-masks of `set`, ascending.
+fn proper_submasks(set: VertexSet) -> impl Iterator<Item = VertexSet> {
+    let mut sub: VertexSet = 0;
+    std::iter::from_fn(move || {
+        sub = sub.wrapping_sub(set) & set;
+        (sub != 0 && sub != set).then_some(sub)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::last_matched_vertex;
     use crate::plan::PlanClass;
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_query::patterns;
@@ -661,16 +745,17 @@ mod tests {
         let cat = Catalogue::with_defaults(g);
         let opt = DpOptimizer::new(&cat);
         let q = patterns::benchmark_query(8);
-        let table = opt.optimize_exhaustive(&q);
-        for (set, entries) in &table {
+        let table = opt.optimize_exhaustive(&mut Estimator::new(&q, &cat, CostModel::default()));
+        for (&set, range) in &table.by_set {
+            let entries = &table.entries[range.clone()];
             assert!(!entries.is_empty());
             assert!(entries.len() <= MAX_ENTRIES_PER_SUBSET);
             for (i, a) in entries.iter().enumerate() {
                 for b in entries.iter().skip(i + 1) {
-                    let same_class = last_matched_vertex(&a.node) == last_matched_vertex(&b.node);
-                    let a_dominates = a.total_cost() <= b.total_cost()
+                    let same_class = a.op.order_class() == b.op.order_class();
+                    let a_dominates = a.cost.total() <= b.cost.total()
                         && a.cost.output_cardinality <= b.cost.output_cardinality;
-                    let b_dominates = b.total_cost() <= a.total_cost()
+                    let b_dominates = b.cost.total() <= a.cost.total()
                         && b.cost.output_cardinality <= a.cost.output_cardinality;
                     assert!(
                         !(same_class && (a_dominates || b_dominates)),
@@ -707,20 +792,188 @@ mod tests {
         );
         // Under the filter-aware cost model, the aware pick is (weakly) cheaper.
         let model = CostModel::default();
-        let blind_cost = estimate_cost(&q, &cat, &model, &blind.root).total();
+        let blind_cost = Estimator::new(&q, &cat, model)
+            .estimate_cost(&blind.root)
+            .total();
         assert!(aware.estimated_cost <= blind_cost + 1e-6);
+    }
+
+    /// A labelled version of the power-law graph: 3 edge labels, as the `Q^J` protocol.
+    fn labelled_powerlaw_graph() -> Arc<Graph> {
+        let g = graphflow_graph::loader::assign_random_edge_labels(&powerlaw_graph(), 3, 11);
+        Arc::new(g)
+    }
+
+    /// Seeded random connected 4–6-vertex patterns over 3 edge labels (a random spanning tree
+    /// plus up to three extra edges); every other one carries a `WHERE` conjunct.
+    fn random_patterns(count: usize) -> Vec<QueryGraph> {
+        use graphflow_query::querygraph::{CmpOp, PredTarget, Predicate};
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        (0..count)
+            .map(|i| {
+                let n = 4 + next(3);
+                let mut q = QueryGraph::new();
+                for _ in 0..n {
+                    q.add_default_vertex();
+                }
+                let tree: Vec<(usize, usize)> = (1..n).map(|v| (next(v), v)).collect();
+                let extra: Vec<(usize, usize)> = (0..next(4)).map(|_| (next(n), next(n))).collect();
+                for (a, b) in tree.into_iter().chain(extra) {
+                    if a != b {
+                        let (s, d) = if next(2) == 0 { (a, b) } else { (b, a) };
+                        q.add_edge(s, d, graphflow_graph::EdgeLabel(next(3) as u16));
+                    }
+                }
+                if i % 2 == 1 {
+                    q.add_predicate(Predicate {
+                        target: PredTarget::Vertex(next(n)),
+                        key: "age".into(),
+                        op: [CmpOp::Eq, CmpOp::Gt, CmpOp::Ne][next(3)],
+                        value: graphflow_graph::PropValue::Int(7),
+                    });
+                }
+                q
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_kept_entry_costs_what_its_tree_costs_on_a_fresh_table() {
+        // The DP never builds the trees it prices. Whatever it keeps — every subset, not just
+        // the root — must carry exactly the cost `estimate_cost` gives the materialised tree
+        // on a table of its own, asked in a different order (entries newest first).
+        let cat = Catalogue::with_defaults(labelled_powerlaw_graph());
+        let models = [
+            CostModel::default(),
+            CostModel::default().cache_oblivious(),
+            CostModel::default().filter_blind(),
+            CostModel::default().cache_oblivious().filter_blind(),
+        ];
+        let benchmark = patterns::all_benchmark_queries()
+            .into_iter()
+            .map(|(_, q)| q);
+        let mut entries = 0;
+        for (i, q) in benchmark.chain(random_patterns(200)).enumerate() {
+            // Benchmark queries under every model, random patterns under one each in turn.
+            let models = if i < 14 {
+                &models[..]
+            } else {
+                &models[i % 4..=i % 4]
+            };
+            for &model in models {
+                let opt = DpOptimizer::new(&cat).with_cost_model(model);
+                let table = opt.optimize_exhaustive(&mut Estimator::new(&q, &cat, model));
+                assert!(!table.entries_of(q.full_set()).is_empty(), "{q}");
+                let mut fresh = Estimator::new(&q, &cat, model);
+                for (e, entry) in table.entries.iter().enumerate().rev() {
+                    let tree = table.materialise(&q, e);
+                    assert_eq!(tree.vertex_set(), entry.set);
+                    assert_eq!(tree.out(), entry.layout);
+                    assert_eq!(entry.op.order_class(), last_matched_vertex(&tree));
+                    assert_eq!(
+                        entry.cost,
+                        fresh.estimate_cost(&tree),
+                        "{q}: {}",
+                        tree.fingerprint()
+                    );
+                    entries += 1;
+                }
+            }
+        }
+        assert!(entries > 5_000, "only {entries} entries checked");
+    }
+
+    #[test]
+    fn an_optimize_asks_the_catalogue_each_question_once() {
+        // The property the cold-prepare speed rests on, checked by count: one optimize makes
+        // exactly one catalogue lookup per filled slot of its estimate table — one per distinct
+        // subset asked about (`accessed` sets may be disconnected, so this is not the number
+        // of connected subsets) and one per distinct (subset, target) — however many
+        // candidates it prices, in every plan space and in the pruned large-query mode.
+        let cat = Catalogue::with_defaults(labelled_powerlaw_graph());
+        let spaces = [
+            PlanSpaceOptions::default(),
+            PlanSpaceOptions::wco_only(),
+            PlanSpaceOptions::binary_only(),
+        ];
+        let mut queries: Vec<QueryGraph> = patterns::all_benchmark_queries()
+            .into_iter()
+            .map(|(_, q)| q)
+            .collect();
+        queries.extend(
+            random_patterns(40)
+                .into_iter()
+                .filter(|q| q.num_vertices() == 6),
+        );
+        queries.push(patterns::directed_path(14)); // pruned mode
+        for q in &queries {
+            for space in spaces {
+                let opt = DpOptimizer::new(&cat).with_options(space);
+                let mut est = Estimator::new(q, &cat, CostModel::default());
+                let before = cat.lookups();
+                let plan = opt.optimize_in(&mut est);
+                let lookups = cat.lookups() - before;
+                assert_eq!(lookups as usize, est.filled_slots(), "{q}");
+                assert_eq!(plan.is_some(), opt.optimize(q).is_some());
+                let m = q.num_vertices();
+                let connected = (1..=q.full_set())
+                    .filter(|&s| q.is_connected_subset(s))
+                    .count();
+                assert!(
+                    est.filled_slots() <= (1 << m) + connected * m,
+                    "{q}: {} slots",
+                    est.filled_slots()
+                );
+                // A second optimize on the warm table asks nothing.
+                let before = cat.lookups();
+                opt.optimize_in(&mut est);
+                assert_eq!(cat.lookups(), before, "{q}");
+            }
+        }
     }
 
     #[test]
     fn cover_pairs_respect_connectivity_and_overlap() {
-        let q = patterns::diamond_x();
-        let pairs = cover_pairs(&q, q.full_set());
-        assert!(!pairs.is_empty());
-        for (c1, c2) in pairs {
-            assert_eq!(c1 | c2, q.full_set());
-            assert!(c1 & c2 != 0);
-            assert!(q.is_connected_subset(c1));
-            assert!(q.is_connected_subset(c2));
+        // With every connected sub-query retained, the sub-mask walk finds exactly the pairs
+        // the definition gives, in ascending (C1, C2) order.
+        let g = powerlaw_graph();
+        let cat = Catalogue::with_defaults(g);
+        for j in [4usize, 8, 11, 12] {
+            let q = patterns::benchmark_query(j);
+            let mut est = Estimator::new(&q, &cat, CostModel::default());
+            let mut table = Table::default();
+            let scan = Candidate {
+                op: Op::Scan(q.edges()[0]),
+                cost: est.scan(q.edges()[0]),
+            };
+            let full = q.full_set();
+            for s in (1..=full).filter(|&s| set_len(s) >= 2 && q.is_connected_subset(s)) {
+                table.insert(s, &[scan]);
+            }
+            let mut expected = Vec::new();
+            for c1 in 1..full {
+                for c2 in c1 + 1..full {
+                    if c1 | c2 == full
+                        && c1 & c2 != 0
+                        && q.is_connected_subset(c1)
+                        && q.is_connected_subset(c2)
+                    {
+                        expected.push((c1, c2));
+                    }
+                }
+            }
+            assert!(!expected.is_empty(), "Q{j}");
+            assert_eq!(
+                cover_pairs(&table, full).collect::<Vec<_>>(),
+                expected,
+                "Q{j}"
+            );
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use graphflow_graph::VertexLabel;
 use graphflow_query::extension::AdjListDescriptor;
-use graphflow_query::querygraph::{singleton, VertexSet};
+use graphflow_query::querygraph::{set_of, singleton, VertexSet};
 use graphflow_query::{QueryEdge, QueryGraph};
 use std::fmt;
 
@@ -92,26 +92,29 @@ impl PlanNode {
         }))
     }
 
-    /// Build a HASH-JOIN of `build` and `probe`.
-    ///
-    /// Returns `None` when the children do not share at least one query vertex or when their
-    /// union would not equal the projection of the query onto the union of their vertex sets
-    /// (i.e. some query edge between the two sides is covered by neither child — such a join
-    /// would silently drop a predicate).
+    /// Whether sub-plans covering the vertex sets `build` and `probe` may be hash-joined: they
+    /// share at least one query vertex, neither contains the other, and their union equals the
+    /// projection of the query onto the union of their vertex sets (every query edge inside
+    /// the union lies entirely within one side — a join leaving such an edge covered by
+    /// neither child would silently drop a predicate).
+    pub fn joinable(q: &QueryGraph, build: VertexSet, probe: VertexSet) -> bool {
+        let union = build | probe;
+        build & probe != 0
+            && union != build
+            && union != probe
+            && q.edges().iter().all(|e| {
+                let e_set = singleton(e.src) | singleton(e.dst);
+                e_set & !union != 0 || e_set & !build == 0 || e_set & !probe == 0
+            })
+    }
+
+    /// Build a HASH-JOIN of `build` and `probe`; `None` unless they are
+    /// [`joinable`](PlanNode::joinable).
     pub fn hash_join(q: &QueryGraph, build: PlanNode, probe: PlanNode) -> Option<PlanNode> {
         let bs = build.vertex_set();
         let ps = probe.vertex_set();
-        if bs & ps == 0 || bs | ps == bs || bs | ps == ps {
+        if !PlanNode::joinable(q, bs, ps) {
             return None;
-        }
-        let union = bs | ps;
-        // Projection-constraint check on the union: every edge of Q within the union must lie
-        // entirely within the build side or entirely within the probe side.
-        for e in q.edges_within(union) {
-            let e_set = singleton(e.src) | singleton(e.dst);
-            if e_set & !bs != 0 && e_set & !ps != 0 {
-                return None;
-            }
         }
         let key_vertices: Vec<usize> = probe
             .out()
@@ -177,7 +180,7 @@ impl PlanNode {
 
     /// The set of query vertices covered by this node's sub-query.
     pub fn vertex_set(&self) -> VertexSet {
-        self.out().iter().fold(0, |acc, &v| acc | singleton(v))
+        set_of(self.out())
     }
 
     /// Number of operators in the subtree.

@@ -12,9 +12,9 @@
 //! The number of hybrid/BJ plan shapes grows quickly with query size, so the enumeration accepts
 //! per-class limits; plans are de-duplicated by a structural fingerprint.
 
-use crate::cost::{estimate_cost, CostModel};
+use crate::cost::{CostModel, Estimator};
 use crate::plan::{Plan, PlanClass, PlanNode};
-use crate::wco::all_wco_plans;
+use crate::wco::all_wco_plans_in;
 use graphflow_catalog::Catalogue;
 use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
 use graphflow_query::QueryGraph;
@@ -52,11 +52,12 @@ pub fn enumerate_spectrum(
     model: &CostModel,
     limits: SpectrumLimits,
 ) -> Vec<SpectrumPlan> {
+    let mut est = Estimator::new(q, catalogue, *model);
     let mut seen: FxHashSet<String> = FxHashSet::default();
     let mut out: Vec<SpectrumPlan> = Vec::new();
 
     // All WCO plans (never capped: the paper's spectra always include every ordering).
-    for plan in all_wco_plans(q, catalogue, model) {
+    for plan in all_wco_plans_in(&mut est) {
         if seen.insert(plan.root.fingerprint()) {
             out.push(SpectrumPlan {
                 class: plan.class(),
@@ -78,7 +79,7 @@ pub fn enumerate_spectrum(
         if !seen.insert(fingerprint) {
             continue;
         }
-        let cost = estimate_cost(q, catalogue, model, &node);
+        let cost = est.estimate_cost(&node);
         let plan = Plan::new(q.clone(), node, cost.total());
         let class = plan.class();
         let c = counts.entry(class).or_insert(0);

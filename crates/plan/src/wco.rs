@@ -10,7 +10,7 @@
 //! computing it; [`all_wco_plans`] returns one complete plan per distinct query-vertex ordering
 //! (used by the plan-spectrum experiments and by the WCO-only optimizer mode).
 
-use crate::cost::{estimate_cost, CostModel, PlanCost};
+use crate::cost::{CostModel, Estimator, PlanCost};
 use crate::plan::{Plan, PlanNode};
 use graphflow_catalog::Catalogue;
 use graphflow_query::querygraph::{singleton, VertexSet};
@@ -37,33 +37,34 @@ pub fn best_wco_subplans(
     catalogue: &Catalogue,
     model: &CostModel,
 ) -> FxHashMap<VertexSet, SubPlan> {
+    let mut est = Estimator::new(q, catalogue, *model);
     let mut best: FxHashMap<VertexSet, SubPlan> = FxHashMap::default();
 
-    // Start a chain from every query edge (in its scan orientation).
-    let mut stack: Vec<PlanNode> = q.edges().iter().map(|&e| PlanNode::scan(e)).collect();
-    while let Some(node) = stack.pop() {
-        let set = node.vertex_set();
-        let cost = estimate_cost(q, catalogue, model, &node);
-        let is_better = best
-            .get(&set)
-            .is_none_or(|existing| cost.total() < existing.total_cost());
-        if is_better {
-            best.insert(
-                set,
-                SubPlan {
-                    node: node.clone(),
-                    cost,
-                },
-            );
-        }
+    // Start a chain from every query edge (in its scan orientation); every chain on the stack
+    // carries its cost, so an extension is one incremental step.
+    let mut stack: Vec<SubPlan> = Vec::new();
+    for &e in q.edges() {
+        let node = PlanNode::scan(e);
+        let cost = est.cost_step(&node, &[]);
+        stack.push(SubPlan { node, cost });
+    }
+    while let Some(chain) = stack.pop() {
+        let set = chain.node.vertex_set();
         // Extend by every adjacent, uncovered query vertex.
         for target in 0..q.num_vertices() {
             if set & singleton(target) != 0 {
                 continue;
             }
-            if let Some(ext) = PlanNode::extend(q, node.clone(), target) {
-                stack.push(ext);
+            if let Some(node) = PlanNode::extend(q, chain.node.clone(), target) {
+                let cost = est.cost_step(&node, &[chain.cost]);
+                stack.push(SubPlan { node, cost });
             }
+        }
+        let is_better = best
+            .get(&set)
+            .is_none_or(|existing| chain.total_cost() < existing.total_cost());
+        if is_better {
+            best.insert(set, chain);
         }
     }
     best
@@ -72,10 +73,17 @@ pub fn best_wco_subplans(
 /// One complete WCO plan per *distinct* query-vertex ordering (orderings equivalent under an
 /// automorphism of the query are collapsed, as in the paper's plan counts).
 pub fn all_wco_plans(q: &QueryGraph, catalogue: &Catalogue, model: &CostModel) -> Vec<Plan> {
+    all_wco_plans_in(&mut Estimator::new(q, catalogue, *model))
+}
+
+/// [`all_wco_plans`] of the estimator's query, priced through its table.
+pub(crate) fn all_wco_plans_in(est: &mut Estimator<'_>) -> Vec<Plan> {
+    let q = est.query();
     let mut plans = Vec::new();
     for sigma in graphflow_query::qvo::distinct_orderings(q) {
-        if let Some(plan) = wco_plan_for_ordering(q, catalogue, model, &sigma) {
-            plans.push(plan);
+        if let Some(node) = wco_node_for_ordering(q, &sigma) {
+            let cost = est.estimate_cost(&node);
+            plans.push(Plan::new(q.clone(), node, cost.total()));
         }
     }
     plans
@@ -91,7 +99,7 @@ pub fn wco_plan_for_ordering(
     sigma: &[usize],
 ) -> Option<Plan> {
     let node = wco_node_for_ordering(q, sigma)?;
-    let cost = estimate_cost(q, catalogue, model, &node);
+    let cost = Estimator::new(q, catalogue, *model).estimate_cost(&node);
     Some(Plan::new(q.clone(), node, cost.total()))
 }
 

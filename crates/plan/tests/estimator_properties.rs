@@ -13,12 +13,17 @@
 
 use graphflow_catalog::Catalogue;
 use graphflow_graph::{Graph, GraphBuilder, PropValue};
-use graphflow_plan::cost::{estimate_cost, CostModel};
+use graphflow_plan::cost::{CostModel, Estimator, PlanCost};
 use graphflow_plan::plan::PlanNode;
 use graphflow_plan::wco::all_wco_plans;
 use graphflow_query::querygraph::{CmpOp, PredTarget, Predicate};
 use graphflow_query::{patterns, QueryGraph};
 use std::sync::Arc;
+
+/// The cost of one sub-plan on an estimate table of its own.
+fn estimate_cost(q: &QueryGraph, cat: &Catalogue, model: &CostModel, node: &PlanNode) -> PlanCost {
+    Estimator::new(q, cat, *model).estimate_cost(node)
+}
 
 fn complete_graph(n: usize) -> Arc<Graph> {
     let mut b = GraphBuilder::new();

@@ -13,8 +13,14 @@ use std::fmt;
 pub type VertexSet = u32;
 
 /// Iterate the indices contained in a [`VertexSet`], in increasing order.
-pub fn set_iter(set: VertexSet) -> impl Iterator<Item = usize> {
-    (0..32usize).filter(move |i| set & (1 << i) != 0)
+pub fn set_iter(mut set: VertexSet) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let i = set.trailing_zeros() as usize;
+            set &= set - 1;
+            i
+        })
+    })
 }
 
 /// Number of vertices in the set.
@@ -27,6 +33,19 @@ pub fn set_len(set: VertexSet) -> usize {
 #[inline]
 pub fn singleton(i: usize) -> VertexSet {
     1 << i
+}
+
+/// The set of the listed vertices.
+#[inline]
+pub fn set_of(vertices: &[usize]) -> VertexSet {
+    vertices.iter().fold(0, |set, &v| set | singleton(v))
+}
+
+/// Number of members of `set` below vertex `i`: the position of `i` among the members in
+/// increasing order, which is its index in the [projection](QueryGraph::project) onto `set`.
+#[inline]
+pub fn set_rank(set: VertexSet, i: usize) -> usize {
+    set_len(set & (singleton(i) - 1))
 }
 
 /// A query vertex: a variable name plus a required vertex label (label 0 = unlabelled).
@@ -381,6 +400,16 @@ impl QueryGraph {
             .count()
     }
 
+    /// The undirected neighbours of every query vertex, as one [`VertexSet`] per vertex.
+    pub fn neighbour_sets(&self) -> Vec<VertexSet> {
+        let mut sets = vec![0; self.vertices.len()];
+        for e in &self.edges {
+            sets[e.src] |= singleton(e.dst);
+            sets[e.dst] |= singleton(e.src);
+        }
+        sets
+    }
+
     /// Undirected neighbours of query vertex `i`.
     pub fn neighbours(&self, i: usize) -> Vec<usize> {
         let mut out: Vec<usize> = self
@@ -403,32 +432,25 @@ impl QueryGraph {
 
     /// Whether the sub-query induced by `set` is (weakly) connected.
     pub fn is_connected_subset(&self, set: VertexSet) -> bool {
-        let verts: Vec<usize> = set_iter(set).filter(|&i| i < self.vertices.len()).collect();
-        if verts.is_empty() {
+        let set = set & self.full_set();
+        if set == 0 {
             return false;
         }
-        if verts.len() == 1 {
-            return true;
-        }
-        let mut visited: VertexSet = singleton(verts[0]);
-        let mut frontier = vec![verts[0]];
-        while let Some(v) = frontier.pop() {
+        // Grow the component of the lowest vertex one sweep over the edges at a time.
+        let mut visited: VertexSet = set & set.wrapping_neg();
+        loop {
+            let mut grown = visited;
             for e in &self.edges {
-                let other = if e.src == v {
-                    e.dst
-                } else if e.dst == v {
-                    e.src
-                } else {
-                    continue;
-                };
-                let bit = singleton(other);
-                if set & bit != 0 && visited & bit == 0 {
-                    visited |= bit;
-                    frontier.push(other);
+                let (s, d) = (singleton(e.src), singleton(e.dst));
+                if (s | d) & set == s | d && (s | d) & grown != 0 {
+                    grown |= s | d;
                 }
             }
+            if grown == visited {
+                return visited == set;
+            }
+            visited = grown;
         }
-        visited == set
     }
 
     /// Whether the whole query is (weakly) connected.
@@ -471,24 +493,35 @@ impl QueryGraph {
     /// The *projection* of the query onto `set`: the induced sub-query plus a mapping from new
     /// indices to original indices (sorted ascending).
     ///
-    /// Predicates and edge names are **not** carried over: projections feed the catalogue and
-    /// canonical sub-query keys, which are about pattern structure only (the cost model applies
-    /// predicate selectivity separately through
+    /// Predicates, edge names and vertex **names** are not carried over (projected vertices are
+    /// nameless): projections feed the catalogue and canonical sub-query keys, which are about
+    /// pattern structure only (the cost model applies predicate selectivity separately through
     /// [`predicate_selectivity`](QueryGraph::predicate_selectivity)).
     pub fn project(&self, set: VertexSet) -> (QueryGraph, Vec<usize>) {
-        let mapping: Vec<usize> = set_iter(set).filter(|&i| i < self.vertices.len()).collect();
-        let mut q = QueryGraph::new();
-        for &orig in &mapping {
-            q.add_vertex(self.vertices[orig].name.clone(), self.vertices[orig].label);
-        }
-        let rev: std::collections::BTreeMap<usize, usize> = mapping
+        let mapping: Vec<usize> = set_iter(set & self.full_set()).collect();
+        let edges: Vec<QueryEdge> = self
+            .edges
             .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new))
+            .filter(|e| set & singleton(e.src) != 0 && set & singleton(e.dst) != 0)
+            .map(|e| QueryEdge {
+                src: set_rank(set, e.src),
+                dst: set_rank(set, e.dst),
+                label: e.label,
+            })
             .collect();
-        for e in self.edges_within(set) {
-            q.add_edge(rev[&e.src], rev[&e.dst], e.label);
-        }
+        let q = QueryGraph {
+            vertices: mapping
+                .iter()
+                .map(|&v| QueryVertex {
+                    name: String::new(),
+                    label: self.vertices[v].label,
+                })
+                .collect(),
+            edge_names: vec![None; edges.len()],
+            edges,
+            predicates: Vec::new(),
+            return_clause: None,
+        };
         (q, mapping)
     }
 

@@ -16,6 +16,27 @@ pub fn connected_orderings(q: &QueryGraph) -> Vec<Vec<usize>> {
     orderings_extending(q, 0, full)
 }
 
+/// The first of [`connected_orderings`] (they come in lexicographic order) without enumerating
+/// the rest: start at vertex 0 and keep appending the lowest-numbered vertex adjacent to the
+/// covered set. A disconnected query has no connected ordering; its vertices come back in
+/// index order.
+pub fn first_connected_ordering(q: &QueryGraph) -> Vec<usize> {
+    let n = q.num_vertices();
+    let nbrs = q.neighbour_sets();
+    let mut order = Vec::with_capacity(n);
+    let mut covered: VertexSet = 0;
+    while order.len() < n {
+        let Some(v) = (0..n)
+            .find(|&v| covered & singleton(v) == 0 && (covered == 0 || nbrs[v] & covered != 0))
+        else {
+            return (0..n).collect();
+        };
+        order.push(v);
+        covered |= singleton(v);
+    }
+    order
+}
+
 /// Enumerate every ordering of the vertices in `target \ start` such that, starting from the
 /// (assumed connected or empty) set `start`, every prefix stays connected inside `target`.
 ///
@@ -101,6 +122,23 @@ mod tests {
         assert_eq!(all.len(), 6);
         // The asymmetric triangle has a trivial automorphism group, so nothing collapses.
         assert_eq!(distinct_orderings(&tri).len(), 6);
+    }
+
+    #[test]
+    fn first_connected_ordering_is_the_head_of_the_enumeration() {
+        for (j, q) in patterns::all_benchmark_queries() {
+            let all = connected_orderings(&q);
+            assert_eq!(first_connected_ordering(&q), all[0], "Q{j}");
+        }
+        // Two disjoint edges: no connected ordering exists.
+        let mut q = QueryGraph::new();
+        for _ in 0..4 {
+            q.add_default_vertex();
+        }
+        q.add_edge(0, 1, graphflow_graph::EdgeLabel(0));
+        q.add_edge(3, 2, graphflow_graph::EdgeLabel(0));
+        assert!(connected_orderings(&q).is_empty());
+        assert_eq!(first_connected_ordering(&q), vec![0, 1, 2, 3]);
     }
 
     #[test]

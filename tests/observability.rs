@@ -356,6 +356,68 @@ fn rendered_metrics_are_valid_prometheus_text() {
     assert!(text.contains("graphflow_query_latency_seconds_bucket{le=\"+Inf\"}"));
 }
 
+/// The optimizer is timed where it runs: `graphflow_optimize_seconds` counts the plan-cache
+/// misses plus the queries too large for the cache, a hit adds nothing to it, and the
+/// catalogue's lookup counter moves with the optimizer, not with executions.
+#[test]
+fn optimizer_time_is_recorded_on_plan_cache_misses_only() {
+    let db = small_db();
+    let before = db.metrics();
+    assert_eq!(before.optimize_latency.count(), 0);
+    assert_eq!(before.catalogue_lookups, 0);
+
+    let triangle = db.prepare(TRIANGLE).unwrap();
+    assert!(!triangle.was_cached());
+    let miss = db.metrics();
+    assert_eq!(miss.optimize_latency.count(), 1);
+    assert_eq!(miss.plan_cache.misses, 1);
+    assert!(miss.optimize_latency.sum() > std::time::Duration::ZERO);
+    assert!(
+        miss.catalogue_lookups > 0,
+        "the optimizer asked the catalogue"
+    );
+    assert!(
+        miss.catalogue_entries > 0,
+        "and the catalogue sampled for it"
+    );
+
+    // An isomorphic rewriting hits the cache; executing asks the catalogue nothing.
+    let twin = db.prepare("(x)->(y), (y)->(z), (x)->(z)").unwrap();
+    assert!(twin.was_cached());
+    twin.count().unwrap();
+    let hit = db.metrics();
+    assert_eq!(hit.optimize_latency.count(), 1);
+    assert_eq!(hit.catalogue_lookups, miss.catalogue_lookups);
+
+    // A structurally new pattern is one more miss, one more observation.
+    db.prepare("(a)->(b), (b)->(c), (c)->(d)").unwrap();
+    let second = db.metrics();
+    assert_eq!(second.optimize_latency.count(), second.plan_cache.misses);
+    assert_eq!(second.optimize_latency.count(), 2);
+    assert!(second.catalogue_lookups > hit.catalogue_lookups);
+
+    // A query too large for the cache is optimized directly: timed, and not a cache miss.
+    let path: Vec<String> = (0..graphflow_query::MAX_CANONICAL_VERTICES)
+        .map(|i| format!("(p{i})->(p{})", i + 1))
+        .collect();
+    assert!(!db.prepare(&path.join(", ")).unwrap().was_cached());
+    let second = db.metrics();
+    assert_eq!(second.plan_cache.misses, 2);
+
+    let text = second.render();
+    assert!(text.contains("# TYPE graphflow_optimize_seconds histogram"));
+    assert!(text.contains("graphflow_optimize_seconds_bucket{le=\"+Inf\"} 3"));
+    assert!(text.contains("graphflow_optimize_seconds_count 3"));
+    assert!(text.contains(&format!(
+        "graphflow_catalogue_lookups_total {}",
+        second.catalogue_lookups
+    )));
+    assert!(text.contains(&format!(
+        "graphflow_catalogue_entries {}",
+        second.catalogue_entries
+    )));
+}
+
 /// The delta-store gauges follow the published epoch: zero pending edges on a clean database,
 /// one per pending insert or delete after a commit (with the bytes the merged lists and edge
 /// sets take), and back to zero pending after compaction.
