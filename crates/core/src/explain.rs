@@ -10,16 +10,19 @@
 //! the verb (`EXPLAIN (a)->(b), ...`), which renders the tree as a one-column
 //! [`ResultSet`].
 //!
-//! The report is plain data: walk [`ProfileNode`]s directly, [`Display`](std::fmt::Display)
-//! it as an indented tree, or serialize it with [`QueryProfile::to_json`].
+//! Both reports are one walk of the plan: every node is labelled by
+//! [`PlanNode::label`](graphflow_plan::PlanNode::label), priced through the per-query
+//! estimate table and — under `PROFILE` — given the counters the executor filed under its
+//! pre-order id (`RuntimeStats::profile`). The plan is the only operator tree; the report is
+//! plain data: walk [`ProfileNode`]s directly, [`Display`](std::fmt::Display) it as an
+//! indented tree, or serialize it with [`QueryProfile::to_json`].
 
 use crate::results::ResultSet;
 use graphflow_catalog::Catalogue;
-use graphflow_exec::{CandidateProfile, OpCounters, OpKind, OpProfile, RuntimeStats};
+use graphflow_exec::{CandidateProfile, OpCounters, OpProfile, RuntimeStats};
 use graphflow_graph::PropValue;
 use graphflow_plan::cost::{CostModel, Estimator};
 use graphflow_plan::{Plan, PlanClass, PlanNode};
-use graphflow_query::QueryGraph;
 use std::fmt;
 
 /// One operator of an `EXPLAIN`/`PROFILE` report, mirroring the plan's operator tree.
@@ -127,39 +130,22 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
-    /// Build an estimate-only (`EXPLAIN`) report for a plan.
-    pub(crate) fn estimate(plan: &Plan, catalogue: &Catalogue, model: &CostModel) -> QueryProfile {
-        QueryProfile {
-            query: plan.query.to_string(),
-            plan_class: plan.class(),
-            estimated_cost: plan.estimated_cost,
-            root: estimate_node(
-                &plan.root,
-                &mut Estimator::new(&plan.query, catalogue, *model),
-            ),
-            stats: None,
-        }
-    }
-
-    /// Build a `PROFILE` report: the estimate tree annotated with the actuals of `stats`'s
-    /// per-operator profile (falls back to estimates only if the run carried no profile).
-    pub(crate) fn profiled(
+    /// Build the report for a plan: `EXPLAIN` without `stats`, `PROFILE` with the stats of a
+    /// profiled run of that plan.
+    pub(crate) fn new(
         plan: &Plan,
         catalogue: &Catalogue,
         model: &CostModel,
-        stats: RuntimeStats,
+        stats: Option<RuntimeStats>,
     ) -> QueryProfile {
         let est = &mut Estimator::new(&plan.query, catalogue, *model);
-        let root = match &stats.profile {
-            Some(prof) => annotate(&plan.root, prof, est),
-            None => estimate_node(&plan.root, est),
-        };
+        let records = stats.as_ref().map_or(&[][..], |s| &s.profile[..]);
         QueryProfile {
             query: plan.query.to_string(),
             plan_class: plan.class(),
             estimated_cost: plan.estimated_cost,
-            root,
-            stats: Some(stats),
+            root: report_node(&plan.root, 0, records, est),
+            stats,
         }
     }
 
@@ -280,126 +266,39 @@ pub(crate) fn result_set(profile: &QueryProfile) -> ResultSet {
 
 // --- tree construction ---------------------------------------------------------------------
 
-fn operator_label(node: &PlanNode, q: &QueryGraph) -> String {
-    match node {
-        PlanNode::Scan(n) => format!(
-            "SCAN ({})->({}) [label {}]",
-            q.vertex(n.edge.src).name,
-            q.vertex(n.edge.dst).name,
-            n.edge.label.0
-        ),
-        PlanNode::Extend(n) => {
-            let descs: Vec<String> = n
-                .descriptors
-                .iter()
-                .map(|d| {
-                    format!(
-                        "{}.{}[{}]",
-                        q.vertex(n.child.out()[d.tuple_idx]).name,
-                        d.dir,
-                        d.edge_label.0
-                    )
-                })
-                .collect();
-            format!(
-                "EXTEND/INTERSECT -> {} using {{{}}}",
-                q.vertex(n.target_vertex).name,
-                descs.join(", ")
-            )
-        }
-        PlanNode::HashJoin(n) => {
-            let keys: Vec<&str> = n
-                .key_vertices
-                .iter()
-                .map(|&v| q.vertex(v).name.as_str())
-                .collect();
-            format!("HASH-JOIN on [{}]", keys.join(", "))
-        }
-    }
-}
-
-/// The estimate-only report of a subtree; every node's cost is priced through the one
-/// per-query estimate table, so the repeated walks ask the catalogue nothing twice.
-fn estimate_node(node: &PlanNode, est: &mut Estimator<'_>) -> ProfileNode {
-    let q = est.query();
+/// The report of the subtree rooted at plan node `id` (pre-order), with the counters the run
+/// filed under each node, if any; every node is priced through the one per-query estimate
+/// table, so the walk asks the catalogue nothing twice. An adaptive stage's record sits under
+/// the top E/I of the chain it ran, which the report shows as one node over the chain's input.
+fn report_node(
+    node: &PlanNode,
+    id: usize,
+    records: &[OpProfile],
+    est: &mut Estimator<'_>,
+) -> ProfileNode {
     let cost = est.estimate_cost(node);
-    let children = match node {
-        PlanNode::Scan(_) => Vec::new(),
-        PlanNode::Extend(n) => vec![estimate_node(&n.child, est)],
-        PlanNode::HashJoin(n) => vec![estimate_node(&n.build, est), estimate_node(&n.probe, est)],
-    };
+    let record = records.get(id);
+    let candidates = record.map_or(Vec::new(), |r| r.candidates.clone());
+    let chain = candidates.first().map_or(1, |c| c.order.len());
+    let mut bottom = node;
+    for _ in 1..chain {
+        bottom = bottom.children()[0];
+    }
+    let mut child_id = id + chain;
+    let children = (bottom.children().into_iter())
+        .map(|child| {
+            let report = report_node(child, child_id, records, est);
+            child_id += child.num_operators();
+            report
+        })
+        .collect();
     ProfileNode {
-        operator: operator_label(node, q),
+        operator: node.label(est.query(), chain),
         est_rows: cost.output_cardinality,
         est_cost: cost.total(),
-        actual: None,
-        candidates: Vec::new(),
+        actual: record.map(|r| r.counters.clone()),
+        candidates,
         children,
-    }
-}
-
-/// Zip the plan tree with the executed profile tree. The two always have matching shapes —
-/// the executor assembled the profile from this very plan — except that an adaptive stage
-/// collapses a chain of consecutive E/I plan nodes into one `OpKind::Adaptive` profile node
-/// (its `targets` name the chain, topmost last).
-fn annotate(node: &PlanNode, prof: &OpProfile, est: &mut Estimator<'_>) -> ProfileNode {
-    let q = est.query();
-    let cost = est.estimate_cost(node);
-    match &prof.kind {
-        OpKind::Scan { .. } | OpKind::Extend { .. } | OpKind::HashJoin { .. } => {
-            let children = match node {
-                PlanNode::Scan(_) => Vec::new(),
-                PlanNode::Extend(n) => match prof.children.first() {
-                    Some(up) => vec![annotate(&n.child, up, est)],
-                    None => vec![estimate_node(&n.child, est)],
-                },
-                PlanNode::HashJoin(n) => {
-                    // Profile children are [probe (upstream), build]; the report's
-                    // convention is [build, probe].
-                    let build = match prof.children.get(1) {
-                        Some(b) => annotate(&n.build, b, est),
-                        None => estimate_node(&n.build, est),
-                    };
-                    let probe = match prof.children.first() {
-                        Some(p) => annotate(&n.probe, p, est),
-                        None => estimate_node(&n.probe, est),
-                    };
-                    vec![build, probe]
-                }
-            };
-            ProfileNode {
-                operator: operator_label(node, q),
-                est_rows: cost.output_cardinality,
-                est_cost: cost.total(),
-                actual: Some(prof.counters.clone()),
-                candidates: prof.candidates.clone(),
-                children,
-            }
-        }
-        OpKind::Adaptive { targets } => {
-            // `node` is the topmost E/I of the collapsed chain; descend past the whole
-            // chain to find the stage's input operator.
-            let mut below = node;
-            for _ in 0..targets.len() {
-                match below {
-                    PlanNode::Extend(n) => below = &n.child,
-                    _ => break,
-                }
-            }
-            let names: Vec<&str> = targets.iter().map(|&t| q.vertex(t).name.as_str()).collect();
-            let children = match prof.children.first() {
-                Some(up) => vec![annotate(below, up, est)],
-                None => vec![estimate_node(below, est)],
-            };
-            ProfileNode {
-                operator: format!("ADAPTIVE EXTEND/INTERSECT -> {{{}}}", names.join(", ")),
-                est_rows: cost.output_cardinality,
-                est_cost: cost.total(),
-                actual: Some(prof.counters.clone()),
-                candidates: prof.candidates.clone(),
-                children,
-            }
-        }
     }
 }
 
@@ -500,8 +399,12 @@ fn json_node(node: &ProfileNode, out: &mut String) {
 
 #[cfg(test)]
 mod tests {
+    use super::QueryProfile;
     use crate::{GraphflowDB, QueryOptions};
-    use graphflow_graph::GraphBuilder;
+    use graphflow_graph::{EdgeLabel, GraphBuilder};
+    use graphflow_plan::wco::wco_node_for_ordering;
+    use graphflow_plan::{Plan, PlanNode};
+    use graphflow_query::{patterns, QueryGraph};
 
     fn triangle_db() -> GraphflowDB {
         let mut b = GraphBuilder::new();
@@ -627,5 +530,130 @@ mod tests {
             .map(|r| format!("{:?}", r[0]))
             .collect();
         assert!(text.iter().any(|l| l.contains("actual rows")));
+    }
+
+    /// The query every report below describes through a DP-picked plan.
+    const DIAMOND_X: &str = "(a)->(b), (a)->(c), (b)->(c), (b)->(d), (c)->(d)";
+
+    /// Plans covering every operator kind and every place an adaptive chain can sit: the DP
+    /// pick for diamond-X (one SCAN + an E/I chain), Figure 1c (two triangles hash-joined), a
+    /// bushy join of joins closed by an E/I (as in `tests/plan_space.rs`), and Q9 with an E/I
+    /// chain below a probe and above one.
+    fn golden_plans(db: &GraphflowDB) -> Vec<(&'static str, Plan)> {
+        let node = |q: &QueryGraph, sigma: &[usize]| wco_node_for_ordering(q, sigma).unwrap();
+        let join = |q: &QueryGraph, build, probe| PlanNode::hash_join(q, build, probe).unwrap();
+        let dp = db.plan(&db.parse(DIAMOND_X).unwrap()).unwrap();
+        let d = patterns::diamond_x();
+        let figure_1c = join(&d, node(&d, &[1, 2, 0]), node(&d, &[1, 2, 3]));
+        let c = patterns::benchmark_query(12);
+        let scan = |src: usize| PlanNode::scan(*c.edges().iter().find(|e| e.src == src).unwrap());
+        let bushy = join(&c, join(&c, scan(0), scan(1)), join(&c, scan(2), scan(3)));
+        let bushy = PlanNode::extend(&c, bushy, 5).unwrap();
+        let q9 = patterns::benchmark_query(9);
+        let chain_below = join(&q9, node(&q9, &[0, 1, 2]), node(&q9, &[2, 3, 4, 5]));
+        let s23 = PlanNode::scan(
+            *q9.edges()
+                .iter()
+                .find(|e| (e.src, e.dst) == (2, 3))
+                .unwrap(),
+        );
+        let chain_above = join(&q9, node(&q9, &[0, 1, 2]), s23);
+        let chain_above = PlanNode::extend(&q9, chain_above, 4).unwrap();
+        let chain_above = PlanNode::extend(&q9, chain_above, 5).unwrap();
+        vec![
+            ("diamond-x, DP pick", dp),
+            ("figure 1c", Plan::new(d, figure_1c, 0.0)),
+            ("bushy join of joins", Plan::new(c, bushy, 0.0)),
+            (
+                "Q9, E/I chain below a probe",
+                Plan::new(q9.clone(), chain_below, 0.0),
+            ),
+            (
+                "Q9, E/I chain above a probe",
+                Plan::new(q9, chain_above, 0.0),
+            ),
+        ]
+    }
+
+    /// Replace the number after every `marker` with `_`.
+    fn mask(text: &str, marker: &str) -> String {
+        let mut out = String::with_capacity(text.len());
+        let mut rest = text;
+        while let Some(i) = rest.find(marker) {
+            let (head, tail) = rest.split_at(i + marker.len());
+            out.push_str(head);
+            let end = tail
+                .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .unwrap_or(tail.len());
+            if end > 0 {
+                out.push('_');
+            }
+            rest = &tail[end..];
+        }
+        out.push_str(rest);
+        out
+    }
+
+    /// `Plan::explain`, `EXPLAIN` and `PROFILE` (text and JSON; fixed and adaptive; one worker)
+    /// of every golden plan, on a frozen and then on a dirty snapshot, with times masked.
+    fn render_golden() -> String {
+        use std::fmt::Write;
+        let edges = graphflow_graph::generator::powerlaw_cluster(200, 3, 0.6, 7);
+        let mut b = GraphBuilder::new();
+        b.add_edges(edges);
+        let db = GraphflowDB::from_graph(b.build());
+        let mut out = String::new();
+        for snapshot in ["frozen", "dirty"] {
+            if snapshot == "dirty" {
+                let mut txn = db.begin_write();
+                for i in 0..40u32 {
+                    txn.insert_edge(i, (i * 7 + 3) % 200, EdgeLabel(0));
+                }
+                txn.commit();
+            }
+            let catalogue = db.catalogue();
+            let model = *db.shared.cost_model.read();
+            for (name, plan) in golden_plans(&db) {
+                writeln!(out, "=== {name}, {snapshot} snapshot").unwrap();
+                writeln!(out, "--- Plan::explain\n{}", plan.explain()).unwrap();
+                let report = QueryProfile::new(&plan, &catalogue, &model, None);
+                writeln!(out, "--- EXPLAIN\n{report}{}", report.to_json()).unwrap();
+                for adaptive in [false, true] {
+                    let options = QueryOptions::new().adaptive(adaptive).profile(true);
+                    let stats = db.run_plan(&plan, options).unwrap().stats;
+                    let report = QueryProfile::new(&plan, &catalogue, &model, Some(stats));
+                    writeln!(
+                        out,
+                        "--- PROFILE, adaptive {adaptive}\n{report}{}",
+                        report.to_json()
+                    )
+                    .unwrap();
+                }
+            }
+        }
+        let out = mask(&out, "\"time_ns\":");
+        let out = mask(&out, "\"elapsed_ns\":");
+        mask(&out, "time ")
+    }
+
+    /// The reports are pinned byte for byte (times masked) to `tests/golden/profile_reports.txt`.
+    /// To regenerate it, run `render_golden` in a checkout of the commit you trust and write its
+    /// output to that file.
+    #[test]
+    fn reports_match_the_golden_file() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/profile_reports.txt"
+        );
+        let golden = std::fs::read_to_string(path).expect("golden file");
+        let rendered = render_golden();
+        for (i, (want, got)) in golden.lines().zip(rendered.lines()).enumerate() {
+            assert_eq!(got, want, "line {} differs from the golden file", i + 1);
+        }
+        assert_eq!(
+            rendered.lines().count(),
+            golden.lines().count(),
+            "line count"
+        );
     }
 }

@@ -139,10 +139,15 @@ impl Json {
         }
     }
 
-    /// The numeric payload as an integer, if this is a number with an exact `i64` value.
+    /// The numeric payload as an integer, if this is a number with an exact `i64` value: an
+    /// integral number in `[-2^63, 2^63)`. (`i64::MAX as f64` rounds up to 2^63, so a bound
+    /// written with `<=` would let 2^63 through and saturate it.)
     pub fn as_i64(&self) -> Option<i64> {
+        const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
         match self {
-            Json::Num(x) if x.fract() == 0.0 && x.abs() <= i64::MAX as f64 => Some(*x as i64),
+            Json::Num(x) if x.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(x) => {
+                Some(*x as i64)
+            }
             _ => None,
         }
     }
@@ -377,39 +382,56 @@ impl<'a> Parser<'a> {
     /// Read four hex digits starting at `pos`, leaving `pos` on the **last** digit (callers
     /// advance past it).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(hex) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        // Exactly four hex digits: `from_str_radix` alone would also take a leading `+`.
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("non-ascii in \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end - 1;
+        let digit = |d: u8| (d as char).to_digit(16).expect("checked to be a hex digit");
+        let v = hex.iter().fold(0, |v, &d| v * 16 + digit(d));
+        self.pos += 3;
         Ok(v)
     }
 
+    /// Skip a non-empty run of ASCII digits; `what` names the error when there is none.
+    fn digits(&mut self, what: &str) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            return Err(self.err(what));
+        }
+        Ok(())
+    }
+
+    /// A number by the RFC 8259 grammar, `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+    /// — stricter than Rust's `f64` parser, which also takes `1.`, `.5` and `01`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
+            }
+        } else {
+            self.digits("expected a digit")?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit after '.'")?;
         }
         if matches!(self.peek(), Some(b'e') | Some(b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits("expected a digit in the exponent")?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         text.parse::<f64>()
@@ -497,6 +519,45 @@ mod tests {
         // Round-trip: what the writers emit, the parser reads back.
         let v = Json::parse(&quote("line\nbreak \"quoted\"")).unwrap();
         assert_eq!(v.as_str(), Some("line\nbreak \"quoted\""));
+    }
+
+    /// Where `text` fails to parse.
+    fn error_position(text: &str) -> usize {
+        Json::parse(text).expect_err(text).position
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // `u32::from_str_radix` accepts "+041"; the escape must not.
+        assert_eq!(error_position(r#""\u+041""#), 3);
+    }
+
+    #[test]
+    fn a_fraction_needs_digits_after_the_point() {
+        assert_eq!(error_position("1."), 2);
+    }
+
+    #[test]
+    fn an_integer_part_is_required() {
+        assert_eq!(error_position("-.5"), 1);
+    }
+
+    #[test]
+    fn leading_zeros_are_rejected() {
+        assert_eq!(error_position("01"), 1);
+    }
+
+    #[test]
+    fn integers_are_exact_over_the_whole_i64_range() {
+        let int = |text: &str| Json::parse(text).unwrap().as_i64();
+        assert_eq!(int("-9223372036854775808"), Some(i64::MIN));
+        // The largest double below 2^63.
+        assert_eq!(int("9223372036854774784"), Some(9_223_372_036_854_774_784));
+        // 2^63 itself (also what i64::MAX rounds to as a double) is out of range.
+        assert_eq!(int("9223372036854775808"), None);
+        assert_eq!(int("9223372036854775807"), None);
+        assert_eq!(int("1.5"), None);
+        assert_eq!(int("-0"), Some(0));
     }
 
     #[test]

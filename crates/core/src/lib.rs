@@ -231,7 +231,7 @@ pub use error::Error;
 pub use explain::{ProfileNode, QueryProfile};
 pub use graphflow_exec::{
     CallbackSink, CancellationToken, CandidateProfile, CollectingSink, CountingSink, LimitSink,
-    MatchSink, OpCounters, OpKind, OpProfile, Row, RuntimeStats, Value,
+    MatchSink, OpCounters, OpProfile, Row, RuntimeStats, Value,
 };
 pub use graphflow_graph::{Snapshot as GraphSnapshot, Update as GraphUpdate};
 pub use graphflow_query::returns::ReturnClause;

@@ -137,10 +137,12 @@ impl QueryOptions {
     }
 
     /// Return the per-operator execution profile — the operators' own counters, which every
-    /// run keeps and sums into its stats, as a tree with operator self-times — through
+    /// run keeps and sums into its stats, with operator self-times, one record per plan node
+    /// indexed by the node's pre-order id — through
     /// [`RuntimeStats::profile`](crate::RuntimeStats::profile) (this is what
     /// [`PreparedQuery::profile`](crate::PreparedQuery::profile) and `PROFILE <query>` turn
-    /// on). Off by default; the stats' counters are the same either way.
+    /// on; the report is one walk of the plan reading those records by id). Off by default;
+    /// the stats' counters are the same either way.
     pub fn profile(mut self, profile: bool) -> Self {
         self.profile = profile;
         self

@@ -434,7 +434,7 @@ impl PreparedQuery {
     pub fn explain(&self) -> QueryProfile {
         let catalogue = self.db.catalogue();
         let model = *self.db.shared.cost_model.read();
-        QueryProfile::estimate(&self.plan, &catalogue, &model)
+        QueryProfile::new(&self.plan, &catalogue, &model, None)
     }
 
     /// `PROFILE`: execute the query with per-operator profiling and return the plan tree
@@ -460,11 +460,11 @@ impl PreparedQuery {
         let result = self.run_on(snapshot, options.profile(true))?;
         let catalogue = self.db.catalogue();
         let model = *self.db.shared.cost_model.read();
-        Ok(QueryProfile::profiled(
+        Ok(QueryProfile::new(
             &self.plan,
             &catalogue,
             &model,
-            result.stats,
+            Some(result.stats),
         ))
     }
 

@@ -16,7 +16,7 @@ use graphflow_catalog::Catalogue;
 use graphflow_graph::{GraphView, VertexId};
 use graphflow_plan::plan::PlanNode;
 use graphflow_query::extension::descriptors_for_extension;
-use graphflow_query::querygraph::singleton;
+use graphflow_query::querygraph::set_of;
 use graphflow_query::QueryGraph;
 use std::time::Instant;
 
@@ -32,6 +32,8 @@ pub(crate) struct StepEstimate {
 /// One candidate ordering of an adaptive chain.
 #[derive(Debug, Clone)]
 pub(crate) struct AdaptiveCandidate {
+    /// The order in which this candidate binds the chain's targets.
+    pub order: Vec<usize>,
     /// The executable extension steps, in candidate order.
     pub steps: Vec<ExtendStage>,
     /// Per-step catalogue estimates used for per-tuple re-costing.
@@ -45,6 +47,8 @@ pub(crate) struct AdaptiveCandidate {
 /// A pipeline stage that picks a query-vertex ordering per tuple.
 #[derive(Debug, Clone)]
 pub struct AdaptiveStage {
+    /// Pre-order id of the top E/I of the plan chain this stage runs.
+    pub(crate) id: usize,
     pub(crate) candidates: Vec<AdaptiveCandidate>,
     /// The stage's own work: selection overhead, routed tuples, canonical re-emits and
     /// outputs. Step-level work is counted on each candidate's own [`ExtendStage`]s.
@@ -56,11 +60,6 @@ pub struct AdaptiveStage {
 }
 
 impl AdaptiveStage {
-    /// Number of candidate orderings.
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// Fold the counters of a worker's clone of this stage into this one: the stage's own,
     /// the per-candidate `chosen` tallies and every candidate step.
     pub(crate) fn absorb(&mut self, worker: &AdaptiveStage) {
@@ -99,12 +98,7 @@ fn recost_candidate<G: GraphView>(
     }
     let mut cost = actual_sum;
     let mut card = (first_est.mu * ratio).max(0.0);
-    for (step_est, _step) in candidate
-        .estimates
-        .iter()
-        .zip(candidate.steps.iter())
-        .skip(1)
-    {
+    for step_est in &candidate.estimates[1..] {
         let sum_sizes: f64 = step_est.sizes.iter().sum();
         cost += card * sum_sizes;
         card *= step_est.mu;
@@ -233,129 +227,92 @@ pub(crate) fn compile_adaptive<G: GraphView>(
     options: &ExecOptions,
 ) -> CompiledPipeline {
     // First compile normally to materialise hash tables and get the fixed pipeline.
-    let fixed = compile(graph, q, node, options);
-
-    // Track the tuple layout below each stage to build adaptive candidates.
-    let mut layouts: Vec<Vec<usize>> = Vec::with_capacity(fixed.stages.len() + 1);
-    let mut layout = vec![fixed.scan.edge.src, fixed.scan.edge.dst];
-    layouts.push(layout.clone());
-    // Recover per-stage target vertices by replaying the plan's layout.
-    let full_layout = fixed.out_layout.clone();
-    for stage in &fixed.stages {
-        match stage {
-            Stage::Extend(_) => {
-                let next = full_layout[layout.len()];
-                layout.push(next);
+    let mut pipeline = compile(graph, q, node, 0, options);
+    let nodes = node.preorder();
+    let fixed = std::mem::take(&mut pipeline.stages);
+    for run in fixed.chunk_by(|a, b| matches!((a, b), (Stage::Extend(_), Stage::Extend(_)))) {
+        let stage = match run {
+            [Stage::Extend(_), .., Stage::Extend(top)] => {
+                adaptive_stage(q, nodes[top.id], top.id, run.len(), catalogue, options)
             }
-            Stage::Probe(p) => {
-                // The probe appends exactly the next `payload_width` canonical layout entries.
-                let len = layout.len();
-                layout.extend_from_slice(&full_layout[len..len + p.table.payload_width]);
-            }
-            Stage::Adaptive(_) => unreachable!("input pipeline is non-adaptive"),
-        }
-        layouts.push(layout.clone());
-    }
-
-    // Rebuild the stage list, replacing runs of >= 2 consecutive Extend stages.
-    let mut new_stages: Vec<Stage> = Vec::with_capacity(fixed.stages.len());
-    let mut i = 0;
-    while i < fixed.stages.len() {
-        let is_extend = matches!(fixed.stages[i], Stage::Extend(_));
-        if !is_extend {
-            new_stages.push(fixed.stages[i].clone());
-            i += 1;
-            continue;
-        }
-        let mut j = i;
-        while j < fixed.stages.len() && matches!(fixed.stages[j], Stage::Extend(_)) {
-            j += 1;
-        }
-        if j - i < 2 {
-            new_stages.push(fixed.stages[i].clone());
-            i += 1;
-            continue;
-        }
-        // Build an adaptive stage for the run [i, j).
-        let base_layout = layouts[i].clone();
-        let canonical_targets: Vec<usize> =
-            (i..j).map(|k| layouts[k + 1][layouts[k].len()]).collect();
-        let base_set = base_layout.iter().fold(0u32, |acc, &v| acc | singleton(v));
-        let target_set = canonical_targets
-            .iter()
-            .fold(base_set, |acc, &v| acc | singleton(v));
-        let orderings = graphflow_query::qvo::orderings_extending(q, base_set, target_set);
-        let mut candidates = Vec::new();
-        for ordering in orderings {
-            let mut steps = Vec::new();
-            let mut estimates = Vec::new();
-            let mut prefix = base_layout.clone();
-            let mut ok = true;
-            for &target in &ordering {
-                match (
-                    descriptors_for_extension(q, &prefix, target),
-                    catalogue.extension_estimate(q, &prefix, target),
-                ) {
-                    (Some(spec), Some(est)) => {
-                        // Each candidate ordering binds targets at different times, so the
-                        // pushed-down predicates are recomputed against this ordering's own
-                        // prefix.
-                        steps.push(ExtendStage::new(
-                            spec.descriptors,
-                            spec.target_label,
-                            crate::pipeline::extension_preds(q, &prefix, target),
-                            options,
-                        ));
-                        estimates.push(StepEstimate {
-                            sizes: est.avg_list_sizes,
-                            mu: est.mu,
-                        });
-                        prefix.push(target);
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
+            _ => {
+                pipeline.stages.extend_from_slice(run);
                 continue;
             }
-            let canonical_to_candidate: Vec<usize> = canonical_targets
-                .iter()
-                .map(|ct| {
-                    ordering
-                        .iter()
-                        .position(|t| t == ct)
-                        .expect("same target set")
-                })
-                .collect();
-            candidates.push(AdaptiveCandidate {
-                steps,
-                estimates,
-                canonical_to_candidate,
-            });
-        }
-        if candidates.is_empty() {
-            // Fall back to the fixed stages if no ordering is executable (should not happen).
-            for k in i..j {
-                new_stages.push(fixed.stages[k].clone());
-            }
-        } else {
-            new_stages.push(Stage::Adaptive(AdaptiveStage {
-                chosen: vec![0; candidates.len()],
-                candidates,
-                counters: OpCounters::default(),
-                timed: options.profile,
-            }));
-        }
-        i = j;
+        };
+        pipeline.stages.push(Stage::Adaptive(stage));
     }
+    pipeline
+}
 
-    CompiledPipeline {
-        scan: fixed.scan,
-        stages: new_stages,
-        out_layout: fixed.out_layout,
+/// The adaptive stage for the chain of `len` E/I operators whose top is plan node `top`
+/// (pre-order id `id`): one candidate per ordering of the chain's targets that keeps every
+/// prefix connected — the fixed plan's own ordering among them, so there is always one.
+fn adaptive_stage(
+    q: &QueryGraph,
+    top: &PlanNode,
+    id: usize,
+    len: usize,
+    catalogue: &Catalogue,
+    options: &ExecOptions,
+) -> AdaptiveStage {
+    // The chain's targets in the fixed plan's (canonical) order, bottom first, and the layout
+    // the chain extends.
+    let mut targets = Vec::with_capacity(len);
+    let mut below = top;
+    for _ in 0..len {
+        let PlanNode::Extend(n) = below else {
+            unreachable!("an adaptive chain is made of E/I nodes")
+        };
+        targets.push(n.target_vertex);
+        below = &n.child;
+    }
+    targets.reverse();
+    let base = below.out();
+    let candidate = |order: Vec<usize>| {
+        let mut steps = Vec::new();
+        let mut estimates = Vec::new();
+        let mut prefix = base.to_vec();
+        for &target in &order {
+            let spec = descriptors_for_extension(q, &prefix, target)?;
+            let est = catalogue.extension_estimate(q, &prefix, target)?;
+            // Each candidate ordering binds targets at different times, so the pushed-down
+            // predicates are recomputed against this ordering's own prefix.
+            steps.push(ExtendStage::new(
+                id,
+                spec.descriptors,
+                spec.target_label,
+                crate::pipeline::extension_preds(q, &prefix, target),
+                options,
+            ));
+            estimates.push(StepEstimate {
+                sizes: est.avg_list_sizes,
+                mu: est.mu,
+            });
+            prefix.push(target);
+        }
+        let canonical_to_candidate = (targets.iter())
+            .map(|t| order.iter().position(|o| o == t).expect("same target set"))
+            .collect();
+        Some(AdaptiveCandidate {
+            order,
+            steps,
+            estimates,
+            canonical_to_candidate,
+        })
+    };
+    let (base_set, target_set) = (set_of(base), set_of(base) | set_of(&targets));
+    let candidates: Vec<AdaptiveCandidate> =
+        graphflow_query::qvo::orderings_extending(q, base_set, target_set)
+            .into_iter()
+            .filter_map(candidate)
+            .collect();
+    AdaptiveStage {
+        id,
+        chosen: vec![0; candidates.len()],
+        candidates,
+        counters: OpCounters::default(),
+        timed: options.profile,
     }
 }
 
@@ -423,7 +380,7 @@ mod tests {
         let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
         assert_eq!(pipeline.stages.len(), 1);
         match &pipeline.stages[0] {
-            Stage::Adaptive(a) => assert_eq!(a.num_candidates(), 2),
+            Stage::Adaptive(a) => assert_eq!(a.candidates.len(), 2),
             _ => panic!("expected an adaptive stage"),
         }
     }

@@ -34,8 +34,8 @@
 
 use crate::adaptive::compile_adaptive;
 use crate::pipeline::{
-    assemble_profile, compile, run_extend_candidates, run_stages, CompiledPipeline, ExecOptions,
-    ExecOutput, ExtendStage, ScanStage, Stage,
+    compile, run_extend_candidates, run_stages, CompiledPipeline, ExecOptions, ExecOutput,
+    ExtendStage, ScanStage, Stage,
 };
 use crate::sink::{CountingSink, MatchSink, PartialSink};
 use crate::stats::RuntimeStats;
@@ -113,7 +113,7 @@ pub fn execute_with_sink<G: GraphView>(
     // Hash-join build sides are materialised here, once, on the calling thread.
     let mut pipeline = match adaptive {
         Some(catalogue) => compile_adaptive(graph, q, &plan.root, catalogue, &options),
-        None => compile(graph, q, &plan.root, &options),
+        None => compile(graph, q, &plan.root, 0, &options),
     };
     // The limit is claimed slot by slot in the driver; the bulk-count fast path delivers no
     // tuples to claim slots for, so it stands down under a limit.
@@ -130,10 +130,7 @@ pub fn execute_with_sink<G: GraphView>(
         threads.max(1),
         sink,
     );
-    pipeline.fold_into(&mut stats);
-    if options.profile {
-        stats.profile = Some(Box::new(assemble_profile(&pipeline)));
-    }
+    pipeline.fold_into(&mut stats, options.profile);
     stats.elapsed = start.elapsed();
     stats
 }
@@ -635,31 +632,43 @@ mod tests {
         }
     }
 
-    /// The operator tree of a profiled run sums to the run's totals — the contract
-    /// `tests/observability.rs` checks on complete runs, here for runs that end early.
-    fn assert_tree_sums_to_totals(label: &str, stats: &RuntimeStats) {
-        let tree = stats
-            .profile
-            .as_ref()
-            .expect("profiled run attaches a tree");
-        assert_eq!(tree.total_icost(), stats.icost, "{label}: i-cost");
+    /// The per-node records of a profiled run, candidate steps included, sum to the run's
+    /// totals — the contract `tests/observability.rs` checks on complete runs, here for runs
+    /// that end early.
+    fn assert_profile_sums_to_totals(label: &str, stats: &RuntimeStats) {
+        assert!(
+            !stats.profile.is_empty(),
+            "{label}: profiled run files records"
+        );
+        let sum = |pick: fn(&crate::OpCounters) -> u64| -> u64 {
+            (stats.profile.iter())
+                .flat_map(|n| {
+                    [&n.counters]
+                        .into_iter()
+                        .chain(n.candidates.iter().flat_map(|c| &c.steps))
+                })
+                .map(pick)
+                .sum()
+        };
+        assert_eq!(sum(|c| c.icost), stats.icost, "{label}: i-cost");
         assert_eq!(
-            tree.total_intermediate_tuples(),
+            sum(|c| c.tuples_out),
             stats.intermediate_tuples,
             "{label}: intermediate tuples"
         );
-        assert_eq!(tree.total_outputs(), stats.output_count, "{label}: outputs");
-        assert_eq!(tree.total_cache_hits(), stats.cache_hits, "{label}: hits");
+        assert_eq!(sum(|c| c.outputs), stats.output_count, "{label}: outputs");
+        assert_eq!(sum(|c| c.cache_hits), stats.cache_hits, "{label}: hits");
         assert_eq!(
-            tree.total_cache_misses(),
+            sum(|c| c.cache_misses),
             stats.cache_misses,
             "{label}: misses"
         );
     }
 
-    /// What must not depend on `ExecOptions::profile`: everything but the tree and the clock.
+    /// What must not depend on `ExecOptions::profile`: everything but the records and the
+    /// clock.
     fn counters_of(mut stats: RuntimeStats) -> RuntimeStats {
-        stats.profile = None;
+        stats.profile = Vec::new();
         stats.elapsed = std::time::Duration::ZERO;
         stats
     }
@@ -794,9 +803,9 @@ mod tests {
                 stats
             };
             // Tuples buffered behind the decline (the `Batched` path at several workers) come
-            // off the emitting operator, so the operator tree still sums to the totals.
+            // off the emitting operator, so the per-node records still sum to the totals.
             let (off, on) = (run(false), run(true));
-            assert_tree_sums_to_totals(&format!("{threads} threads"), &on);
+            assert_profile_sums_to_totals(&format!("{threads} threads"), &on);
             if threads == 1 {
                 // One worker does the same work every time.
                 assert_eq!(counters_of(on), counters_of(off));
@@ -872,7 +881,7 @@ mod tests {
                         stats
                     };
                     let (off, on) = (run(false), run(true));
-                    assert_tree_sums_to_totals(&label, &on);
+                    assert_profile_sums_to_totals(&label, &on);
                     // Several workers racing towards a mid-run cancel split the work
                     // differently every time; every other case repeats exactly.
                     if threads == 1 || cancel_after != Some(40) {

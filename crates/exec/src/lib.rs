@@ -53,7 +53,7 @@ pub use agg::{AggregatingSink, ProjectingSink, Row, RowSpec, RowStreamSink, Valu
 pub use cancel::{CancellationToken, Interrupt, INTERRUPT_CHECK_INTERVAL};
 pub use driver::{execute, execute_with_sink};
 pub use pipeline::{ExecOptions, ExecOutput};
-pub use profile::{CandidateProfile, OpCounters, OpKind, OpProfile};
+pub use profile::{CandidateProfile, OpCounters, OpProfile};
 pub use sink::{CallbackSink, CollectingSink, CountingSink, LimitSink, MatchSink, PartialSink};
 pub use stats::RuntimeStats;
 

@@ -8,14 +8,14 @@
 //! ever materialised outside of hash tables — the same discipline as the paper's
 //! Volcano-style engine.
 
-use crate::profile::{CandidateProfile, OpCounters, OpKind, OpProfile};
+use crate::profile::{CandidateProfile, OpCounters, OpProfile};
 use crate::sink::MatchSink;
 use crate::stats::RuntimeStats;
 use graphflow_graph::{
     multiway_intersect_views_counted, EdgeLabel, GraphView, KernelCounters, NbrList, PropValue,
     VertexId, VertexLabel,
 };
-use graphflow_plan::plan::PlanNode;
+use graphflow_plan::plan::{HashJoinNode, PlanNode};
 use graphflow_query::extension::AdjListDescriptor;
 use graphflow_query::querygraph::singleton;
 use graphflow_query::{CmpOp, PredTarget, QueryEdge, QueryGraph};
@@ -153,11 +153,11 @@ pub struct ExecOptions {
     /// the join table, not the output). `RuntimeStats::bulk_counted_extensions` counts the
     /// shortcut firing.
     pub count_tail: bool,
-    /// Return the per-operator profile ([`OpProfile`]) through [`RuntimeStats::profile`]:
-    /// the operators' own counters (i-cost, tuples in/out, cache hits/misses, predicate
-    /// evals/drops, delta merges — kept on every run, `RuntimeStats` is their sum) assembled
-    /// into the plan's operator tree, plus operator self-times. Off by default; turning it on
-    /// adds the clock readings and the tree, and changes no counter.
+    /// Return the per-operator profile through [`RuntimeStats::profile`]: the operators' own
+    /// counters (i-cost, tuples in/out, cache hits/misses, predicate evals/drops, delta merges
+    /// — kept on every run, `RuntimeStats` is their sum) filed as one [`OpProfile`] per plan
+    /// node, indexed by the node's pre-order id, plus operator self-times. Off by default;
+    /// turning it on adds the clock readings and the records, and changes no counter.
     pub profile: bool,
 }
 
@@ -208,6 +208,8 @@ impl JoinTable {
 /// The driver scan of a pipeline.
 #[derive(Debug, Clone)]
 pub(crate) struct ScanStage {
+    /// Pre-order id of the plan node this stage runs.
+    pub id: usize,
     pub edge: QueryEdge,
     /// Source and destination vertex labels required by the query.
     pub src_label: VertexLabel,
@@ -287,6 +289,9 @@ impl ScanStage {
 /// An EXTEND/INTERSECT stage.
 #[derive(Debug, Clone)]
 pub(crate) struct ExtendStage {
+    /// Pre-order id of the plan node this stage runs (a candidate step of an adaptive stage
+    /// carries its stage's).
+    pub id: usize,
     pub descriptors: Vec<AdjListDescriptor>,
     pub target_label: VertexLabel,
     /// Predicates on the extension target, applied to every candidate of the extension set.
@@ -311,12 +316,14 @@ pub(crate) struct ExtendStage {
 
 impl ExtendStage {
     pub(crate) fn new(
+        id: usize,
         descriptors: Vec<AdjListDescriptor>,
         target_label: VertexLabel,
         (target_preds, edge_preds): (Vec<CompiledCmp>, Vec<ExtendEdgePred>),
         options: &ExecOptions,
     ) -> Self {
         ExtendStage {
+            id,
             descriptors,
             target_label,
             target_preds,
@@ -421,6 +428,8 @@ impl ExtendStage {
 /// A hash-table probe stage (the probe half of a HASH-JOIN).
 #[derive(Debug, Clone)]
 pub(crate) struct ProbeStage {
+    /// Pre-order id of the HASH-JOIN node this stage runs.
+    pub id: usize,
     pub table: Arc<JoinTable>,
     /// Positions of the join-key query vertices within the incoming tuple.
     pub key_positions: Vec<usize>,
@@ -428,10 +437,18 @@ pub(crate) struct ProbeStage {
     pub(crate) counters: OpCounters,
     /// Read the clock for self-times ([`ExecOptions::profile`]).
     timed: bool,
-    /// Totals of the materialised build side, its operator tree included under
-    /// [`ExecOptions::profile`]. Compile-time state every worker's pipeline clone shares
-    /// unchanged, so it is folded once, from worker 0's pipeline.
-    pub(crate) build: RuntimeStats,
+    /// The books of the build side that filled `table`. Compile-time state every worker's
+    /// pipeline clone shares unchanged, so it is folded once, from worker 0's pipeline.
+    pub(crate) build: Arc<BuildSide>,
+}
+
+/// What materialising a hash-join build side counted: the pipeline that filled the table (its
+/// operators keep their counters, under the build subtree's plan-node ids) and the drive's own
+/// stats (build tuples, stop flags).
+#[derive(Debug)]
+pub(crate) struct BuildSide {
+    pipeline: CompiledPipeline,
+    stats: RuntimeStats,
 }
 
 /// One pipeline stage.
@@ -451,12 +468,14 @@ pub(crate) struct CompiledPipeline {
     pub out_layout: Vec<usize>,
 }
 
-/// Compile a plan into a pipeline, materialising every hash-join build side along the way
-/// (each probe stage keeps its build side's totals).
+/// Compile a plan (sub)tree whose root has pre-order id `id` into a pipeline, stamping every
+/// stage with the id of the plan node it runs and materialising every hash-join build side
+/// along the way (each probe stage keeps its build side's books).
 pub(crate) fn compile<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     node: &PlanNode,
+    mut id: usize,
     options: &ExecOptions,
 ) -> CompiledPipeline {
     let mut stages_top_down: Vec<Stage> = Vec::new();
@@ -465,15 +484,17 @@ pub(crate) fn compile<G: GraphView>(
         match current {
             PlanNode::Extend(n) => {
                 stages_top_down.push(Stage::Extend(ExtendStage::new(
+                    id,
                     n.descriptors.clone(),
                     n.target_label,
                     extension_preds(q, n.child.out(), n.target_vertex),
                     options,
                 )));
                 current = &n.child;
+                id += 1;
             }
             PlanNode::HashJoin(n) => {
-                let (table, build) = materialize(graph, q, &n.build, &n.probe, options);
+                let (table, build) = materialize(graph, q, n, id + 1, options);
                 let key_positions: Vec<usize> = n
                     .key_vertices
                     .iter()
@@ -486,12 +507,14 @@ pub(crate) fn compile<G: GraphView>(
                     })
                     .collect();
                 stages_top_down.push(Stage::Probe(ProbeStage {
+                    id,
                     table: Arc::new(table),
                     key_positions,
                     counters: OpCounters::default(),
                     timed: options.profile,
-                    build,
+                    build: Arc::new(build),
                 }));
+                id += 1 + n.build.num_operators();
                 current = &n.probe;
             }
             PlanNode::Scan(n) => {
@@ -539,6 +562,7 @@ pub(crate) fn compile<G: GraphView>(
                     }
                 }
                 let scan = ScanStage {
+                    id,
                     edge: n.edge,
                     src_label: q.vertex(n.edge.src).label,
                     dst_label: q.vertex(n.edge.dst).label,
@@ -574,16 +598,16 @@ impl MatchSink for TableBuilder {
     }
 }
 
-/// Execute the build side of a hash join and materialise it into a [`JoinTable`]. The second
-/// return value is the build side's totals (with its operator tree under
-/// [`ExecOptions::profile`]).
+/// Execute the build side of a hash join, whose root has pre-order id `id`, and materialise it
+/// into a [`JoinTable`]; the second return value is what the build counted.
 fn materialize<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
-    build: &PlanNode,
-    probe: &PlanNode,
+    join: &HashJoinNode,
+    id: usize,
     options: &ExecOptions,
-) -> (JoinTable, RuntimeStats) {
+) -> (JoinTable, BuildSide) {
+    let (build, probe) = (&*join.build, &*join.probe);
     let in_set = |set: u32, v: usize| set & singleton(v) != 0;
     // The driver delivers build tuples in query-vertex order, so key and payload columns are
     // addressed by query vertex. Key = vertices shared with the probe side, in probe layout
@@ -608,8 +632,8 @@ fn materialize<G: GraphView>(
     // tuple must reach the table. A tripped interrupt leaves the table incomplete; its flag
     // rides up in the totals, so the facade surfaces the run as cancelled/timed out instead
     // of returning partial counts (the probe pipeline's own check stops the rest).
-    let mut pipeline = compile(graph, q, build, options);
-    let mut totals = crate::driver::drive(
+    let mut pipeline = compile(graph, q, build, id, options);
+    let mut stats = crate::driver::drive(
         &mut pipeline,
         graph,
         q.num_vertices(),
@@ -621,13 +645,9 @@ fn materialize<G: GraphView>(
     // Build-side results are hash-table entries, not query results: the build root books them
     // as intermediates, and they are the build tuples.
     let root = pipeline.emitter_mut();
-    totals.hash_build_tuples = std::mem::take(&mut root.outputs);
-    root.tuples_out += totals.hash_build_tuples;
-    pipeline.fold_into(&mut totals);
-    if options.profile {
-        totals.profile = Some(Box::new(assemble_profile(&pipeline)));
-    }
-    (builder.table, totals)
+    stats.hash_build_tuples = std::mem::take(&mut root.outputs);
+    root.tuples_out += stats.hash_build_tuples;
+    (builder.table, BuildSide { pipeline, stats })
 }
 
 /// Recursive depth-first evaluation of the stage pipeline. Returns `false` to stop.
@@ -766,101 +786,6 @@ impl ExtendStage {
     }
 }
 
-/// Assemble a pipeline's per-stage counters into the [`OpProfile`] tree mirroring the plan's
-/// operator tree. Times become self-times here: every non-scan operator timed only its own
-/// work while the scan timed the whole drive, so the scan's time is reduced by the downstream
-/// stages' total.
-pub(crate) fn assemble_profile(pipeline: &CompiledPipeline) -> OpProfile {
-    let mut stage_time = 0u64;
-    for s in &pipeline.stages {
-        match s {
-            Stage::Extend(e) => stage_time += e.counters.time_ns,
-            Stage::Probe(p) => stage_time += p.counters.time_ns,
-            Stage::Adaptive(a) => {
-                stage_time += a.counters.time_ns;
-                for cand in &a.candidates {
-                    for step in &cand.steps {
-                        stage_time += step.counters.time_ns;
-                    }
-                }
-            }
-        }
-    }
-    let mut scan_counters = pipeline.scan.counters.clone();
-    scan_counters.time_ns = scan_counters.time_ns.saturating_sub(stage_time);
-    let mut node = OpProfile {
-        kind: OpKind::Scan {
-            src: pipeline.scan.edge.src,
-            dst: pipeline.scan.edge.dst,
-        },
-        counters: scan_counters,
-        candidates: Vec::new(),
-        children: Vec::new(),
-    };
-    let layout = &pipeline.out_layout;
-    let mut pos = 2usize;
-    for s in &pipeline.stages {
-        match s {
-            Stage::Extend(e) => {
-                let target = layout[pos];
-                pos += 1;
-                node = OpProfile {
-                    kind: OpKind::Extend { target },
-                    counters: e.counters.clone(),
-                    candidates: Vec::new(),
-                    children: vec![node],
-                };
-            }
-            Stage::Probe(p) => {
-                let width = p.table.payload_width;
-                let appended = layout[pos..pos + width].to_vec();
-                pos += width;
-                let mut children = vec![node];
-                if let Some(bp) = &p.build.profile {
-                    children.push((**bp).clone());
-                }
-                node = OpProfile {
-                    kind: OpKind::HashJoin { appended },
-                    counters: p.counters.clone(),
-                    candidates: Vec::new(),
-                    children,
-                };
-            }
-            Stage::Adaptive(a) => {
-                let span = a.candidates.first().map(|c| c.steps.len()).unwrap_or(0);
-                let targets = layout[pos..pos + span].to_vec();
-                pos += span;
-                let candidates = a
-                    .candidates
-                    .iter()
-                    .zip(&a.chosen)
-                    .map(|(cand, &chosen)| {
-                        // `canonical_to_candidate[i]` is the candidate position of the vertex
-                        // the fixed plan binds at canonical position `i`; invert it to list
-                        // the candidate's own binding order.
-                        let mut order = vec![0usize; span];
-                        for (canon_i, &cand_pos) in cand.canonical_to_candidate.iter().enumerate() {
-                            order[cand_pos] = targets[canon_i];
-                        }
-                        CandidateProfile {
-                            order,
-                            chosen,
-                            steps: cand.steps.iter().map(|st| st.counters.clone()).collect(),
-                        }
-                    })
-                    .collect();
-                node = OpProfile {
-                    kind: OpKind::Adaptive { targets },
-                    counters: a.counters.clone(),
-                    candidates,
-                    children: vec![node],
-                };
-            }
-        }
-    }
-    node
-}
-
 impl CompiledPipeline {
     /// Switch the operator that emits result tuples to bulk counting
     /// ([`ExecOptions::count_tail`]) where it is an E/I extension — a fixed stage, or the final
@@ -905,8 +830,11 @@ impl CompiledPipeline {
     }
 
     /// Add what this pipeline's operators (and the build sides behind its probes) counted to
-    /// `stats`: the only place operator work becomes [`RuntimeStats`].
-    pub(crate) fn fold_into(&self, stats: &mut RuntimeStats) {
+    /// `stats`: the only place operator work becomes [`RuntimeStats`]. Under `profile` the same
+    /// fold files each stage's counters under its plan node's id in `stats.profile`, as
+    /// self-times: every other stage timed only its own work while the scan timed the whole
+    /// drive, so the scan's time is reduced by theirs.
+    pub(crate) fn fold_into(&self, stats: &mut RuntimeStats, profile: bool) {
         fn add(stats: &mut RuntimeStats, c: &OpCounters) {
             stats.icost += c.icost;
             stats.intermediate_tuples += c.tuples_out;
@@ -926,22 +854,57 @@ impl CompiledPipeline {
                 stats.bulk_counted_extensions += e.counters.tuples_in;
             }
         }
-        add(stats, &self.scan.counters);
+        fn record<'s>(stats: &'s mut RuntimeStats, id: usize, c: &OpCounters) -> &'s mut OpProfile {
+            if stats.profile.len() <= id {
+                stats.profile.resize_with(id + 1, OpProfile::default);
+            }
+            stats.profile[id].counters = c.clone();
+            &mut stats.profile[id]
+        }
+        let mut stage_time = 0;
         for s in &self.stages {
-            match s {
-                Stage::Extend(e) => add_extend(stats, e),
+            let (id, counters) = match s {
+                Stage::Extend(e) => {
+                    add_extend(stats, e);
+                    (e.id, &e.counters)
+                }
                 Stage::Probe(p) => {
                     add(stats, &p.counters);
                     stats.hash_probe_tuples += p.counters.tuples_in;
-                    stats.merge(&p.build);
+                    stats.merge(&p.build.stats);
+                    p.build.pipeline.fold_into(stats, profile);
+                    (p.id, &p.counters)
                 }
                 Stage::Adaptive(a) => {
                     add(stats, &a.counters);
                     for step in a.candidates.iter().flat_map(|c| &c.steps) {
                         add_extend(stats, step);
                     }
+                    (a.id, &a.counters)
                 }
+            };
+            if !profile {
+                continue;
             }
+            stage_time += counters.time_ns;
+            let node = record(stats, id, counters);
+            if let Stage::Adaptive(a) = s {
+                node.candidates = (a.candidates.iter().zip(&a.chosen))
+                    .map(|(cand, &chosen)| CandidateProfile {
+                        order: cand.order.clone(),
+                        chosen,
+                        steps: cand.steps.iter().map(|st| st.counters.clone()).collect(),
+                    })
+                    .collect();
+                stage_time += (node.candidates.iter().flat_map(|c| &c.steps))
+                    .map(|st| st.time_ns)
+                    .sum::<u64>();
+            }
+        }
+        add(stats, &self.scan.counters);
+        if profile {
+            let scan = &mut record(stats, self.scan.id, &self.scan.counters).counters;
+            scan.time_ns = scan.time_ns.saturating_sub(stage_time);
         }
     }
 }

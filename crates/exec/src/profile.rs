@@ -1,4 +1,4 @@
-//! Per-operator counters and the per-query profile tree.
+//! Per-operator counters and the per-query profile record.
 //!
 //! Every compiled pipeline stage carries an [`OpCounters`] and the executors count each unit of
 //! work once, on the operator that did it — i-cost (Equation 1 of the paper), intermediate
@@ -6,19 +6,22 @@
 //! [`RuntimeStats`](crate::RuntimeStats) counters are the sum of those, taken by one fold over
 //! the pipeline after the join barrier, so the per-operator numbers add up to the run's totals
 //! by construction. [`ExecOptions::profile`](crate::ExecOptions::profile) adds what costs
-//! something: operator self-times, and the stages assembled into an [`OpProfile`] tree mirroring
-//! the plan's operator tree (available through `RuntimeStats::profile`), which the facade layer
-//! renders for `PROFILE` queries. The counters are the same with it on or off.
+//! something: operator self-times, and the same fold filing every stage's counters as an
+//! [`OpProfile`] under the plan node it ran (`RuntimeStats::profile`, indexed by the node's
+//! pre-order id — see [`PlanNode::children`](graphflow_plan::PlanNode::children)). The plan
+//! stays the only operator tree: the facade layer renders `PROFILE` in one walk of it, reading
+//! each node's record by id. The counters are the same with profiling on or off.
 //!
 //! Attribution rules:
 //!
-//! * **One ledger.** Hash-join build sides count on their own operators (which appear as the
-//!   build subtree of the HASH-JOIN node) and adaptive candidates on theirs (per-candidate
-//!   step counters plus a routing histogram). `tuples_out` sums to `intermediate_tuples` and
-//!   `outputs` to `output_count` (COUNT(*) bulk adds included); a build side's result tuples
-//!   are hash-table entries, so its root books them as `tuples_out`. Two totals are read off
-//!   `tuples_in`: probes performed (`hash_probe_tuples`) and, on a bulk-counting final E/I,
-//!   `bulk_counted_extensions`.
+//! * **One ledger.** Hash-join build sides count on their own operators (the nodes of the
+//!   build subtree) and adaptive candidates on theirs (per-candidate step counters plus a
+//!   routing histogram); an adaptive stage's record sits under the top E/I of the chain it
+//!   replaced, and the chain's other nodes keep empty records. `tuples_out` sums to
+//!   `intermediate_tuples` and `outputs` to `output_count` (COUNT(*) bulk adds included); a
+//!   build side's result tuples are hash-table entries, so its root books them as
+//!   `tuples_out`. Two totals are read off `tuples_in`: probes performed
+//!   (`hash_probe_tuples`) and, on a bulk-counting final E/I, `bulk_counted_extensions`.
 //! * **Times are self-times.** An E/I operator's time is the time spent computing (or
 //!   cache-reusing) its extension sets; a probe's is its hash lookups; the SCAN absorbs the
 //!   remaining drive time of the pipeline, so the SCAN time approximates the whole run. Times
@@ -96,36 +99,6 @@ impl OpCounters {
     }
 }
 
-/// What kind of operator a profile node describes. Query-vertex indices refer to the plan's
-/// own query graph (the facade maps them to variable names).
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpKind {
-    /// The driver SCAN, binding query vertices `src` and `dst`.
-    Scan {
-        /// Query vertex bound to the scanned edge's source.
-        src: usize,
-        /// Query vertex bound to the scanned edge's destination.
-        dst: usize,
-    },
-    /// An EXTEND/INTERSECT, binding query vertex `target`.
-    Extend {
-        /// The query vertex this extension binds.
-        target: usize,
-    },
-    /// A hash-table probe (the probe half of a HASH-JOIN); `appended` lists the build-only
-    /// query vertices the probe appends.
-    HashJoin {
-        /// Query vertices appended from the build side's payload.
-        appended: Vec<usize>,
-    },
-    /// An adaptive stage covering a chain of E/I operators; `targets` lists the query vertices
-    /// bound by the chain in the fixed plan's (canonical) order.
-    Adaptive {
-        /// The query vertices bound by the replaced E/I chain, in canonical order.
-        targets: Vec<usize>,
-    },
-}
-
 /// Profile of one candidate ordering of an adaptive stage (paper Section 6): how many tuples
 /// were routed to it and what its extension steps did.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,144 +122,31 @@ impl CandidateProfile {
     }
 }
 
-/// One node of the assembled per-operator profile tree. The tree mirrors the plan's operator
-/// tree: `children[0]` is the upstream (pipeline) operator; a HASH-JOIN node additionally
-/// carries the build subtree as `children[1]`.
-#[derive(Debug, Clone, PartialEq)]
+/// What one plan node did: the record `RuntimeStats::profile` keeps per pre-order id.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpProfile {
-    /// The operator this node describes.
-    pub kind: OpKind,
-    /// This operator's own counters.
+    /// The operator's own counters (times are self-times).
     pub counters: OpCounters,
-    /// Adaptive stages only: one profile per candidate ordering.
+    /// The adaptive stage filed under this node only: one profile per candidate ordering.
     pub candidates: Vec<CandidateProfile>,
-    /// Upstream operator first; HASH-JOIN nodes append the build subtree root.
-    pub children: Vec<OpProfile>,
-}
-
-impl OpProfile {
-    /// Visit every counter accumulator in the subtree (own, candidate steps, children).
-    pub fn fold(&self, f: &mut dyn FnMut(&OpCounters)) {
-        f(&self.counters);
-        for c in &self.candidates {
-            for s in &c.steps {
-                f(s);
-            }
-        }
-        for ch in &self.children {
-            ch.fold(f);
-        }
-    }
-
-    fn sum(&self, pick: &dyn Fn(&OpCounters) -> u64) -> u64 {
-        let mut acc = 0u64;
-        self.fold(&mut |c| acc += pick(c));
-        acc
-    }
-
-    /// Total i-cost over the tree; equals `RuntimeStats::icost` exactly.
-    pub fn total_icost(&self) -> u64 {
-        self.sum(&|c| c.icost)
-    }
-
-    /// Total intermediate tuples over the tree; equals `RuntimeStats::intermediate_tuples`.
-    pub fn total_intermediate_tuples(&self) -> u64 {
-        self.sum(&|c| c.tuples_out)
-    }
-
-    /// Total result tuples over the tree; equals `RuntimeStats::output_count`.
-    pub fn total_outputs(&self) -> u64 {
-        self.sum(&|c| c.outputs)
-    }
-
-    /// Total intersection-cache hits over the tree; equals `RuntimeStats::cache_hits`.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.sum(&|c| c.cache_hits)
-    }
-
-    /// Total intersection-cache misses over the tree; equals `RuntimeStats::cache_misses`.
-    pub fn total_cache_misses(&self) -> u64 {
-        self.sum(&|c| c.cache_misses)
-    }
-
-    /// Total overlay-served neighbour lists over the tree; equals `RuntimeStats::delta_merges`.
-    pub fn total_delta_merges(&self) -> u64 {
-        self.sum(&|c| c.delta_merges)
-    }
-
-    /// Total predicate evaluations over the tree; equals `RuntimeStats::predicate_evals`.
-    pub fn total_predicate_evals(&self) -> u64 {
-        self.sum(&|c| c.predicate_evals)
-    }
-
-    /// Total predicate drops over the tree; equals `RuntimeStats::predicate_drops`.
-    pub fn total_predicate_drops(&self) -> u64 {
-        self.sum(&|c| c.predicate_drops)
-    }
-
-    /// Total merge-kernel intersections over the tree; equals `RuntimeStats::kernel_merge`.
-    pub fn total_kernel_merge(&self) -> u64 {
-        self.sum(&|c| c.kernel_merge)
-    }
-
-    /// Total gallop-kernel intersections over the tree; equals `RuntimeStats::kernel_gallop`.
-    pub fn total_kernel_gallop(&self) -> u64 {
-        self.sum(&|c| c.kernel_gallop)
-    }
-
-    /// Total block-kernel intersections over the tree; equals `RuntimeStats::kernel_block`.
-    pub fn total_kernel_block(&self) -> u64 {
-        self.sum(&|c| c.kernel_block)
-    }
-
-    /// Number of operator nodes in the tree (adaptive stages count as one).
-    pub fn num_operators(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(|c| c.num_operators())
-            .sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn counters(icost: u64, tuples_out: u64, outputs: u64) -> OpCounters {
-        OpCounters {
-            icost,
-            tuples_out,
-            outputs,
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn totals_fold_over_children_and_candidates() {
-        let scan = OpProfile {
-            kind: OpKind::Scan { src: 0, dst: 1 },
-            counters: counters(0, 10, 0),
-            candidates: vec![],
-            children: vec![],
+    fn candidate_counters_merge_their_steps() {
+        let step = |icost| OpCounters {
+            icost,
+            ..Default::default()
         };
-        let adaptive = OpProfile {
-            kind: OpKind::Adaptive {
-                targets: vec![2, 3],
-            },
-            counters: counters(0, 4, 7),
-            candidates: vec![CandidateProfile {
-                order: vec![2, 3],
-                chosen: 10,
-                steps: vec![counters(100, 4, 0), counters(50, 0, 0)],
-            }],
-            children: vec![scan],
+        let cand = CandidateProfile {
+            order: vec![2, 3],
+            chosen: 10,
+            steps: vec![step(100), step(50)],
         };
-        assert_eq!(adaptive.total_icost(), 150);
-        assert_eq!(adaptive.total_intermediate_tuples(), 18);
-        assert_eq!(adaptive.total_outputs(), 7);
-        assert_eq!(adaptive.num_operators(), 2);
-        assert_eq!(adaptive.candidates[0].counters().icost, 150);
+        assert_eq!(cand.counters().icost, 150);
     }
 
     #[test]

@@ -65,18 +65,19 @@ pub struct RuntimeStats {
     pub timed_out: bool,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// The per-operator counters the totals above were summed from, assembled into the plan's
-    /// operator tree with operator self-times (see [`OpProfile`](crate::profile::OpProfile)).
-    /// Present only when the run was executed with
-    /// [`ExecOptions::profile`](crate::ExecOptions::profile) set; the counters above are the
-    /// same either way.
-    pub profile: Option<Box<crate::profile::OpProfile>>,
+    /// The per-operator counters the totals above were summed from, with operator self-times:
+    /// one [`OpProfile`](crate::profile::OpProfile) per plan node, indexed by the node's
+    /// pre-order id ([`PlanNode::children`](graphflow_plan::PlanNode::children)), so
+    /// `profile[0]` is the root's. Filled only when the run was executed with
+    /// [`ExecOptions::profile`](crate::ExecOptions::profile) set (empty otherwise); the
+    /// counters above are the same either way.
+    pub profile: Vec<crate::profile::OpProfile>,
 }
 
 impl RuntimeStats {
     /// Merge another stats object into this one (used when combining the stats of several
-    /// runs, or a hash-join build side's into its run's). Operator trees are not merged: this
-    /// one keeps its own.
+    /// runs, or a hash-join build side's into its run's). Per-node records are not merged:
+    /// this one keeps its own.
     pub fn merge(&mut self, other: &RuntimeStats) {
         self.icost += other.icost;
         self.intermediate_tuples += other.intermediate_tuples;

@@ -183,13 +183,81 @@ impl PlanNode {
         set_of(self.out())
     }
 
+    /// This node's inputs, in the order reports list them: an E/I's child; a HASH-JOIN's build
+    /// side, then its probe side.
+    ///
+    /// The order also numbers the nodes of a plan: a node's **pre-order id** is its position
+    /// in a walk that visits a node and then its inputs in this order, so the root is 0, an
+    /// E/I's child is its id + 1, and a HASH-JOIN's probe side starts after the whole build
+    /// side. The executor stamps every compiled stage with the id of the node it runs, and
+    /// `PROFILE` reads each node's counters back by the same id.
+    pub fn children(&self) -> Vec<&PlanNode> {
+        match self {
+            PlanNode::Scan(_) => Vec::new(),
+            PlanNode::Extend(n) => vec![&n.child],
+            PlanNode::HashJoin(n) => vec![&n.build, &n.probe],
+        }
+    }
+
+    /// The subtree's nodes indexed by pre-order id (see [`children`](PlanNode::children)).
+    pub fn preorder(&self) -> Vec<&PlanNode> {
+        let mut nodes = vec![self];
+        for child in self.children() {
+            nodes.extend(child.preorder());
+        }
+        nodes
+    }
+
+    /// The operator's one-line label in `q`'s vertex names, as `EXPLAIN`, `PROFILE` and
+    /// [`Plan::explain`] print it. `chain` is the number of consecutive E/I operators, from
+    /// this one down, that run as one operator: 1 for every fixed operator; more for an
+    /// adaptive stage, which is labelled with the vertices it binds (bottom first).
+    pub fn label(&self, q: &QueryGraph, chain: usize) -> String {
+        let name = |v: usize| q.vertex(v).name.as_str();
+        match self {
+            PlanNode::Scan(n) => format!(
+                "SCAN ({})->({}) [label {}]",
+                name(n.edge.src),
+                name(n.edge.dst),
+                n.edge.label.0
+            ),
+            PlanNode::Extend(n) => {
+                let (kind, binds) = if chain > 1 {
+                    let mut targets = Vec::with_capacity(chain);
+                    let mut node = self;
+                    for _ in 0..chain {
+                        let PlanNode::Extend(e) = node else { break };
+                        targets.push(name(e.target_vertex));
+                        node = &e.child;
+                    }
+                    targets.reverse();
+                    ("ADAPTIVE ", format!("{{{}}}", targets.join(", ")))
+                } else {
+                    let descs: Vec<String> = (n.descriptors.iter())
+                        .map(|d| {
+                            let v = n.child.out()[d.tuple_idx];
+                            format!("{}.{}[{}]", name(v), d.dir, d.edge_label.0)
+                        })
+                        .collect();
+                    let using = descs.join(", ");
+                    ("", format!("{} using {{{using}}}", name(n.target_vertex)))
+                };
+                format!("{kind}EXTEND/INTERSECT -> {binds}")
+            }
+            PlanNode::HashJoin(n) => {
+                let keys: Vec<&str> = n.key_vertices.iter().map(|&v| name(v)).collect();
+                format!("HASH-JOIN on [{}]", keys.join(", "))
+            }
+        }
+    }
+
     /// Number of operators in the subtree.
     pub fn num_operators(&self) -> usize {
-        match self {
-            PlanNode::Scan(_) => 1,
-            PlanNode::Extend(n) => 1 + n.child.num_operators(),
-            PlanNode::HashJoin(n) => 1 + n.build.num_operators() + n.probe.num_operators(),
-        }
+        1 + self
+            .children()
+            .into_iter()
+            .map(Self::num_operators)
+            .sum::<usize>()
     }
 
     /// Whether the subtree contains a HASH-JOIN.
@@ -366,46 +434,18 @@ impl Plan {
     pub fn explain(&self) -> String {
         fn rec(node: &PlanNode, q: &QueryGraph, indent: usize, out: &mut String) {
             let pad = "  ".repeat(indent);
+            out.push_str(&format!("{pad}{}\n", node.label(q, 1)));
             match node {
-                PlanNode::Scan(n) => {
-                    out.push_str(&format!(
-                        "{pad}SCAN ({})->({}) [label {}]\n",
-                        q.vertex(n.edge.src).name,
-                        q.vertex(n.edge.dst).name,
-                        n.edge.label.0
-                    ));
-                }
-                PlanNode::Extend(n) => {
-                    let descs: Vec<String> = n
-                        .descriptors
-                        .iter()
-                        .map(|d| {
-                            format!(
-                                "{}.{}[{}]",
-                                q.vertex(n.child.out()[d.tuple_idx]).name,
-                                d.dir,
-                                d.edge_label.0
-                            )
-                        })
-                        .collect();
-                    out.push_str(&format!(
-                        "{pad}EXTEND/INTERSECT -> {} using {{{}}}\n",
-                        q.vertex(n.target_vertex).name,
-                        descs.join(", ")
-                    ));
-                    rec(&n.child, q, indent + 1, out);
-                }
                 PlanNode::HashJoin(n) => {
-                    let keys: Vec<&str> = n
-                        .key_vertices
-                        .iter()
-                        .map(|&v| q.vertex(v).name.as_str())
-                        .collect();
-                    out.push_str(&format!("{pad}HASH-JOIN on [{}]\n", keys.join(", ")));
                     out.push_str(&format!("{pad}  build:\n"));
                     rec(&n.build, q, indent + 2, out);
                     out.push_str(&format!("{pad}  probe:\n"));
                     rec(&n.probe, q, indent + 2, out);
+                }
+                _ => {
+                    for child in node.children() {
+                        rec(child, q, indent + 1, out);
+                    }
                 }
             }
         }

@@ -87,6 +87,9 @@ struct ServerShared {
     requests_total: AtomicU64,
     /// Raised by `POST /shutdown`; the CLI blocks on it.
     shutdown_requested: (std::sync::Mutex<bool>, std::sync::Condvar),
+    /// The cap on a request's `threads`: the machine's available parallelism, read once at
+    /// start (each read costs syscalls and cgroup file reads).
+    max_threads: usize,
 }
 
 impl ServerShared {
@@ -138,6 +141,7 @@ impl Server {
             connections_total: AtomicU64::new(0),
             requests_total: AtomicU64::new(0),
             shutdown_requested: (std::sync::Mutex::new(false), std::sync::Condvar::new()),
+            max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         });
         // Bounded hand-off: when every worker is busy and the backlog fills, the accept
         // thread blocks and the kernel's listen queue absorbs the rest.
@@ -433,13 +437,17 @@ fn error_status(e: &Error) -> u16 {
 
 /// Build [`QueryOptions`] from the request's `options` object: `threads`, `timeout_ms`,
 /// `limit`, `adaptive`. Unknown members are ignored.
-fn options_from_json(body: &Json, config: &ServerConfig) -> QueryOptions {
+///
+/// `threads` is a cap, clamped to `1..=` the machine's available parallelism: the executor
+/// spawns one thread per worker, so an unbounded value would let one request exhaust the
+/// process's threads or memory.
+fn options_from_json(body: &Json, shared: &ServerShared) -> QueryOptions {
     let mut options = QueryOptions::new();
-    if let Some(timeout) = config.default_timeout {
+    if let Some(timeout) = shared.config.default_timeout {
         options = options.timeout(timeout);
     }
     if let Some(threads) = body.get("threads").and_then(Json::as_i64) {
-        options = options.threads(threads.max(1) as usize);
+        options = options.threads(threads.clamp(1, shared.max_threads as i64) as usize);
     }
     if let Some(ms) = body.get("timeout_ms").and_then(Json::as_i64) {
         if ms > 0 {
@@ -499,7 +507,7 @@ fn handle_query(
     let tenant = guard.tenant().clone();
     let token = CancellationToken::new();
     let _active = shared.register_query(token.clone());
-    let options = options_from_json(&body, &shared.config).cancel_token(token.clone());
+    let options = options_from_json(&body, shared).cancel_token(token.clone());
     let stream_requested = body
         .get("stream")
         .and_then(|j| j.as_bool())

@@ -73,18 +73,13 @@ pub fn parse_update(json: &Json) -> Result<Update, String> {
 }
 
 /// Decode a JSON scalar into a typed [`PropValue`]: booleans and strings map directly;
-/// numbers become [`PropValue::Int`] when integral, [`PropValue::Float`] otherwise.
+/// numbers become [`PropValue::Int`] when they are exact `i64`s ([`Json::as_i64`]),
+/// [`PropValue::Float`] otherwise.
 pub fn parse_prop_value(json: &Json) -> Result<PropValue, String> {
     match json {
         Json::Bool(b) => Ok(PropValue::Bool(*b)),
         Json::Str(s) => Ok(PropValue::Str(s.as_str().into())),
-        Json::Num(x) => {
-            if x.fract() == 0.0 && x.abs() <= i64::MAX as f64 {
-                Ok(PropValue::Int(*x as i64))
-            } else {
-                Ok(PropValue::Float(*x))
-            }
-        }
+        Json::Num(x) => Ok(json.as_i64().map_or(PropValue::Float(*x), PropValue::Int)),
         _ => Err("property value must be a boolean, number or string".to_string()),
     }
 }
@@ -154,6 +149,12 @@ mod tests {
         assert_eq!(
             parse_prop_value(&Json::Num(3.5)).unwrap(),
             PropValue::Float(3.5)
+        );
+        // 2^63 has no exact i64: it stays a float instead of saturating to i64::MAX.
+        let too_big = Json::parse("9223372036854775808").unwrap();
+        assert_eq!(
+            parse_prop_value(&too_big).unwrap(),
+            PropValue::Float(9_223_372_036_854_775_808.0)
         );
     }
 }

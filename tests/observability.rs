@@ -2,7 +2,7 @@
 //! setting and snapshot state, profiling-off purity, the db-wide metrics registry under concurrent
 //! readers and writers, Prometheus text rendering, and the slow-query log.
 
-use graphflow_core::{GraphflowDB, QueryOptions, RuntimeStats, SLOW_LOG_CAPACITY};
+use graphflow_core::{GraphflowDB, OpCounters, QueryOptions, RuntimeStats, SLOW_LOG_CAPACITY};
 use graphflow_graph::{EdgeLabel, GraphBuilder};
 use graphflow_plan::plan::{Plan, PlanNode};
 use graphflow_plan::wco::wco_node_for_ordering;
@@ -20,61 +20,67 @@ fn small_db() -> GraphflowDB {
     GraphflowDB::from_graph(b.build())
 }
 
-/// The exactness contract: every per-operator counter sums back to the run's totals.
+/// The exactness contract: every per-node counter, adaptive candidate steps included, sums
+/// back to the run's totals.
 fn assert_profile_exact(label: &str, stats: &RuntimeStats) {
-    let prof = stats
-        .profile
-        .as_ref()
-        .unwrap_or_else(|| panic!("{label}: profiled run must attach an operator tree"));
-    assert_eq!(prof.total_icost(), stats.icost, "{label}: i-cost");
+    assert!(
+        !stats.profile.is_empty(),
+        "{label}: profiled run must file per-node records"
+    );
+    let sum = |pick: fn(&OpCounters) -> u64| -> u64 {
+        (stats.profile.iter())
+            .flat_map(|node| {
+                let steps = node.candidates.iter().flat_map(|c| &c.steps);
+                [&node.counters].into_iter().chain(steps)
+            })
+            .map(pick)
+            .sum()
+    };
+    assert_eq!(sum(|c| c.icost), stats.icost, "{label}: i-cost");
     assert_eq!(
-        prof.total_intermediate_tuples(),
+        sum(|c| c.tuples_out),
         stats.intermediate_tuples,
         "{label}: intermediate tuples"
     );
-    assert_eq!(prof.total_outputs(), stats.output_count, "{label}: outputs");
+    assert_eq!(sum(|c| c.outputs), stats.output_count, "{label}: outputs");
     assert_eq!(
-        prof.total_cache_hits(),
+        sum(|c| c.cache_hits),
         stats.cache_hits,
         "{label}: cache hits"
     );
     assert_eq!(
-        prof.total_cache_misses(),
+        sum(|c| c.cache_misses),
         stats.cache_misses,
         "{label}: cache misses"
     );
     assert_eq!(
-        prof.total_delta_merges(),
+        sum(|c| c.delta_merges),
         stats.delta_merges,
         "{label}: delta merges"
     );
     assert_eq!(
-        prof.total_kernel_merge(),
+        sum(|c| c.kernel_merge),
         stats.kernel_merge,
         "{label}: merge-kernel calls"
     );
     assert_eq!(
-        prof.total_kernel_gallop(),
+        sum(|c| c.kernel_gallop),
         stats.kernel_gallop,
         "{label}: gallop-kernel calls"
     );
     assert_eq!(
-        prof.total_kernel_block(),
+        sum(|c| c.kernel_block),
         stats.kernel_block,
         "{label}: block-kernel calls"
     );
     // Adaptive stages: every routed tuple is tallied on exactly one candidate, on whichever
     // worker routed it.
-    let mut nodes = vec![&**prof];
-    while let Some(node) = nodes.pop() {
-        if !node.candidates.is_empty() {
-            assert_eq!(
-                node.candidates.iter().map(|c| c.chosen).sum::<u64>(),
-                node.counters.tuples_in,
-                "{label}: adaptive routing tallies"
-            );
-        }
-        nodes.extend(&node.children);
+    for node in stats.profile.iter().filter(|n| !n.candidates.is_empty()) {
+        assert_eq!(
+            node.candidates.iter().map(|c| c.chosen).sum::<u64>(),
+            node.counters.tuples_in,
+            "{label}: adaptive routing tallies"
+        );
     }
 }
 
@@ -101,8 +107,8 @@ fn executor_options() -> [(&'static str, QueryOptions); 4] {
 
 // --- profiler exactness -----------------------------------------------------------------
 
-/// The acceptance-criteria test: under every executor setting, the per-operator tree of a profiled run
-/// sums *exactly* to the run's `RuntimeStats` totals — on the frozen snapshot and again on a
+/// The acceptance-criteria test: under every executor setting, the per-node records of a
+/// profiled run sum *exactly* to the run's `RuntimeStats` totals — on the frozen snapshot and again on a
 /// dirty snapshot with uncompacted delta edges.
 #[test]
 fn profiler_totals_are_exact_on_all_executors_and_snapshots() {
@@ -126,7 +132,7 @@ fn profiler_totals_are_exact_on_all_executors_and_snapshots() {
     }
 
     // Limited runs: tuples produced past the limit (by any worker) are deducted from the
-    // operator that emitted them, so the tree still sums to the exact, limited total.
+    // operator that emitted them, so the records still sum to the exact, limited total.
     const LIMIT: u64 = 25;
     let hybrid = figure_1c_plan();
     for (name, options) in executor_options() {
@@ -140,8 +146,8 @@ fn profiler_totals_are_exact_on_all_executors_and_snapshots() {
     }
 }
 
-/// Exactness also holds for hybrid plans: the HASH-JOIN node carries the build subtree, and
-/// build-side work still sums into the totals.
+/// Exactness also holds for hybrid plans: every node of the build subtree has its own record,
+/// and build-side work still sums into the totals.
 #[test]
 fn profiler_is_exact_on_hybrid_hash_join_plans() {
     let db = small_db();
@@ -152,16 +158,20 @@ fn profiler_is_exact_on_hybrid_hash_join_plans() {
     ] {
         let r = db.run_plan(&plan, options.profile(true)).unwrap();
         assert_profile_exact(&format!("{name}/hybrid"), &r.stats);
-        let prof = r.stats.profile.as_ref().unwrap();
         assert_eq!(
-            prof.children.len(),
-            2,
-            "{name}: a HASH-JOIN profile node carries probe and build subtrees"
+            r.stats.profile.len(),
+            plan.root.num_operators(),
+            "{name}: one record per plan node, build and probe subtrees included"
+        );
+        let build_scan = &r.stats.profile[2].counters;
+        assert!(
+            build_scan.tuples_out > 0,
+            "{name}: the build side's SCAN (pre-order id 2) counted its own work"
         );
     }
 }
 
-/// With `profile: false` (the default) the run leaves no trace: no operator tree, and every
+/// With `profile: false` (the default) the run leaves no trace: no per-node records, and every
 /// deterministic counter identical to a profiled run of the same plan.
 #[test]
 fn profiling_off_leaves_stats_identical() {
@@ -170,11 +180,11 @@ fn profiling_off_leaves_stats_identical() {
     for (name, options) in executor_options() {
         let off = prepared.run(options.clone()).unwrap().stats;
         let on = prepared.run(options.profile(true)).unwrap().stats;
-        assert!(off.profile.is_none(), "{name}: profiling is opt-in");
-        // Strip the fields that legitimately differ (wall time, the tree itself): everything
-        // else must be byte-identical.
+        assert!(off.profile.is_empty(), "{name}: profiling is opt-in");
+        // Strip the fields that legitimately differ (wall time, the records themselves):
+        // everything else must be byte-identical.
         let mut on_cmp = on.clone();
-        on_cmp.profile = None;
+        on_cmp.profile = Vec::new();
         on_cmp.elapsed = Duration::ZERO;
         let mut off_cmp = off.clone();
         off_cmp.elapsed = Duration::ZERO;

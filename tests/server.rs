@@ -647,3 +647,87 @@ fn wire_options_map_onto_query_options() {
 
     server.shutdown().unwrap();
 }
+
+/// `threads` is capped at the machine's cores: a request asking for a million workers is
+/// answered like any other, without asking the OS for a million threads, and the server keeps
+/// serving.
+#[test]
+fn absurd_thread_counts_are_capped_not_spawned() {
+    let (server, addr, _db) = start_server(complete_dag(30), ServerConfig::default());
+    let query = "(a)->(b), (b)->(c) RETURN COUNT(*)";
+    let (status, serial) = post_query(addr, &format!("{{\"query\":\"{query}\"}}"), &[]);
+    assert_eq!(status, 200, "body: {serial}");
+    let (status, capped) = post_query(
+        addr,
+        &format!("{{\"query\":\"{query}\",\"threads\":1000000}}"),
+        &[],
+    );
+    assert_eq!(status, 200, "body: {capped}");
+    // C(30, 3) open wedges, as the one-worker run counted them.
+    assert!(capped.contains("\"rows\":[[4060]]"), "body: {capped}");
+    assert!(serial.contains("\"rows\":[[4060]]"), "body: {serial}");
+
+    let health = request(addr, "GET", "/healthz", &[], b"").unwrap();
+    assert_eq!(health.status, 200);
+
+    server.shutdown().unwrap();
+}
+
+/// `PROFILE` over the wire: one `plan` column whose rows carry the actuals of every operator,
+/// a hybrid plan's `HASH-JOIN` with its `build:` and `probe:` inputs. `PROFILE` is not a
+/// streamable projection, so asking for a stream takes the buffered path and answers the same
+/// body (up to the measured times).
+#[test]
+fn profile_answers_over_the_wire_buffered_even_when_streaming_is_asked() {
+    // On the skewed Epinions profile the optimizer joins diamond-X's two triangles (the
+    // paper's Figure 1c plan).
+    let graph = graphflow_rs::datasets::Dataset::Epinions.generate(0.3);
+    let db = GraphflowDB::from_graph((*graph).clone());
+    let q4 = "(a)->(b), (a)->(c), (b)->(c), (b)->(d), (c)->(d)";
+    let (server, addr, db) = start_server(db, ServerConfig::default());
+    assert_eq!(
+        db.plan_class(q4).unwrap(),
+        graphflow_rs::plan::PlanClass::Hybrid,
+        "the test needs a hybrid plan"
+    );
+    let mask = |body: &str| {
+        let json = graphflow_rs::core::json::Json::parse(body).expect("response is JSON");
+        let rows: Vec<String> = (json.get("rows").and_then(|r| r.as_array()))
+            .expect("rows")
+            .iter()
+            .map(|row| row.as_array().unwrap()[0].as_str().unwrap().to_string())
+            .map(|line| match line.split_once("time ") {
+                Some((head, tail)) => format!("{head}{}", tail.split_once("ms").unwrap().1),
+                None => line,
+            })
+            .collect();
+        (json.get("columns").cloned(), rows)
+    };
+    let (status, buffered) = post_query(addr, &format!("{{\"query\":\"PROFILE {q4}\"}}"), &[]);
+    assert_eq!(status, 200, "body: {buffered}");
+    let (columns, rows) = mask(&buffered);
+    assert_eq!(
+        columns,
+        Some(graphflow_rs::core::json::Json::Arr(vec![
+            graphflow_rs::core::json::Json::Str("plan".into())
+        ]))
+    );
+    assert!(rows.iter().any(|l| l.contains("actual rows")), "{rows:#?}");
+    assert!(rows.iter().any(|l| l.starts_with("HASH-JOIN")), "{rows:#?}");
+    assert!(rows.iter().any(|l| l.trim() == "build:"), "{rows:#?}");
+    assert!(rows.iter().any(|l| l.trim() == "probe:"), "{rows:#?}");
+
+    let resp = request(
+        addr,
+        "POST",
+        "/query",
+        &[],
+        format!("{{\"query\":\"PROFILE {q4}\",\"stream\":true}}").as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("content-type"), Some("application/json"));
+    assert_eq!(mask(&resp.text()), mask(&buffered));
+
+    server.shutdown().unwrap();
+}
