@@ -8,6 +8,7 @@
 //! NaN/infinity).
 
 use graphflow_graph::PropValue;
+use std::fmt::Write;
 
 /// Append `s` to `out` with JSON string escaping applied — no surrounding quotes, so callers
 /// can splice escaped fragments into larger literals.
@@ -64,14 +65,19 @@ pub fn fmt_f64_fixed(x: f64) -> String {
 }
 
 /// Append one result cell to `out`: `null` for a missing value, a bare number for ints and
-/// finite floats, `true`/`false` for booleans, a quoted escaped literal for strings.
+/// finite floats, `true`/`false` for booleans, a quoted escaped literal for strings. Numbers
+/// are formatted straight into `out`, floats in the form [`fmt_f64`] gives.
 pub fn write_value(out: &mut String, value: &Option<PropValue>) {
+    // Formatting into a `String` cannot fail, so the `fmt::Result`s below carry nothing.
     match value {
         None => out.push_str("null"),
         Some(PropValue::Int(n)) => {
-            out.push_str(&n.to_string());
+            let _ = write!(out, "{n}");
         }
-        Some(PropValue::Float(x)) => out.push_str(&fmt_f64(*x)),
+        Some(PropValue::Float(x)) if x.is_finite() => {
+            let _ = write!(out, "{x}");
+        }
+        Some(PropValue::Float(_)) => out.push_str("null"),
         Some(PropValue::Bool(b)) => out.push_str(if *b { "true" } else { "false" }),
         Some(PropValue::Str(s)) => {
             out.push('"');
@@ -474,6 +480,49 @@ mod tests {
         out.push(',');
         write_value(&mut out, &Some(PropValue::Str("a\"b".into())));
         assert_eq!(out, "null,-7,true,\"a\\\"b\"");
+    }
+
+    /// Numbers written in place read exactly as the `to_string()` / [`fmt_f64`] temporaries
+    /// they replace.
+    #[test]
+    fn numbers_are_written_in_place_with_the_same_bytes() {
+        let ints = [i64::MIN, -1, 0, 7, 1 << 53, i64::MAX];
+        let floats = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            0.1,
+            1e21,
+            1e-7,
+            5e-324,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let cells = ints
+            .iter()
+            .map(|&n| (PropValue::Int(n), n.to_string()))
+            .chain(floats.iter().map(|&x| (PropValue::Float(x), fmt_f64(x))));
+        for (value, expected) in cells {
+            let mut out = String::from("[");
+            write_value(&mut out, &Some(value.clone()));
+            assert_eq!(out, format!("[{expected}"), "{value:?}");
+        }
+        let written = |value: PropValue| {
+            let mut out = String::new();
+            write_value(&mut out, &Some(value));
+            out
+        };
+        assert_eq!(written(PropValue::Int(i64::MIN)), "-9223372036854775808");
+        assert_eq!(written(PropValue::Float(-0.0)), "-0");
+        assert_eq!(written(PropValue::Float(1e21)), "1000000000000000000000");
+        assert_eq!(written(PropValue::Float(5e-324)).len(), 326);
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(written(PropValue::Float(x)), "null");
+        }
     }
 
     #[test]

@@ -561,23 +561,27 @@ impl PreparedQuery {
         self.row_spec().is_streamable()
     }
 
-    /// Execute, delivering each projected [`Row`] of the `RETURN` clause
+    /// Execute, lending each projected [`Row`] of the `RETURN` clause
     /// to `emit` the moment its match is found — constant memory no matter how many rows
     /// there are. `emit` returns `false` to stop early; `LIMIT` is honoured. The whole run
     /// pins one snapshot, so rows and their property values are mutually consistent.
+    ///
+    /// The row is borrowed for the call only: every match is evaluated into the same
+    /// buffer, so clone the row to keep it.
     ///
     /// Errors with [`Error::InvalidOptions`] when the clause is
     /// [not streamable](PreparedQuery::is_streamable_projection).
     pub fn stream_rows<F>(&self, options: QueryOptions, emit: F) -> Result<RuntimeStats, Error>
     where
-        F: FnMut(Row) -> bool + Send,
+        F: FnMut(&Row) -> bool + Send,
     {
         self.stream_rows_on(&self.db.snapshot(), options, emit)
     }
 
     /// [`stream_rows`](PreparedQuery::stream_rows) against an explicit, caller-pinned snapshot
     /// epoch — a streaming server names the epoch in its response head before the first row
-    /// exists, so it must pin first and run on what it pinned.
+    /// exists, so it must pin first and run on what it pinned. As there, `emit` borrows each
+    /// row for the call only; clone it to keep it.
     pub fn stream_rows_on<F>(
         &self,
         snapshot: &Snapshot,
@@ -585,7 +589,7 @@ impl PreparedQuery {
         emit: F,
     ) -> Result<RuntimeStats, Error>
     where
-        F: FnMut(Row) -> bool + Send,
+        F: FnMut(&Row) -> bool + Send,
     {
         let spec = self.row_spec();
         if !spec.is_streamable() {

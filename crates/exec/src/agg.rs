@@ -153,11 +153,10 @@ impl RowSpec {
         self.limit
     }
 
-    fn eval_row<G: GraphView>(&self, tuple: &[VertexId], graph: &G) -> Row {
-        self.items
-            .iter()
-            .map(|i| i.extract.eval(tuple, graph))
-            .collect()
+    /// Evaluate `tuple` into `row`, replacing its contents and keeping its allocation.
+    fn fill_row<G: GraphView>(&self, tuple: &[VertexId], graph: &G, row: &mut Row) {
+        row.clear();
+        row.extend(self.items.iter().map(|i| i.extract.eval(tuple, graph)));
     }
 }
 
@@ -309,7 +308,8 @@ impl<V: GraphView> ProjectingSink<V> {
 
 impl<V: GraphView + Clone + Send + Sync + 'static> MatchSink for ProjectingSink<V> {
     fn on_match(&mut self, tuple: &[VertexId]) -> bool {
-        let row = self.spec.eval_row(tuple, &self.view);
+        let mut row = Row::with_capacity(self.spec.items.len());
+        self.spec.fill_row(tuple, &self.view, &mut row);
         self.fold_row(row)
     }
 
@@ -348,17 +348,23 @@ impl<V: GraphView + Clone + Send + Sync + 'static> PartialSink for ProjectingSin
 /// [streamable](RowSpec::is_streamable) specs; `LIMIT` is honoured by stopping execution at
 /// the bound. Never forks partials: rows must reach the callback in arrival order through one
 /// consumer, so parallel runs funnel matches through the executor's shared-sink path.
-pub struct RowStreamSink<V, F: FnMut(Row) -> bool> {
+///
+/// Every match is evaluated into one reused [`Row`], so a row of numbers costs no heap
+/// allocation. The callback borrows that row for the duration of the call only; clone it to
+/// keep it.
+pub struct RowStreamSink<V, F: FnMut(&Row) -> bool> {
     view: V,
     spec: RowSpec,
     emit: F,
+    /// The row each match is evaluated into before it is lent to `emit`.
+    row: Row,
     /// Rows delivered to the callback so far.
     pub rows_emitted: u64,
 }
 
-impl<V: GraphView, F: FnMut(Row) -> bool> RowStreamSink<V, F> {
+impl<V: GraphView, F: FnMut(&Row) -> bool> RowStreamSink<V, F> {
     /// Build a streaming sink over `view` for a streamable compiled clause; each projected
-    /// row is passed to `emit`, which returns `false` to stop execution early.
+    /// row is lent to `emit`, which returns `false` to stop execution early.
     ///
     /// # Panics
     /// Panics if the spec is not streamable (aggregates, `ORDER BY`, or `DISTINCT`).
@@ -368,6 +374,7 @@ impl<V: GraphView, F: FnMut(Row) -> bool> RowStreamSink<V, F> {
             "RowStreamSink requires a streamable RowSpec"
         );
         RowStreamSink {
+            row: Row::with_capacity(spec.items.len()),
             view,
             spec,
             emit,
@@ -376,16 +383,16 @@ impl<V: GraphView, F: FnMut(Row) -> bool> RowStreamSink<V, F> {
     }
 }
 
-impl<V: GraphView + Send, F: FnMut(Row) -> bool + Send> MatchSink for RowStreamSink<V, F> {
+impl<V: GraphView + Send, F: FnMut(&Row) -> bool + Send> MatchSink for RowStreamSink<V, F> {
     fn on_match(&mut self, tuple: &[VertexId]) -> bool {
         if let Some(limit) = self.spec.limit {
             if self.rows_emitted >= limit as u64 {
                 return false;
             }
         }
-        let row = self.spec.eval_row(tuple, &self.view);
+        self.spec.fill_row(tuple, &self.view, &mut self.row);
         self.rows_emitted += 1;
-        let keep_going = (self.emit)(row);
+        let keep_going = (self.emit)(&self.row);
         match self.spec.limit {
             Some(limit) => keep_going && self.rows_emitted < limit as u64,
             None => keep_going,

@@ -108,10 +108,7 @@ pub fn open_stream(
         .iter()
         .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
     if !chunked {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response is not chunked",
-        ));
+        return Err(invalid_data("response is not chunked".to_string()));
     }
     Ok(StreamingResponse {
         reader,
@@ -151,12 +148,7 @@ fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<(St
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line: {line:?}"),
-            )
-        })?;
+        .ok_or_else(|| invalid_data(format!("bad status line: {line:?}")))?;
     let mut headers = Vec::new();
     loop {
         line.clear();
@@ -191,13 +183,9 @@ fn read_body(
     let content_length = headers
         .iter()
         .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok());
+        .and_then(|(_, v)| v.parse::<u64>().ok());
     match content_length {
-        Some(n) => {
-            let mut body = vec![0u8; n];
-            reader.read_exact(&mut body)?;
-            Ok((body, 1))
-        }
+        Some(n) => Ok((read_exactly(reader, n)?, 1)),
         None => {
             // Connection: close delimits the body.
             let mut body = Vec::new();
@@ -210,21 +198,45 @@ fn read_body(
 /// Read one transfer chunk; `None` on the zero-length terminator (trailing CRLF consumed).
 fn read_chunk(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<Vec<u8>>> {
     let mut size_line = String::new();
-    reader.read_line(&mut size_line)?;
-    let size = usize::from_str_radix(size_line.trim(), 16).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad chunk size: {size_line:?}"),
-        )
-    })?;
+    reader
+        .by_ref()
+        .take(MAX_SIZE_LINE)
+        .read_line(&mut size_line)?;
+    let size = u64::from_str_radix(size_line.trim(), 16)
+        .map_err(|_| invalid_data(format!("bad chunk size: {size_line:?}")))?;
     if size == 0 {
         let mut crlf = String::new();
-        reader.read_line(&mut crlf)?;
+        reader.by_ref().take(MAX_SIZE_LINE).read_line(&mut crlf)?;
         return Ok(None);
     }
-    let mut chunk = vec![0u8; size];
-    reader.read_exact(&mut chunk)?;
+    let chunk = read_exactly(reader, size)?;
     let mut crlf = [0u8; 2];
     reader.read_exact(&mut crlf)?;
+    if &crlf != b"\r\n" {
+        return Err(invalid_data(format!(
+            "chunk of {size} bytes not followed by CRLF but {crlf:?}"
+        )));
+    }
     Ok(Some(chunk))
+}
+
+/// Longest chunk-size line read (a size in hex, extensions, CRLF); a longer one is an error.
+const MAX_SIZE_LINE: u64 = 1024;
+
+/// Exactly `n` bytes, in a buffer that grows only as they arrive: a length named by the peer
+/// is never allocated up front, so a hostile one ends in `UnexpectedEof`, not an abort.
+fn read_exactly(reader: &mut BufReader<TcpStream>, n: u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    reader.by_ref().take(n).read_to_end(&mut bytes)?;
+    if (bytes.len() as u64) < n {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("peer sent {} of {n} announced bytes", bytes.len()),
+        ));
+    }
+    Ok(bytes)
+}
+
+fn invalid_data(message: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, message)
 }

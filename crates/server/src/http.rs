@@ -252,27 +252,40 @@ pub fn write_response(
     stream.flush()
 }
 
+/// Head-room kept at the front of a [`ChunkedWriter`]'s buffer for a chunk-size line: up to
+/// 16 hex digits and its CRLF.
+const SIZE_LINE_ROOM: usize = 18;
+
 /// A chunked-transfer-encoding response body: bytes accumulate in a bounded buffer and are
-/// flushed to the socket as one HTTP chunk whenever the buffer crosses its threshold — so a
+/// flushed to `W` as one HTTP chunk whenever the buffer crosses its threshold — so a
 /// hundred-million-row result streams through a fixed-size buffer instead of materialising.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
+///
+/// Every chunk leaves in one `write_all`: the buffer keeps room for the size line in front of
+/// the payload, the size line is written into it and the closing CRLF after the payload.
+/// On a `TCP_NODELAY` socket each write is a segment and a wake-up of the client.
+pub struct ChunkedWriter<W: Write> {
+    stream: W,
+    /// `SIZE_LINE_ROOM` bytes of head-room, then the payload not yet sent.
     buf: Vec<u8>,
     threshold: usize,
-    /// Chunks written to the socket so far.
+    /// Chunks written so far.
     pub chunks_written: u64,
+    /// Payload bytes written so far (chunk framing excluded).
+    pub bytes_written: u64,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    /// Write the response head (with `Transfer-Encoding: chunked`) and return the body
-    /// writer. `threshold` is the buffer size that triggers a chunk flush.
+impl<W: Write> ChunkedWriter<W> {
+    /// Write the response head (with `Transfer-Encoding: chunked`) together with `first`,
+    /// the first body bytes, as one chunk in the same write, and return the body writer.
+    /// `threshold` is the buffer size that triggers a chunk flush.
     pub fn start(
-        stream: &'a mut TcpStream,
+        mut stream: W,
         status: u16,
         content_type: &str,
         extra: &[(&str, String)],
         keep_alive: bool,
         threshold: usize,
+        first: &[u8],
     ) -> std::io::Result<Self> {
         let mut head = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\n",
@@ -289,43 +302,60 @@ impl<'a> ChunkedWriter<'a> {
         } else {
             "Connection: close\r\n\r\n"
         });
-        stream.write_all(head.as_bytes())?;
+        let mut out = head.into_bytes();
+        if !first.is_empty() {
+            write!(out, "{:x}\r\n", first.len())?;
+            out.extend_from_slice(first);
+            out.extend_from_slice(b"\r\n");
+        }
+        stream.write_all(&out)?;
+        let mut buf = Vec::with_capacity(SIZE_LINE_ROOM + threshold + 1024);
+        buf.resize(SIZE_LINE_ROOM, 0);
         Ok(ChunkedWriter {
             stream,
-            buf: Vec::with_capacity(threshold + 1024),
+            buf,
             threshold: threshold.max(1),
-            chunks_written: 0,
+            chunks_written: u64::from(!first.is_empty()),
+            bytes_written: first.len() as u64,
         })
     }
 
     /// Append body bytes, flushing a chunk when the buffer crosses the threshold.
     pub fn write(&mut self, data: &[u8]) -> std::io::Result<()> {
         self.buf.extend_from_slice(data);
-        if self.buf.len() >= self.threshold {
+        if self.buf.len() - SIZE_LINE_ROOM >= self.threshold {
             self.flush_chunk()?;
         }
         Ok(())
     }
 
-    /// Force the buffered bytes out as one chunk (no-op on an empty buffer).
+    /// Force the buffered bytes out as one chunk, in one write (no-op on an empty buffer).
     pub fn flush_chunk(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
+        let len = self.buf.len() - SIZE_LINE_ROOM;
+        if len == 0 {
             return Ok(());
         }
-        write!(self.stream, "{:x}\r\n", self.buf.len())?;
-        self.stream.write_all(&self.buf)?;
-        self.stream.write_all(b"\r\n")?;
-        self.buf.clear();
+        let mut size_line = [0u8; SIZE_LINE_ROOM];
+        let mut rest = &mut size_line[..];
+        write!(rest, "{len:x}\r\n")?;
+        // The size line fills the last `SIZE_LINE_ROOM - start` bytes of the head-room.
+        let start = rest.len();
+        self.buf[start..SIZE_LINE_ROOM].copy_from_slice(&size_line[..SIZE_LINE_ROOM - start]);
+        self.buf.extend_from_slice(b"\r\n");
+        let sent = self.stream.write_all(&self.buf[start..]);
+        self.buf.truncate(SIZE_LINE_ROOM);
+        sent?;
         self.chunks_written += 1;
+        self.bytes_written += len as u64;
         Ok(())
     }
 
-    /// Flush any remainder and write the zero-length terminator chunk.
-    pub fn finish(mut self) -> std::io::Result<u64> {
+    /// Flush any remainder and write the zero-length terminator chunk. Nothing may be
+    /// written after it.
+    pub fn finish(&mut self) -> std::io::Result<()> {
         self.flush_chunk()?;
         self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()?;
-        Ok(self.chunks_written)
+        self.stream.flush()
     }
 }
 
@@ -483,18 +513,90 @@ mod tests {
         let (mut server_side, _) = listener.accept().unwrap();
         let chunks = {
             let mut w =
-                ChunkedWriter::start(&mut server_side, 200, "text/plain", &[], false, 4).unwrap();
+                ChunkedWriter::start(&mut server_side, 200, "text/plain", &[], false, 4, b"")
+                    .unwrap();
             w.write(b"abcdef").unwrap(); // crosses threshold: one chunk of 6
             w.write(b"xy").unwrap(); // flushed by finish
-            w.finish().unwrap()
+            w.finish().unwrap();
+            (w.chunks_written, w.bytes_written)
         };
         drop(server_side);
-        assert_eq!(chunks, 2);
+        assert_eq!(chunks, (2, 8));
         let mut raw = String::new();
         client.read_to_string(&mut raw).unwrap();
         assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(raw.contains("Transfer-Encoding: chunked"));
         let body = raw.split_once("\r\n\r\n").unwrap().1;
         assert_eq!(body, "6\r\nabcdef\r\n2\r\nxy\r\n0\r\n\r\n");
+    }
+
+    /// A writer that keeps every `write` call apart, so a test can see what left together.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.push(data.to_vec());
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The head and the first body bytes leave in one write; after that every chunk is one
+    /// write of one size line, at most the threshold plus one row of payload, and its CRLF.
+    #[test]
+    fn the_head_carries_the_first_line_and_every_chunk_is_one_write() {
+        const THRESHOLD: usize = 100;
+        let first = b"{\"columns\":[\"a\",\"b\"],\"epoch\":3}\n";
+        let rows: Vec<String> = (0..200).map(|i| format!("[{i},{}]\n", i * 37)).collect();
+        let longest = rows.iter().map(String::len).max().unwrap();
+        let mut writes = Writes::default();
+        let extra = [("X-Graphflow-Epoch", "3".to_string())];
+        let mut w = ChunkedWriter::start(
+            &mut writes,
+            200,
+            "application/x-ndjson",
+            &extra,
+            true,
+            THRESHOLD,
+            first,
+        )
+        .unwrap();
+        for row in &rows {
+            w.write(row.as_bytes()).unwrap();
+        }
+        w.finish().unwrap();
+        let (chunks, bytes) = (w.chunks_written, w.bytes_written);
+
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                    Transfer-Encoding: chunked\r\nX-Graphflow-Epoch: 3\r\n\
+                    Connection: keep-alive\r\n\r\n";
+        let mut expected_first = format!("{head}{:x}\r\n", first.len()).into_bytes();
+        expected_first.extend_from_slice(first);
+        expected_first.extend_from_slice(b"\r\n");
+        assert_eq!(writes.0[0], expected_first);
+        assert_eq!(writes.0.last().unwrap(), b"0\r\n\r\n");
+
+        let mut body = first.to_vec();
+        for write in &writes.0[1..writes.0.len() - 1] {
+            let text = std::str::from_utf8(write).unwrap();
+            let (size, rest) = text.split_once("\r\n").unwrap();
+            let size = usize::from_str_radix(size, 16).unwrap();
+            let payload = rest.strip_suffix("\r\n").expect("chunk ends in CRLF");
+            assert_eq!(payload.len(), size, "size line names the payload");
+            assert!(size <= THRESHOLD + longest, "a {size}-byte chunk");
+            body.extend_from_slice(payload.as_bytes());
+        }
+        let expected: Vec<u8> = first
+            .iter()
+            .copied()
+            .chain(rows.concat().into_bytes())
+            .collect();
+        assert_eq!(body, expected);
+        assert_eq!(chunks, writes.0.len() as u64 - 1);
+        assert_eq!(bytes, expected.len() as u64);
     }
 }

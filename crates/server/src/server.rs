@@ -90,6 +90,18 @@ struct ServerShared {
     /// The cap on a request's `threads`: the machine's available parallelism, read once at
     /// start (each read costs syscalls and cgroup file reads).
     max_threads: usize,
+    stream_totals: StreamTotals,
+}
+
+/// What streamed responses have sent, summed over all of them. Bumped once per response,
+/// when it ends, never per row.
+#[derive(Default)]
+struct StreamTotals {
+    responses: AtomicU64,
+    rows: AtomicU64,
+    chunks: AtomicU64,
+    /// Body bytes, chunk framing excluded.
+    bytes: AtomicU64,
 }
 
 impl ServerShared {
@@ -142,6 +154,7 @@ impl Server {
             requests_total: AtomicU64::new(0),
             shutdown_requested: (std::sync::Mutex::new(false), std::sync::Condvar::new()),
             max_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            stream_totals: StreamTotals::default(),
         });
         // Bounded hand-off: when every worker is busy and the backlog fills, the accept
         // thread blocks and the kernel's listen queue absorbs the rest.
@@ -581,7 +594,8 @@ fn handle_query(
 /// array per row, and a `{"row_count": n, "stats": {...}}` (or `{"error": ...}`) trailer
 /// line. A mid-stream client disconnect (or a write stalled past the write timeout) cancels
 /// the query through its token — the run then finishes as `Cancelled` and shows up in
-/// `Metrics::queries_cancelled`.
+/// `Metrics::queries_cancelled`. What was sent is added to the `/metrics` stream totals
+/// once, when the response ends.
 #[allow(clippy::too_many_arguments)]
 fn stream_query(
     shared: &Arc<ServerShared>,
@@ -593,7 +607,16 @@ fn stream_query(
     epoch_header: &[(&str, String)],
     keep_alive: bool,
 ) -> std::io::Result<(u64, bool)> {
-    let columns = prepared.return_columns();
+    // The column line leaves in the same write as the response head, so the client's first
+    // wake-up finds body bytes to read.
+    let mut header = String::from("{\"columns\":[");
+    for (i, c) in prepared.return_columns().iter().enumerate() {
+        if i > 0 {
+            header.push(',');
+        }
+        header.push_str(&quote(c));
+    }
+    header.push_str(&format!("],\"epoch\":{}}}\n", view.version()));
     let mut writer = ChunkedWriter::start(
         stream,
         200,
@@ -601,16 +624,12 @@ fn stream_query(
         epoch_header,
         keep_alive,
         shared.config.stream_buffer,
+        header.as_bytes(),
     )?;
-    let mut header = String::from("{\"columns\":[");
-    for (i, c) in columns.iter().enumerate() {
-        if i > 0 {
-            header.push(',');
-        }
-        header.push_str(&quote(c));
-    }
-    header.push_str(&format!("],\"epoch\":{}}}\n", view.version()));
-    writer.write(header.as_bytes())?;
+    // From here on this worker is busy until the last row: where the client shares cores
+    // with the server, the bytes just sent would wait in its socket until the worker's time
+    // slice ends. Yield the slice once, now that the client has something to read.
+    std::thread::yield_now();
 
     let mut rows = 0u64;
     let mut client_gone = false;
@@ -644,22 +663,34 @@ fn stream_query(
             }
         }
     });
-    if client_gone {
-        return Ok((rows, false));
-    }
-    let trailer = match &result {
-        Ok(stats) => format!(
-            "{{\"row_count\":{rows},\"stats\":{{\"icost\":{},\"intermediate_tuples\":{},\
-             \"elapsed_ns\":{}}}}}\n",
-            stats.icost,
-            stats.intermediate_tuples,
-            stats.elapsed.as_nanos(),
-        ),
-        Err(e) => format!("{}\n", e.to_json()),
+    let finished = if client_gone {
+        Ok(false)
+    } else {
+        let trailer = match &result {
+            Ok(stats) => format!(
+                "{{\"row_count\":{rows},\"stats\":{{\"icost\":{},\"intermediate_tuples\":{},\
+                 \"elapsed_ns\":{}}}}}\n",
+                stats.icost,
+                stats.intermediate_tuples,
+                stats.elapsed.as_nanos(),
+            ),
+            Err(e) => format!("{}\n", e.to_json()),
+        };
+        writer
+            .write(trailer.as_bytes())
+            .and_then(|()| writer.finish())
+            .map(|()| true)
     };
-    writer.write(trailer.as_bytes())?;
-    writer.finish()?;
-    Ok((rows, true))
+    let totals = &shared.stream_totals;
+    totals.responses.fetch_add(1, Ordering::Relaxed);
+    totals.rows.fetch_add(rows, Ordering::Relaxed);
+    totals
+        .chunks
+        .fetch_add(writer.chunks_written, Ordering::Relaxed);
+    totals
+        .bytes
+        .fetch_add(writer.bytes_written, Ordering::Relaxed);
+    Ok((rows, finished?))
 }
 
 fn handle_txn(
@@ -739,6 +770,31 @@ fn render_metrics(shared: &Arc<ServerShared>) -> String {
          graphflow_server_active_queries {}\n",
         shared.active.lock().len()
     ));
+    let streams = &shared.stream_totals;
+    for (name, help, total) in [
+        (
+            "graphflow_stream_responses_total",
+            "Streamed (NDJSON) query responses.",
+            &streams.responses,
+        ),
+        (
+            "graphflow_stream_rows_total",
+            "Rows sent in streamed responses.",
+            &streams.rows,
+        ),
+        (
+            "graphflow_stream_chunks_total",
+            "Transfer chunks sent in streamed responses.",
+            &streams.chunks,
+        ),
+        (
+            "graphflow_stream_bytes_total",
+            "Body bytes sent in streamed responses, chunk framing excluded.",
+            &streams.bytes,
+        ),
+    ] {
+        counter(&mut out, name, help, total.load(Ordering::Relaxed));
+    }
     let tenants = shared.tenants.all();
     if tenants.is_empty() {
         return out;

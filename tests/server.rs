@@ -16,10 +16,12 @@
 //! * **Graceful shutdown** — `shutdown()` with a query in flight cancels it, drains the
 //!   workers, and leaves the database consistent.
 
-use graphflow_rs::graph::GraphBuilder;
+use graphflow_rs::core::json::Json;
+use graphflow_rs::graph::{EdgeLabel, GraphBuilder, PropValue};
 use graphflow_rs::server::client::{open_stream, request};
-use graphflow_rs::{GraphflowDB, Server, ServerConfig, TenantConfig};
-use std::net::SocketAddr;
+use graphflow_rs::{GraphflowDB, QueryOptions, Server, ServerConfig, TenantConfig};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -730,4 +732,265 @@ fn profile_answers_over_the_wire_buffered_even_when_streaming_is_asked() {
     assert_eq!(mask(&resp.text()), mask(&buffered));
 
     server.shutdown().unwrap();
+}
+
+/// A complete DAG on 12 vertices whose properties cover every kind of value a cell can hold:
+/// ints at both ends of `i64`, integral and fractional floats, bools, strings that need
+/// escaping, and properties some vertices lack (`null`).
+fn every_value_kind() -> GraphflowDB {
+    let ints = [-5, i64::MIN, i64::MAX, 0, 42, -1];
+    let floats = [2.0, 0.25, -1.5, 1e21, 3.0e-5, -0.0];
+    let strings = ["say \"hi\"", "back\\slash", "bell\u{7}", "tab\tnew\nline"];
+    let mut b = GraphBuilder::new();
+    for v in 0..12u32 {
+        let i = v as usize;
+        b.set_vertex_prop(v, "i", PropValue::Int(ints[i % ints.len()]))
+            .unwrap();
+        if v % 3 != 2 {
+            b.set_vertex_prop(v, "f", PropValue::Float(floats[i % floats.len()]))
+                .unwrap();
+        }
+        b.set_vertex_prop(v, "b", PropValue::Bool(v % 2 == 0))
+            .unwrap();
+        if v % 2 == 0 {
+            b.set_vertex_prop(
+                v,
+                "s",
+                PropValue::Str(strings[i / 2 % strings.len()].into()),
+            )
+            .unwrap();
+        }
+        for w in (v + 1)..12 {
+            b.add_edge(v, w);
+            b.set_edge_prop(
+                v,
+                w,
+                EdgeLabel(0),
+                "w",
+                PropValue::Float(f64::from(v * w) / 4.0),
+            )
+            .unwrap();
+        }
+    }
+    GraphflowDB::from_graph(b.build())
+}
+
+/// `Json` for one in-process cell, the way the wire encodes it (non-finite floats are `null`).
+fn cell_json(cell: &Option<PropValue>) -> Json {
+    match cell {
+        None => Json::Null,
+        Some(PropValue::Int(n)) => Json::Num(*n as f64),
+        Some(PropValue::Float(x)) if x.is_finite() => Json::Num(*x),
+        Some(PropValue::Float(_)) => Json::Null,
+        Some(PropValue::Bool(b)) => Json::Bool(*b),
+        Some(PropValue::Str(s)) => Json::Str(s.to_string()),
+    }
+}
+
+fn decode_row(line: &str) -> Vec<Json> {
+    Json::parse(line)
+        .unwrap_or_else(|e| panic!("row {line:?}: {e}"))
+        .as_array()
+        .expect("a row is an array")
+        .to_vec()
+}
+
+fn sorted(mut rows: Vec<Vec<Json>>) -> Vec<Vec<Json>> {
+    rows.sort_by_cached_key(|row| format!("{row:?}"));
+    rows
+}
+
+/// A streamed projection decodes to the rows of the buffered `ResultSet::to_json` body and of
+/// an in-process `stream_rows` run, over every kind of value, at one worker and at several
+/// (whose order is free, so those rows are compared sorted), with and without `LIMIT`. At one
+/// worker the row bytes are the buffered body's, byte for byte.
+#[test]
+fn streamed_rows_equal_buffered_rows_over_the_wire() {
+    let (server, addr, db) = start_server(every_value_kind(), ServerConfig::default());
+    let projection = "(a)-[e]->(b) RETURN a, b, a.i, a.f, a.b, a.s, b.s, b.i, e.w";
+    let all_rows = sorted(
+        db.query(projection)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|row| row.iter().map(cell_json).collect())
+            .collect(),
+    );
+    assert_eq!(all_rows.len(), 66, "C(12, 2) edges");
+    for limit in ["", " LIMIT 10"] {
+        let query = format!("{projection}{limit}");
+        for threads in [1, 4] {
+            let ask = |stream: bool| {
+                let body =
+                    format!("{{\"query\":\"{query}\",\"threads\":{threads},\"stream\":{stream}}}");
+                let resp = request(addr, "POST", "/query", &[], body.as_bytes()).unwrap();
+                assert_eq!(resp.status, 200, "{query}: {}", resp.text());
+                resp.text()
+            };
+            let streamed = ask(true);
+            let lines: Vec<&str> = streamed.lines().collect();
+            assert_eq!(
+                lines[0],
+                "{\"columns\":[\"a\",\"b\",\"a.i\",\"a.f\",\"a.b\",\"a.s\",\"b.s\",\"b.i\",\"e.w\"],\
+                 \"epoch\":0}"
+            );
+            let row_lines = &lines[1..lines.len() - 1];
+            assert_eq!(
+                row_count(lines[lines.len() - 1]),
+                row_lines.len() as u64,
+                "{query}"
+            );
+            let wire: Vec<Vec<Json>> = row_lines.iter().map(|l| decode_row(l)).collect();
+
+            let buffered = ask(false);
+            let buffered_json = Json::parse(&buffered).unwrap();
+            let buffered_rows: Vec<Vec<Json>> = buffered_json
+                .get("rows")
+                .and_then(Json::as_array)
+                .expect("rows")
+                .iter()
+                .map(|row| row.as_array().unwrap().to_vec())
+                .collect();
+
+            let mut in_process = Vec::new();
+            db.prepare(&query)
+                .unwrap()
+                .stream_rows(QueryOptions::new().threads(threads), |row| {
+                    in_process.push(row.iter().map(cell_json).collect::<Vec<_>>());
+                    true
+                })
+                .unwrap();
+
+            if threads == 1 {
+                assert_eq!(wire, buffered_rows, "{query}");
+                assert_eq!(wire, in_process, "{query}");
+                let rows_text = buffered
+                    .split_once("\"rows\":[")
+                    .and_then(|(_, t)| t.rsplit_once("],\"row_count\""))
+                    .map(|(rows, _)| rows)
+                    .expect("rows in the buffered body");
+                assert_eq!(row_lines.join(","), rows_text, "{query}");
+            } else if limit.is_empty() {
+                assert_eq!(sorted(wire.clone()), sorted(buffered_rows), "{query}");
+                assert_eq!(sorted(wire.clone()), sorted(in_process), "{query}");
+                assert_eq!(sorted(wire), all_rows, "{query}");
+            } else {
+                // Which ten rows several workers reach first is not fixed: each answer must
+                // be ten distinct rows of the full result.
+                for rows in [wire, buffered_rows, in_process] {
+                    assert_eq!(rows.len(), 10, "{query}");
+                    let mut rows = sorted(rows);
+                    rows.dedup();
+                    assert_eq!(rows.len(), 10, "{query}: repeated rows");
+                    assert!(rows.iter().all(|r| all_rows.contains(r)), "{query}");
+                }
+            }
+            if limit.is_empty() {
+                for digits in ["-9223372036854775808", "9223372036854775807"] {
+                    assert!(streamed.contains(digits), "{digits} lost its digits");
+                }
+                for escaped in ["\"say \\\"hi\\\"\"", "\"back\\\\slash\"", "\"bell\\u0007\""] {
+                    assert!(streamed.contains(escaped), "{escaped} missing");
+                }
+            }
+        }
+    }
+
+    server.shutdown().unwrap();
+}
+
+/// The value of one un-labelled series in a `/metrics` body.
+fn metric(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} on /metrics"))
+}
+
+/// `/metrics` counts what a stream sent — responses, rows, chunks and body bytes — and those
+/// are what the client read. The column line is a chunk of its own, sent with the head.
+#[test]
+fn stream_counters_match_what_the_client_read() {
+    let (server, addr, _db) = start_server(complete_dag(40), ServerConfig::default());
+    let mut resp = open_stream(
+        addr,
+        "POST",
+        "/query",
+        &[],
+        b"{\"query\":\"(a)->(b), (b)->(c) RETURN a, b, c\",\"stream\":true}",
+    )
+    .expect("open stream");
+    assert_eq!(resp.status, 200);
+    let mut body = resp.next_chunk().unwrap().expect("the column line");
+    assert_eq!(body, b"{\"columns\":[\"a\",\"b\",\"c\"],\"epoch\":0}\n");
+    let mut chunks = 1u64;
+    while let Some(chunk) = resp.next_chunk().unwrap() {
+        body.extend_from_slice(&chunk);
+        chunks += 1;
+    }
+    let text = String::from_utf8(body).unwrap();
+    let rows = row_count(text.lines().last().unwrap());
+    assert_eq!(rows, 9880, "C(40, 3) wedges");
+    assert!(chunks > 2, "{} bytes in {chunks} chunks", text.len());
+
+    // The server bumps the counters after its last write, so they may trail the read by a
+    // moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let metrics = loop {
+        let metrics = request(addr, "GET", "/metrics", &[], b"").unwrap().text();
+        if metric(&metrics, "graphflow_stream_responses_total") == 1 {
+            break metrics;
+        }
+        assert!(Instant::now() < deadline, "the stream was never counted");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert_eq!(metric(&metrics, "graphflow_stream_rows_total"), rows);
+    assert_eq!(metric(&metrics, "graphflow_stream_chunks_total"), chunks);
+    assert_eq!(
+        metric(&metrics, "graphflow_stream_bytes_total"),
+        text.len() as u64
+    );
+
+    server.shutdown().unwrap();
+}
+
+/// A peer that reads one request head, answers with `response` and hangs up.
+fn canned_peer(response: &'static [u8]) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") && socket.read(&mut byte).unwrap() == 1 {
+            head.push(byte[0]);
+        }
+        socket.write_all(response).unwrap();
+    });
+    (addr, peer)
+}
+
+/// The bundled client is total: a length the peer names is never allocated up front, and a
+/// chunk must end in CRLF. Each hostile response is an `Err`, not a panic or an abort.
+#[test]
+fn the_client_rejects_hostile_lengths_and_framing() {
+    for (what, response) in [
+        (
+            "a huge chunk size",
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\nabc"[..],
+        ),
+        (
+            "a huge Content-Length",
+            &b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\nabc"[..],
+        ),
+        (
+            "a chunk not followed by CRLF",
+            &b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabcXY0\r\n\r\n"[..],
+        ),
+    ] {
+        let (addr, peer) = canned_peer(response);
+        let answer = request(addr, "GET", "/", &[], b"");
+        assert!(answer.is_err(), "{what}: {answer:?}");
+        peer.join().unwrap();
+    }
 }
