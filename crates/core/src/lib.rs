@@ -637,6 +637,37 @@ mod tests {
         assert!(fixed.stats.icost > 0);
     }
 
+    /// `stream_rows` takes any `FnMut`, `Send` or not: at several workers its rows still reach
+    /// it on the calling thread, and they are the one-worker rows in another order.
+    #[test]
+    fn stream_rows_feeds_a_closure_that_is_not_send() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let db = db();
+        let prepared = db
+            .prepare("(a)->(b), (b)->(c), (a)->(c) RETURN a, c")
+            .unwrap();
+        let rows_at = |threads: usize| {
+            let rows: Rc<RefCell<Vec<Row>>> = Rc::default();
+            let seen = Rc::clone(&rows);
+            prepared
+                .stream_rows(QueryOptions::new().threads(threads), move |row| {
+                    seen.borrow_mut().push(row.clone());
+                    true
+                })
+                .unwrap();
+            let mut rows = rows.take();
+            rows.sort_unstable();
+            rows
+        };
+        let serial = rows_at(1);
+        assert!(
+            serial.len() > 100,
+            "the graph must have triangles to stream"
+        );
+        assert_eq!(rows_at(4), serial);
+    }
+
     #[test]
     fn explain_mentions_operators() {
         let db = db();

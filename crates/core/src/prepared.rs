@@ -166,7 +166,7 @@ impl GraphflowDB {
         &self,
         pattern: &str,
         options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
+        sink: &mut dyn MatchSink,
     ) -> Result<RuntimeStats, Error> {
         self.prepare(pattern)?.run_with_sink(options, sink)
     }
@@ -312,7 +312,7 @@ impl GraphflowDB {
         plan: &Plan,
         cache_hit: Option<bool>,
         options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
+        sink: &mut dyn MatchSink,
     ) -> Result<RuntimeStats, Error> {
         let metrics = &self.shared.metrics;
         metrics.queries_started.fetch_add(1, Ordering::Relaxed);
@@ -567,13 +567,14 @@ impl PreparedQuery {
     /// pins one snapshot, so rows and their property values are mutually consistent.
     ///
     /// The row is borrowed for the call only: every match is evaluated into the same
-    /// buffer, so clone the row to keep it.
+    /// buffer, so clone the row to keep it. `emit` is called only on the calling thread, at
+    /// any worker count, so it need not be `Send`.
     ///
     /// Errors with [`Error::InvalidOptions`] when the clause is
     /// [not streamable](PreparedQuery::is_streamable_projection).
     pub fn stream_rows<F>(&self, options: QueryOptions, emit: F) -> Result<RuntimeStats, Error>
     where
-        F: FnMut(&Row) -> bool + Send,
+        F: FnMut(&Row) -> bool,
     {
         self.stream_rows_on(&self.db.snapshot(), options, emit)
     }
@@ -589,7 +590,7 @@ impl PreparedQuery {
         emit: F,
     ) -> Result<RuntimeStats, Error>
     where
-        F: FnMut(&Row) -> bool + Send,
+        F: FnMut(&Row) -> bool,
     {
         let spec = self.row_spec();
         if !spec.is_streamable() {
@@ -608,7 +609,7 @@ impl PreparedQuery {
     pub fn run_with_sink(
         &self,
         options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
+        sink: &mut dyn MatchSink,
     ) -> Result<RuntimeStats, Error> {
         self.run_into(&self.db.snapshot(), options, sink)
     }
@@ -618,7 +619,7 @@ impl PreparedQuery {
         &self,
         snapshot: &Snapshot,
         options: QueryOptions,
-        sink: &mut (dyn MatchSink + Send),
+        sink: &mut dyn MatchSink,
     ) -> Result<RuntimeStats, Error> {
         self.db
             .execute(snapshot, &self.plan, Some(self.cache_hit), options, sink)

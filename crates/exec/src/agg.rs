@@ -346,8 +346,8 @@ impl<V: GraphView + Clone + Send + Sync + 'static> PartialSink for ProjectingSin
 /// Forwards each projected row to a callback the moment its match arrives — the O(1)-memory
 /// delivery path behind streamed network responses. Only valid for
 /// [streamable](RowSpec::is_streamable) specs; `LIMIT` is honoured by stopping execution at
-/// the bound. Never forks partials: rows must reach the callback in arrival order through one
-/// consumer, so parallel runs funnel matches through the executor's shared-sink path.
+/// the bound. Never forks partials: rows reach the callback in arrival order through one
+/// consumer, the calling thread, to which parallel workers send their matches.
 ///
 /// Every match is evaluated into one reused [`Row`], so a row of numbers costs no heap
 /// allocation. The callback borrows that row for the duration of the call only; clone it to
@@ -383,7 +383,7 @@ impl<V: GraphView, F: FnMut(&Row) -> bool> RowStreamSink<V, F> {
     }
 }
 
-impl<V: GraphView + Send, F: FnMut(&Row) -> bool + Send> MatchSink for RowStreamSink<V, F> {
+impl<V: GraphView, F: FnMut(&Row) -> bool> MatchSink for RowStreamSink<V, F> {
     fn on_match(&mut self, tuple: &[VertexId]) -> bool {
         if let Some(limit) = self.spec.limit {
             if self.rows_emitted >= limit as u64 {

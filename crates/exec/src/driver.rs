@@ -2,14 +2,13 @@
 //!
 //! Whatever a compiled pipeline holds — fixed E/I stages, adaptive stages (Section 6), hash-join
 //! probes — it is run by `workers` copies of one loop: claim a scan morsel, admit its edges
-//! through `ScanStage::admit`, push every admitted pair through `run_stages`. The calling
-//! thread is worker 0 and runs the compiled pipeline itself; each further worker is a scoped
-//! thread with a clone of it (private intersection caches and counters; hash-join build tables
-//! are shared read-only). Every operator counts its own work in its own stage; at the join
-//! barrier the clones' counters are absorbed position by position, and the run's
-//! [`RuntimeStats`] are one fold over the pipeline. Serial execution is the one-worker case of
-//! the same loop: no thread is spawned, nothing is cloned, and the caller's sink receives every
-//! tuple directly.
+//! through `ScanStage::admit`, push every admitted pair through `run_stages`. Worker 0 runs
+//! the compiled pipeline itself; each further worker runs a clone of it (private intersection
+//! caches and counters; hash-join build tables are shared read-only). Every operator counts its
+//! own work in its own stage; at the join barrier the clones' counters are absorbed position by
+//! position, and the run's [`RuntimeStats`] are one fold over the pipeline. Serial execution is
+//! the one-worker case of the same loop: no thread is spawned, nothing is cloned, and the
+//! caller's sink receives every tuple directly.
 //!
 //! Work is distributed at two levels:
 //!
@@ -29,8 +28,11 @@
 //! producer, so the re-check after observing zero active workers is conclusive).
 //!
 //! Where a worker's result tuples go depends only on the sink and the worker count (see
-//! `WorkerSink`); `output_limit` is enforced through one shared slot counter at any worker
-//! count, so the cut-off is exact.
+//! `WorkerSink`). Worker 0 runs on the calling thread, the others on scoped threads, unless a
+//! sink that needs tuples cannot fork: then every worker is a scoped thread sending batches
+//! over one bounded channel, and the calling thread alone hands them to the sink. No sink is
+//! ever shared between threads. `output_limit` is enforced through one shared slot counter at
+//! any worker count, so the cut-off is exact.
 
 use crate::adaptive::compile_adaptive;
 use crate::pipeline::{
@@ -43,7 +45,9 @@ use graphflow_catalog::Catalogue;
 use graphflow_graph::{EdgeLabel, GraphView, VertexId};
 use graphflow_plan::plan::Plan;
 use std::cell::Cell;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -66,9 +70,9 @@ const HEAVY_SPLIT_MIN: usize = 256;
 /// Candidate count per published segment of a split heavy extension set.
 const HEAVY_SEGMENT: usize = 128;
 
-/// How many tuples a worker accumulates locally before delivering them to a shared,
-/// non-forkable sink in one lock acquisition. Amortises lock contention to ~1/256th of a
-/// per-match mutex while keeping the stop signal reasonably prompt.
+/// How many tuples a worker accumulates before sending them to the calling thread, which
+/// alone feeds a non-forkable sink. Amortises the channel to ~1/256th of a per-match send
+/// while keeping the stop signal reasonably prompt.
 const SINK_BATCH_TUPLES: usize = 256;
 
 /// A second-level morsel: one partial match plus a segment of its already computed (and
@@ -106,7 +110,7 @@ pub fn execute_with_sink<G: GraphView>(
     adaptive: Option<&Catalogue>,
     threads: usize,
     options: ExecOptions,
-    sink: &mut (dyn MatchSink + Send),
+    sink: &mut dyn MatchSink,
 ) -> RuntimeStats {
     let start = Instant::now();
     let q = &plan.query;
@@ -135,28 +139,19 @@ pub fn execute_with_sink<G: GraphView>(
     stats
 }
 
-/// A non-forkable sink shared by several workers. `declined` lives under the same lock as the
-/// sink so that "no tuple arrives after `on_match` returned `false`" holds across workers.
-struct SharedSink<'a> {
-    sink: &'a mut (dyn MatchSink + Send),
-    declined: bool,
-}
-
-/// Where one worker's result tuples go.
+/// Where one worker's result tuples go. Built on the thread that runs the worker, so only
+/// the calling thread ever holds a `Direct` sink.
 enum WorkerSink<'a> {
     /// The sink does not need tuples: the stage loops count them and the total is reported
     /// once through [`MatchSink::on_count`].
     Count,
     /// The only worker hands each tuple straight to the caller's sink.
-    Direct(&'a mut (dyn MatchSink + Send)),
+    Direct(&'a mut dyn MatchSink),
     /// A thread-local twin of a forkable sink, merged back at the join barrier.
     Partial(Box<dyn PartialSink>),
-    /// Several workers, one non-forkable sink: buffer up to `SINK_BATCH_TUPLES` reordered
-    /// tuples, then deliver them under the lock.
-    Batched {
-        sink: &'a Mutex<SharedSink<'a>>,
-        batch: Vec<VertexId>,
-    },
+    /// Several workers, one non-forkable sink: send batches of up to `SINK_BATCH_TUPLES`
+    /// reordered tuples to the calling thread, which hands them to the sink.
+    Channel(SyncSender<Vec<VertexId>>),
 }
 
 /// State shared by every worker of one run.
@@ -183,24 +178,23 @@ struct WorkerResult {
     /// Scheduler-side stats only: heavy splits, and whether an interrupt stopped the worker.
     stats: RuntimeStats,
     partial: Option<Box<dyn PartialSink>>,
-    /// Tuples the stage loops counted but that were never delivered: produced beyond the
-    /// limit, or buffered behind a sink decline or an interrupt.
+    /// Tuples the stage loops counted but that were produced beyond the limit.
     rejected: u64,
 }
 
-/// Run a compiled pipeline to completion on `workers` workers (the calling thread included),
-/// absorbing every worker's operator counters into `pipeline`. Returns the scheduler-side
-/// stats only (heavy splits, cancelled / timed out): the caller adds the operators' with
+/// Run a compiled pipeline to completion on `workers` workers, absorbing every worker's
+/// operator counters into `pipeline`. Returns the scheduler-side stats only (heavy splits,
+/// cancelled / timed out): the caller adds the operators' with
 /// [`CompiledPipeline::fold_into`]. Of `options` only the token and the deadline are read; the
-/// output limit is `limit`.
+/// output limit is `limit`. A result tuple holds `width` vertices, one per query vertex.
 pub(crate) fn drive<G: GraphView>(
     pipeline: &mut CompiledPipeline,
     graph: &G,
-    num_query_vertices: usize,
+    width: usize,
     options: &ExecOptions,
     limit: Option<u64>,
     workers: usize,
-    sink: &mut (dyn MatchSink + Send),
+    sink: &mut dyn MatchSink,
 ) -> RuntimeStats {
     let mut stats = RuntimeStats::default();
     let needs_tuples = sink.needs_tuples();
@@ -216,7 +210,7 @@ pub(crate) fn drive<G: GraphView>(
         // Borrowed straight from the CSR when the scanned label has no pending deltas; merged
         // into an owned, still-sorted vector otherwise. Workers share it read-only either way.
         let scan_edges = graph.scan_edges(pipeline.scan.edge.label);
-        let shared = Shared {
+        let shared = &Shared {
             workers,
             scan_edges: &scan_edges,
             // Aim for MORSELS_PER_WORKER claims per worker, clamped so tiny graphs do not
@@ -230,69 +224,55 @@ pub(crate) fn drive<G: GraphView>(
             heavy: Mutex::new(Vec::new()),
             active: AtomicUsize::new(0),
         };
-        let results = {
-            let shared_sink;
-            let mut sinks: Vec<WorkerSink> = if !needs_tuples {
-                (0..workers).map(|_| WorkerSink::Count).collect()
-            } else if workers == 1 {
-                vec![WorkerSink::Direct(&mut *sink)]
+        // Forkable sinks (aggregation, projection) give every worker an empty twin, so the
+        // per-match path never synchronises; all workers fork or none does.
+        let forks = if needs_tuples && workers > 1 {
+            workers
+        } else {
+            0
+        };
+        let mut twins: Vec<_> = (0..forks).map_while(|_| sink.fork_partial()).collect();
+        let channel = twins.len() < forks;
+        let mut clones: Vec<_> = (1..workers).map(|_| pipeline.clone()).collect();
+        let run = |pipeline: &mut CompiledPipeline, worker_sink| {
+            run_worker(pipeline, graph, width, options, shared, worker_sink)
+        };
+        let (results, undelivered) = std::thread::scope(|scope| {
+            if channel {
+                // Two batches in flight per worker; a full channel blocks its producers.
+                let (tx, rx) = sync_channel(2 * workers);
+                let handles: Vec<_> = (std::iter::once(&mut *pipeline).chain(&mut clones))
+                    .map(|pipeline| {
+                        let tx = tx.clone();
+                        scope.spawn(move || run(pipeline, WorkerSink::Channel(tx)))
+                    })
+                    .collect();
+                drop(tx);
+                let undelivered = consume(rx, sink, width, &shared.stop);
+                (join(handles), undelivered)
             } else {
-                // Forkable sinks (aggregation, projection) give every worker an empty twin, so
-                // the per-match path never synchronises; all workers fork or none does.
-                let partials: Vec<_> = (0..workers).map_while(|_| sink.fork_partial()).collect();
-                if partials.len() == workers {
-                    partials.into_iter().map(WorkerSink::Partial).collect()
-                } else {
-                    shared_sink = Mutex::new(SharedSink {
-                        sink: &mut *sink,
-                        declined: false,
-                    });
-                    (0..workers)
-                        .map(|_| WorkerSink::Batched {
-                            sink: &shared_sink,
-                            batch: Vec::with_capacity(SINK_BATCH_TUPLES * num_query_vertices),
-                        })
-                        .collect()
-                }
-            };
-            let shared = &shared;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sinks
-                    .drain(1..)
-                    .map(|worker_sink| {
-                        let mut clone = pipeline.clone();
+                let handles: Vec<_> = (clones.iter_mut())
+                    .map(|clone| {
+                        let twin = twins.pop();
                         scope.spawn(move || {
-                            let result = run_worker(
-                                &mut clone,
-                                graph,
-                                num_query_vertices,
-                                options,
-                                shared,
-                                worker_sink,
-                            );
-                            (result, clone)
+                            run(clone, twin.map_or(WorkerSink::Count, WorkerSink::Partial))
                         })
                     })
                     .collect();
-                let own_sink = sinks.pop().expect("worker 0 has a sink");
-                let own = run_worker(
-                    pipeline,
-                    graph,
-                    num_query_vertices,
-                    options,
-                    shared,
-                    own_sink,
-                );
-                let mut results = vec![own];
-                for handle in handles {
-                    let (result, clone) = handle.join().expect("worker panicked");
-                    results.push(result);
-                    pipeline.absorb(&clone);
-                }
-                results
-            })
-        };
-        let mut rejected = 0;
+                let own_sink = match twins.pop() {
+                    Some(twin) => WorkerSink::Partial(twin),
+                    None if needs_tuples => WorkerSink::Direct(sink),
+                    None => WorkerSink::Count,
+                };
+                let mut results = vec![run(pipeline, own_sink)];
+                results.extend(join(handles));
+                (results, 0)
+            }
+        });
+        for clone in &clones {
+            pipeline.absorb(clone);
+        }
+        let mut rejected = undelivered;
         for result in results {
             stats.merge(&result.stats);
             rejected += result.rejected;
@@ -310,39 +290,41 @@ pub(crate) fn drive<G: GraphView>(
     stats
 }
 
+/// Join every worker, re-raising a worker's panic with its own payload.
+fn join<T>(handles: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    (handles.into_iter())
+        .map(|handle| handle.join().unwrap_or_else(|e| resume_unwind(e)))
+        .collect()
+}
+
+/// The calling thread's side of a channel run: hand every tuple the workers send to `sink`, in
+/// arrival order, until the sink declines. Then raise `stop` and only count what still arrives
+/// until every worker has hung up. Returns that count.
+fn consume(
+    rx: Receiver<Vec<VertexId>>,
+    sink: &mut dyn MatchSink,
+    width: usize,
+    stop: &AtomicBool,
+) -> u64 {
+    // Tuples from the one the sink declined on, which it saw, onwards.
+    let mut past_decline: u64 = 0;
+    for batch in rx {
+        for tuple in batch.chunks_exact(width) {
+            if past_decline > 0 || !sink.on_match(tuple) {
+                past_decline += 1;
+                stop.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+    past_decline.saturating_sub(1)
+}
+
 /// Scatter a pipeline-layout tuple into query-vertex order.
 #[inline]
 fn reorder(out_layout: &[usize], tuple: &[VertexId], ordered: &mut [VertexId]) {
     for (pos, &qv) in out_layout.iter().enumerate() {
         ordered[qv] = tuple[pos];
     }
-}
-
-/// Deliver a worker's batch to the shared sink; returns `false` once the sink has declined.
-/// `declined` is read and written under the sink lock, so a decline raised by another worker
-/// while this one waited for the lock also suppresses delivery. Undelivered tuples are
-/// counted into `rejected`; the tuple the sink declined *on* was delivered (the sink saw it),
-/// exactly as on the direct path.
-fn deliver_batch(
-    sink: &Mutex<SharedSink<'_>>,
-    batch: &mut Vec<VertexId>,
-    width: usize,
-    rejected: &Cell<u64>,
-) -> bool {
-    let mut guard = sink
-        .lock()
-        .expect("a worker panicked while delivering to the sink");
-    let mut delivered = 0;
-    for tuple in batch.chunks_exact(width) {
-        if guard.declined {
-            break;
-        }
-        delivered += 1;
-        guard.declined = !guard.sink.on_match(tuple);
-    }
-    rejected.set(rejected.get() + (batch.len() / width - delivered) as u64);
-    batch.clear();
-    !guard.declined
 }
 
 /// Wrap a worker's `deliver` step in what every result tuple passes first and last: claiming
@@ -412,6 +394,18 @@ fn publish_heavy_tail(
     shared.heavy_queue().extend(segments);
 }
 
+/// Raises `stop` if its worker panics, so the others end their runs instead of waiting on a
+/// producer that is gone.
+struct StopOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 /// One worker: pick, once, the closure that suits its [`WorkerSink`], run the morsel loop into
 /// it, and hand back what the join barrier needs.
 fn run_worker<G: GraphView>(
@@ -436,6 +430,7 @@ fn run_worker<G: GraphView>(
     // deadline inside are shared, so one cancel() stops every worker.
     let interrupt = options.interrupt();
     let interrupt = interrupt.as_ref();
+    let _stop_on_panic = StopOnPanic(&shared.stop);
     let mut morsels = |on_result: &mut dyn FnMut(&[VertexId]) -> bool| {
         run_morsels(scan, stages, graph, interrupt, shared, on_result)
     };
@@ -455,20 +450,21 @@ fn run_worker<G: GraphView>(
             partial = Some(twin);
             stats
         }
-        WorkerSink::Batched { sink, mut batch } => {
+        WorkerSink::Channel(tx) => {
+            let capacity = SINK_BATCH_TUPLES * width;
+            let mut batch = Vec::with_capacity(capacity);
+            // A failed send means the calling thread is gone (its sink panicked): stop.
             let stats = morsels(&mut gated(shared, rejected, |tuple| {
                 let base = batch.len();
                 batch.resize(base + width, 0);
                 reorder(out_layout, tuple, &mut batch[base..]);
-                batch.len() < SINK_BATCH_TUPLES * width
-                    || deliver_batch(sink, &mut batch, width, rejected)
+                batch.len() < capacity
+                    || (tx.send(std::mem::replace(&mut batch, Vec::with_capacity(capacity))))
+                        .is_ok()
             }));
-            // Deliver what is still buffered — a limit-only stop still delivers, limit-gated
-            // tuples hold valid output slots — unless this worker was interrupted.
-            if stats.cancelled || stats.timed_out {
-                rejected.set(rejected.get() + (batch.len() / width) as u64);
-            } else if !batch.is_empty() {
-                deliver_batch(sink, &mut batch, width, rejected);
+            // Every buffered tuple holds a valid output slot, however the worker stopped.
+            if !batch.is_empty() {
+                let _ = tx.send(batch);
             }
             stats
         }
@@ -811,6 +807,116 @@ mod tests {
                 assert_eq!(counters_of(on), counters_of(off));
             }
         }
+    }
+
+    /// A sink that is not `Send` (it holds an `Rc`) and checks that every tuple reaches it on
+    /// the thread that created it; declines on its `decline_at`-th tuple.
+    struct CallerOnlySink {
+        creator: std::thread::ThreadId,
+        seen: std::rc::Rc<Cell<u64>>,
+        decline_at: u64,
+    }
+
+    impl MatchSink for CallerOnlySink {
+        fn on_match(&mut self, _tuple: &[VertexId]) -> bool {
+            assert_eq!(
+                std::thread::current().id(),
+                self.creator,
+                "sink left its thread"
+            );
+            self.seen.set(self.seen.get() + 1);
+            self.seen.get() != self.decline_at
+        }
+    }
+
+    /// Only the calling thread touches a sink that needs tuples and cannot fork, at any
+    /// worker count, whether the run goes to the end or the sink declines mid-run; the run
+    /// counts exactly the tuples the sink saw.
+    #[test]
+    fn only_the_caller_touches_a_non_forkable_sink() {
+        // Large enough that the spawned workers get morsels before one worker could finish.
+        let mut b = GraphBuilder::new();
+        b.add_edges(graphflow_graph::generator::powerlaw_cluster(
+            4000, 4, 0.6, 21,
+        ));
+        let g = Arc::new(b.build());
+        let cat = Catalogue::with_defaults(g.clone());
+        let plan = DpOptimizer::new(&cat)
+            .optimize(&patterns::asymmetric_triangle())
+            .unwrap();
+        let full = execute(&g, &plan).count;
+        for threads in [1usize, 2, 4, 8] {
+            for decline_at in [u64::MAX, 40] {
+                let seen = std::rc::Rc::new(Cell::new(0));
+                let mut sink = CallerOnlySink {
+                    creator: std::thread::current().id(),
+                    seen: seen.clone(),
+                    decline_at,
+                };
+                let stats =
+                    execute_with_sink(&g, &plan, None, threads, ExecOptions::default(), &mut sink);
+                let label = format!("{threads} threads, decline at {decline_at}");
+                assert_eq!(seen.get(), full.min(decline_at), "{label}");
+                assert_eq!(stats.output_count, seen.get(), "{label}");
+            }
+        }
+    }
+
+    /// A forkable sink whose twins panic with a known message on any thread but their
+    /// creator's. The twin on the calling thread holds its first tuple until a spawned twin
+    /// has panicked, so the spawned workers get work to panic on.
+    struct PanickingTwins {
+        creator: std::thread::ThreadId,
+        panicked: Arc<AtomicBool>,
+    }
+
+    impl MatchSink for PanickingTwins {
+        fn on_match(&mut self, _tuple: &[VertexId]) -> bool {
+            if std::thread::current().id() != self.creator {
+                self.panicked.store(true, Ordering::Relaxed);
+                panic!("twin panicked on a spawned worker");
+            }
+            let waiting = Instant::now();
+            while !self.panicked.load(Ordering::Relaxed)
+                && waiting.elapsed() < std::time::Duration::from_secs(10)
+            {
+                std::thread::yield_now();
+            }
+            true
+        }
+
+        fn fork_partial(&self) -> Option<Box<dyn PartialSink>> {
+            Some(Box::new(PanickingTwins {
+                creator: self.creator,
+                panicked: self.panicked.clone(),
+            }))
+        }
+    }
+
+    impl PartialSink for PanickingTwins {
+        fn on_match(&mut self, tuple: &[VertexId]) -> bool {
+            MatchSink::on_match(self, tuple)
+        }
+
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// A worker's panic reaches the caller with the worker's own message.
+    #[test]
+    #[should_panic(expected = "twin panicked on a spawned worker")]
+    fn a_worker_panic_keeps_its_message() {
+        let g = random_graph();
+        let cat = Catalogue::with_defaults(g.clone());
+        let plan = DpOptimizer::new(&cat)
+            .optimize(&patterns::asymmetric_triangle())
+            .unwrap();
+        let mut sink = PanickingTwins {
+            creator: std::thread::current().id(),
+            panicked: Arc::default(),
+        };
+        execute_with_sink(&g, &plan, None, 4, ExecOptions::default(), &mut sink);
     }
 
     /// Counts what it is given and cancels `token` on seeing its `after`-th tuple.

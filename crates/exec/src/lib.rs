@@ -20,9 +20,10 @@
 //! chains are compiled fixed or adaptive is a property of the compiled pipeline (pass a
 //! catalogue to get adaptive stages). How many workers run that pipeline is the thread count
 //! (Section 7): the [driver] schedules the SCAN as adaptive-size morsels claimed from a shared
-//! cursor and splits heavy (hub-vertex) extension sets into stealable sub-tasks; the calling
-//! thread is worker 0, extra workers get a clone of the pipeline, hash-join build sides are
-//! materialised once and shared read-only. One thread is simply the one-worker case.
+//! cursor and splits heavy (hub-vertex) extension sets into stealable sub-tasks; extra
+//! workers get a clone of the pipeline, hash-join build sides are materialised once and shared
+//! read-only, and a sink is only ever called on the calling thread. One thread is the
+//! one-worker case.
 //!
 //! Results are **streamed**: each match is delivered (in query-vertex order) to a
 //! [`MatchSink`] — counting, collecting, limit-N or user-callback — so unbounded result sets

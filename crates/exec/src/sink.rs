@@ -8,8 +8,8 @@
 //!
 //! A sink that does not need the tuples themselves (for example [`CountingSink`]) reports
 //! `needs_tuples() == false`, which lets the driver skip per-tuple reordering and, with several
-//! workers, all cross-thread synchronisation: workers count locally and the total is
-//! delivered once through [`MatchSink::on_count`].
+//! workers, all cross-thread traffic: workers count locally and the total is delivered once
+//! through [`MatchSink::on_count`].
 
 use graphflow_graph::VertexId;
 
@@ -20,8 +20,8 @@ use graphflow_graph::VertexId;
 /// heaps) can hand each parallel worker an empty twin of itself: workers fold their share of
 /// the matches locally with **zero cross-thread synchronisation**, and the partials are merged
 /// back into the parent sink once at the barrier — the classic partial-aggregation pattern.
-/// Sinks that cannot merge (arbitrary callbacks, ordered collection) simply never fork, and
-/// the driver falls back to funnelling tuples through a shared lock.
+/// Sinks that cannot merge (arbitrary callbacks, ordered collection) simply never fork: the
+/// workers then send their tuples to the calling thread, which alone feeds the sink.
 pub trait PartialSink: Send {
     /// Receive one result tuple (in query-vertex order). Return `false` to stop this worker
     /// (e.g. a local `LIMIT` was filled); other workers keep running.
@@ -32,7 +32,8 @@ pub trait PartialSink: Send {
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
 }
 
-/// A consumer of streamed query results.
+/// A consumer of streamed query results, called only on the thread that runs the query (at
+/// any worker count), so it need not be `Send`.
 pub trait MatchSink {
     /// Whether this sink wants to see the actual result tuples.
     ///

@@ -36,4 +36,4 @@ pub use plan::{Plan, PlanClass, PlanNode};
 /// pointer copy instead of a deep clone of the operator tree.
 pub type PlanHandle = std::sync::Arc<Plan>;
 pub use spectrum::{enumerate_spectrum, percentile_rank, SpectrumLimits, SpectrumPlan};
-pub use wco::{all_wco_plans, best_wco_subplans};
+pub use wco::all_wco_plans;

@@ -4,71 +4,16 @@
 //! every prefix is connected. Algorithm 1 of the paper starts by enumerating *all* WCO plans
 //! (`enumerateAllWCOPlans`) because the best WCO plan for a sub-query `Q_k` is not necessarily
 //! an extension of the best WCO plan for one of its `Q_{k-1}` sub-queries — intersection-cache
-//! reuse can make an extension of a worse prefix cheaper overall (Section 4.3).
+//! reuse can make an extension of a worse prefix cheaper overall (Section 4.3). The DP
+//! optimizer's per-(subset, order class) table subsumes that phase (see [`crate::dp`]).
 //!
-//! [`best_wco_subplans`] returns, for every connected vertex subset, the cheapest WCO chain
-//! computing it; [`all_wco_plans`] returns one complete plan per distinct query-vertex ordering
-//! (used by the plan-spectrum experiments and by the WCO-only optimizer mode).
+//! [`all_wco_plans`] returns one complete plan per distinct query-vertex ordering (used by the
+//! plan-spectrum experiments and by the WCO-only optimizer mode).
 
-use crate::cost::{CostModel, Estimator, PlanCost};
+use crate::cost::{CostModel, Estimator};
 use crate::plan::{Plan, PlanNode};
 use graphflow_catalog::Catalogue;
-use graphflow_query::querygraph::{singleton, VertexSet};
 use graphflow_query::QueryGraph;
-use rustc_hash::FxHashMap;
-
-/// A plan subtree together with its estimated cost.
-#[derive(Debug, Clone)]
-pub struct SubPlan {
-    pub node: PlanNode,
-    pub cost: PlanCost,
-}
-
-impl SubPlan {
-    pub fn total_cost(&self) -> f64 {
-        self.cost.total()
-    }
-}
-
-/// Enumerate every WCO chain (over every connected subset of query vertices) and keep the
-/// cheapest chain per subset.
-pub fn best_wco_subplans(
-    q: &QueryGraph,
-    catalogue: &Catalogue,
-    model: &CostModel,
-) -> FxHashMap<VertexSet, SubPlan> {
-    let mut est = Estimator::new(q, catalogue, *model);
-    let mut best: FxHashMap<VertexSet, SubPlan> = FxHashMap::default();
-
-    // Start a chain from every query edge (in its scan orientation); every chain on the stack
-    // carries its cost, so an extension is one incremental step.
-    let mut stack: Vec<SubPlan> = Vec::new();
-    for &e in q.edges() {
-        let node = PlanNode::scan(e);
-        let cost = est.cost_step(&node, &[]);
-        stack.push(SubPlan { node, cost });
-    }
-    while let Some(chain) = stack.pop() {
-        let set = chain.node.vertex_set();
-        // Extend by every adjacent, uncovered query vertex.
-        for target in 0..q.num_vertices() {
-            if set & singleton(target) != 0 {
-                continue;
-            }
-            if let Some(node) = PlanNode::extend(q, chain.node.clone(), target) {
-                let cost = est.cost_step(&node, &[chain.cost]);
-                stack.push(SubPlan { node, cost });
-            }
-        }
-        let is_better = best
-            .get(&set)
-            .is_none_or(|existing| chain.total_cost() < existing.total_cost());
-        if is_better {
-            best.insert(set, chain);
-        }
-    }
-    best
-}
 
 /// One complete WCO plan per *distinct* query-vertex ordering (orderings equivalent under an
 /// automorphism of the query are collapsed, as in the paper's plan counts).
@@ -127,7 +72,6 @@ mod tests {
     use super::*;
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_query::patterns;
-    use graphflow_query::querygraph::set_len;
     use std::sync::Arc;
 
     fn complete_graph(n: usize) -> Arc<Graph> {
@@ -140,26 +84,6 @@ mod tests {
             }
         }
         Arc::new(b.build())
-    }
-
-    #[test]
-    fn best_subplans_cover_every_connected_subset() {
-        let g = complete_graph(6);
-        let cat = Catalogue::with_defaults(g);
-        let model = CostModel::default();
-        let q = patterns::diamond_x();
-        let best = best_wco_subplans(&q, &cat, &model);
-        // Every connected subset of size >= 2 has a WCO chain.
-        for set in 1u32..=q.full_set() {
-            if set_len(set) >= 2 && q.is_connected_subset(set) && set & q.full_set() == set {
-                assert!(best.contains_key(&set), "missing subset {set:#b}");
-            }
-        }
-        // The full query's best chain covers all vertices and is a WCO chain.
-        let full = &best[&q.full_set()];
-        assert_eq!(full.node.vertex_set(), q.full_set());
-        assert!(!full.node.has_hash_join());
-        assert!(full.total_cost() > 0.0);
     }
 
     #[test]

@@ -98,6 +98,45 @@ fn dp_choice_lands_in_the_cheapest_decile_of_every_fig7_spectrum() {
     );
 }
 
+/// The skewed-graph reproducer: on unlabelled Epinions and on the LiveJournal profile, the
+/// DP's pick for Q2 and Q8 must run within 1.5x of the fastest plan of fig7's spectrum. The
+/// model ranks these spectra against the clock: the pick was measured 4.8x slower than the
+/// best plan on LiveJournal Q2 and 2.3x slower on Epinions Q2.
+#[test]
+#[ignore = "ROADMAP item 1: the DP's pick on skewed graphs is up to 4.8x slower than the best"]
+fn dp_choice_is_within_1_5x_of_the_best_plan_on_skewed_graphs() {
+    let mut failures = Vec::new();
+    for dataset in [Dataset::Epinions, Dataset::LiveJournal] {
+        let graph = dataset.generate(0.1);
+        let cat = Catalogue::with_defaults(graph.clone());
+        let optimizer = DpOptimizer::new(&cat);
+        let model = *optimizer.cost_model();
+        for j in [2, 8] {
+            let q = patterns::benchmark_query(j);
+            let limits = SpectrumLimits {
+                max_plans_per_subset: 24,
+                max_plans_per_class: 24,
+            };
+            let spectrum = enumerate_spectrum(&q, &cat, &model, limits);
+            let chosen = optimizer.optimize(&q).expect("DP plans every fig7 query");
+            // Warm the graph's adjacency pages before any timed run.
+            measure(&graph, &chosen, 1);
+            let best = (spectrum.iter())
+                .map(|sp| measure(&graph, &sp.plan, 3))
+                .fold(f64::INFINITY, f64::min);
+            let ratio = measure(&graph, &chosen, 3) / best;
+            if ratio > 1.5 {
+                failures.push(format!(
+                    "{} Q{j}: the pick runs {ratio:.2}x the best of {} plans",
+                    dataset.name(),
+                    spectrum.len()
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 #[test]
 fn dp_choice_is_the_cost_floor_of_every_fig7_spectrum() {
     // Deterministic companion to the timing test: the chosen plan's *estimated* cost is never
