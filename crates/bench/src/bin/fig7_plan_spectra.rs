@@ -62,7 +62,8 @@ fn main() {
                 let (_, stats, t) = run_plan(&db, &sp.plan, QueryOptions::default());
                 report.push(
                     BenchRecord::new(&query_name, ds.name(), format!("{}#{sp_i}", sp.class), &[t])
-                        .with_stats(&stats),
+                        .with_stats(&stats)
+                        .with_estimated_cost(sp.plan.estimated_cost),
                 );
                 let t = t.as_secs_f64();
                 times.push(t);
@@ -85,12 +86,15 @@ fn main() {
                     .2
                     .as_secs_f64()
             });
-            report.push(BenchRecord::new(
-                &query_name,
-                ds.name(),
-                "optimizer_pick",
-                &[std::time::Duration::from_secs_f64(chosen_time)],
-            ));
+            report.push(
+                BenchRecord::new(
+                    &query_name,
+                    ds.name(),
+                    "optimizer_pick",
+                    &[std::time::Duration::from_secs_f64(chosen_time)],
+                )
+                .with_estimated_cost(chosen.estimated_cost),
+            );
             rows.sort();
             print_table(
                 &format!(

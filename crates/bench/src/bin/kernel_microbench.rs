@@ -14,12 +14,22 @@
 //!
 //! `GF_SAMPLES` sets the number of timed samples per (workload, kernel) pair (default 3);
 //! every sample runs the kernel a fixed number of iterations sized to the workload.
+//!
+//! The report also carries the optimizer's latency on the large-query corpora
+//! ([`patterns::large_corpus_a`], 13–17 vertices, and [`patterns::large_corpus_b`], 18–31)
+//! over the power-law graph the plan golden file uses, on a warm catalogue: one record per
+//! corpus and vertex count, one sample per pattern (its best of `GF_SAMPLES` optimizes).
 
 use graphflow_bench::{bench_report, print_table, sample_count, BenchRecord};
+use graphflow_catalog::Catalogue;
 use graphflow_exec::RuntimeStats;
 use graphflow_graph::intersect::{block, scalar};
-use graphflow_graph::{intersect_sorted_into, select_kernel, simd_active, VertexId};
+use graphflow_graph::{intersect_sorted_into, select_kernel, simd_active, GraphBuilder, VertexId};
+use graphflow_plan::DpOptimizer;
+use graphflow_query::patterns;
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One controlled list shape: a name, the two sorted inputs, and how many iterations one
@@ -108,6 +118,39 @@ fn run_samples(iters: u32, mut f: impl FnMut(&mut Vec<VertexId>)) -> (Vec<Durati
     (samples, result_len)
 }
 
+/// Optimize-latency records of the large-query corpora (see the module doc).
+fn optimize_records() -> Vec<BenchRecord> {
+    let mut graph = GraphBuilder::new();
+    graph.add_edges(graphflow_graph::generator::powerlaw_cluster(800, 4, 0.5, 7));
+    let catalogue = Catalogue::with_defaults(Arc::new(graph.build()));
+    let optimizer = DpOptimizer::new(&catalogue);
+    let corpora = [
+        ("A", patterns::large_corpus_a()),
+        ("B", patterns::large_corpus_b()),
+    ];
+    let mut records = Vec::new();
+    for (corpus, queries) in corpora {
+        let mut by_size: BTreeMap<usize, Vec<Duration>> = BTreeMap::new();
+        for q in &queries {
+            optimizer
+                .optimize(q)
+                .expect("every corpus pattern gets a plan");
+            let timed = (0..sample_count()).map(|_| {
+                let start = Instant::now();
+                black_box(optimizer.optimize(q));
+                start.elapsed()
+            });
+            let best = timed.min().expect("at least one sample");
+            by_size.entry(q.num_vertices()).or_default().push(best);
+        }
+        for (size, samples) in by_size {
+            let query = format!("optimize corpus-{corpus} {size} vertices");
+            records.push(BenchRecord::new(query, "powerlaw-800", "dp", &samples));
+        }
+    }
+    records
+}
+
 fn main() {
     let mut records = Vec::new();
     let mut rows = Vec::new();
@@ -157,5 +200,27 @@ fn main() {
         &["workload", "kernel", "selected", "median_ms", "|result|"],
         &rows,
     );
+    let optimize = optimize_records();
+    let rows: Vec<Vec<String>> = optimize
+        .iter()
+        .map(|r| {
+            let (p50, p95) = (r.median_ms(), r.p95_ms());
+            let worst = r.samples_ms.iter().cloned().fold(0.0, f64::max);
+            let n = r.samples_ms.len().to_string();
+            vec![
+                r.query.clone(),
+                n,
+                format!("{p50:.2}"),
+                format!("{p95:.2}"),
+                format!("{worst:.2}"),
+            ]
+        })
+        .collect();
+    print_table(
+        "optimize latency, large-query corpora (one sample per pattern)",
+        &["corpus / size", "patterns", "p50_ms", "p95_ms", "max_ms"],
+        &rows,
+    );
+    records.extend(optimize);
     bench_report("kernel_microbench", &records).expect("write benchmark report");
 }

@@ -124,6 +124,9 @@ pub struct BenchRecord {
     /// Profiler roll-up of one representative run (actual i-cost, intermediate tuples,
     /// output count) — attach with [`with_stats`](BenchRecord::with_stats).
     pub stats: Option<StatsRollup>,
+    /// The optimizer's estimated cost of the plan — attach with
+    /// [`with_estimated_cost`](BenchRecord::with_estimated_cost).
+    pub estimated_cost: Option<f64>,
 }
 
 /// The per-run executor counters a [`BenchRecord`] carries into the JSON report, so runs can
@@ -160,7 +163,15 @@ impl BenchRecord {
             plan: plan.into(),
             samples_ms: samples.iter().map(|d| d.as_secs_f64() * 1e3).collect(),
             stats: None,
+            estimated_cost: None,
         }
+    }
+
+    /// Attach the plan's estimated cost, so cost-vs-time rank correlations can be recomputed
+    /// from the report.
+    pub fn with_estimated_cost(mut self, cost: f64) -> BenchRecord {
+        self.estimated_cost = Some(cost);
+        self
     }
 
     /// Attach the executor counters of a representative run.
@@ -222,9 +233,12 @@ pub fn bench_report(name: &str, records: &[BenchRecord]) -> std::io::Result<Path
             ),
             None => String::new(),
         };
+        let cost = r.estimated_cost.map_or(String::new(), |c| {
+            format!(", \"estimated_cost\": {}", json_num(c))
+        });
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"dataset\": \"{}\", \"plan\": \"{}\", \
-             \"median_ms\": {}, \"p95_ms\": {}, \"samples_ms\": [{}]{}}}{}\n",
+             \"median_ms\": {}, \"p95_ms\": {}, \"samples_ms\": [{}]{}{}}}{}\n",
             json_escape(&r.query),
             json_escape(&r.dataset),
             json_escape(&r.plan),
@@ -236,6 +250,7 @@ pub fn bench_report(name: &str, records: &[BenchRecord]) -> std::io::Result<Path
                 .collect::<Vec<_>>()
                 .join(", "),
             stats,
+            cost,
             if i + 1 < records.len() { "," } else { "" },
         ));
     }
@@ -312,7 +327,8 @@ mod tests {
                 output_count: 3,
                 ..Default::default()
             }),
-            BenchRecord::new("q2", "google", "bj\\wco", &[Duration::from_millis(3)]),
+            BenchRecord::new("q2", "google", "bj\\wco", &[Duration::from_millis(3)])
+                .with_estimated_cost(1.5e4),
         ];
         let path = bench_report("unit_test", &records).unwrap();
         std::env::remove_var("GF_BENCH_DIR");
@@ -327,6 +343,7 @@ mod tests {
         assert!(body.contains("\"p95_ms\""));
         assert!(body.contains("\"icost\": 42"), "stats roll-up emitted");
         assert!(body.contains("\"intermediate_tuples\": 7"));
+        assert!(body.contains("\"estimated_cost\": 15000.000000"));
         // Balanced braces/brackets as a cheap well-formedness check.
         for (open, close) in [('{', '}'), ('[', ']')] {
             assert_eq!(

@@ -636,8 +636,8 @@ impl Catalogue {
             };
         }
         let (proj, _mapping) = q.project(set);
-        // Canonical codes are for small sub-queries; larger projections (possible in the
-        // pruned large-query mode) are estimated uncached.
+        // Canonical codes are for small sub-queries; larger projections (the optimizer asks
+        // about them for queries of more than eight vertices) are estimated uncached.
         if proj.num_vertices() > 8 {
             return self.estimate_cardinality_uncached(q, set, &proj);
         }
@@ -672,7 +672,7 @@ impl Catalogue {
             return self.two_vertex_cardinality(proj);
         }
         // Pick a connected ordering (its first two vertices then share a query edge): the
-        // lexicographically first one, or for larger sub-queries (pruned large-query mode) the
+        // lexicographically first one, or for sub-queries of more than eight vertices the
         // greedy one from the first query edge.
         let sigma = if proj.num_vertices() > 8 {
             greedy_ordering(proj)

@@ -688,6 +688,23 @@ mod tests {
     }
 
     #[test]
+    fn patterns_above_the_vertex_limit_are_parse_errors() {
+        let db = db();
+        let path = |n: usize| {
+            let edges: Vec<String> = (1..n).map(|i| format!("(v{i})->(v{})", i + 1)).collect();
+            edges.join(", ")
+        };
+        let prepared = db.prepare(&path(31)).expect("31 vertices are planned");
+        assert_eq!(prepared.query().num_vertices(), 31);
+        for n in [32, 33, 40] {
+            assert!(
+                matches!(db.prepare(&path(n)), Err(Error::Parse(_))),
+                "{n} vertices"
+            );
+        }
+    }
+
+    #[test]
     fn plan_space_restrictions_apply() {
         let db = db();
         db.set_plan_space(PlanSpaceOptions::wco_only());

@@ -1,5 +1,5 @@
 //! The dynamic-programming optimizer: a Selinger-style bottom-up DP over the full hybrid plan
-//! space (Algorithm 1 of the paper, generalised).
+//! space (Algorithm 1 of the paper, generalised), iterative above a work budget.
 //!
 //! For every connected `k`-vertex sub-query `Q_k` (k = 2..m) the optimizer keeps a small set of
 //! non-dominated sub-plans rather than a single best one. Sub-plans are classed by their
@@ -21,7 +21,7 @@
 //! * **dominance** — a candidate is dropped when another sub-plan of the same (or compatible)
 //!   order class has both lower cost and lower output cardinality;
 //! * **upper bounding** — operator costs only accumulate, so any sub-plan already costlier
-//!   than a quickly-computed greedy full plan can never complete into the optimum.
+//!   than a known full plan (first a greedy one) can never complete into the optimum.
 //!
 //! The table holds no plan trees. A kept sub-plan is an entry: its root operator, the
 //! indices of its children's entries, its cost and its output layout; candidates are costed
@@ -30,24 +30,39 @@
 //!
 //! Joins that could be expressed as a single E/I extension (the probe or build side adds only
 //! one query vertex) are searched too: the Section 4.3 restriction that omits them is lossy on
-//! Q2 (its optimal plan joins two open wedges) and is therefore not implemented. For queries
-//! with more than
-//! [`PlanSpaceOptions::full_enumeration_limit`] query vertices the optimizer switches to the
-//! pruned mode of Section 4.4, which retains only the `subqueries_kept_per_level` cheapest
-//! sub-queries per level.
+//! Q2 (its optimal plan joins two open wedges) and is therefore not implemented.
+//!
+//! **One search for every size.** Each level (vertex count) is grown from the last by
+//! adjacency and built in full while its measured `Work` fits `LEVEL_BUDGET`, which every
+//! query of up to nine vertices, and most of up to twelve, does. A level that does not fit is
+//! dropped and, as in iterative DP (Kossmann & Stocker, TODS 2000), the previous level's
+//! sub-query holding the entry with the cheapest greedy completion becomes the *unit*: later
+//! sub-queries hold all of it, join sides all of it or none, and that completion bounds the
+//! plan. Ranking is charged to the next level; if that does not fit either, the completion is
+//! the plan. *Deviation from the paper:* this replaces Section 4.4's "keep the five cheapest
+//! sub-queries per level", which on the seeded 13–31-vertex corpora of `patterns` found no
+//! plan for 8 of 67, cost up to 3·10³× the exhaustive optimum and up to 10¹²× this search.
 
 use crate::cost::{CostModel, Estimator, PlanCost};
 use crate::plan::{Plan, PlanNode};
 use graphflow_catalog::Catalogue;
 use graphflow_query::querygraph::{set_iter, set_len, singleton, VertexSet};
 use graphflow_query::{QueryEdge, QueryGraph};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 use std::ops::Range;
 
 /// Hard cap on non-dominated sub-plans retained per vertex subset (a safety valve: the
 /// dominance rule alone keeps at most one Pareto frontier per order class, which for an
 /// `m`-vertex query is at most `m + 1` classes).
 const MAX_ENTRIES_PER_SUBSET: usize = 16;
+
+/// The [`Work`] one level may take; a unit is a few tens of nanoseconds.
+const LEVEL_BUDGET: usize = 700_000;
+/// [`Work`] per candidate priced.
+const PRICE_WORK: usize = 10;
+/// [`Work`] per catalogue question, times its sub-query's vertex count squared (the estimate
+/// for `k` vertices walks `k` extensions of up to `k` vertices).
+const QUESTION_WORK: usize = 4;
 
 /// Which parts of the plan space the optimizer may use. The experiment harnesses use the
 /// restricted modes to produce the paper's "WCO plans", "BJ plans" and "hybrid plans" series.
@@ -57,12 +72,6 @@ pub struct PlanSpaceOptions {
     pub allow_multiway_extend: bool,
     /// Allow HASH-JOIN operators.
     pub allow_hash_join: bool,
-    /// Queries with more than this many vertices use the pruned enumeration of Section 4.4.
-    /// Dominance and upper-bound pruning let the exhaustive mode reach 12 vertices (the old
-    /// cutoff was 10).
-    pub full_enumeration_limit: usize,
-    /// In pruned mode, how many sub-queries are kept per level (default 5, as in the paper).
-    pub subqueries_kept_per_level: usize,
 }
 
 impl Default for PlanSpaceOptions {
@@ -70,8 +79,6 @@ impl Default for PlanSpaceOptions {
         PlanSpaceOptions {
             allow_multiway_extend: true,
             allow_hash_join: true,
-            full_enumeration_limit: 12,
-            subqueries_kept_per_level: 5,
         }
     }
 }
@@ -90,7 +97,6 @@ impl PlanSpaceOptions {
         PlanSpaceOptions {
             allow_multiway_extend: false,
             allow_hash_join: true,
-            ..Default::default()
         }
     }
 }
@@ -141,196 +147,180 @@ impl<'a> DpOptimizer<'a> {
     /// [`DpOptimizer::optimize`] of the estimator's query, priced through its table.
     fn optimize_in(&self, est: &mut Estimator<'_>) -> Option<Plan> {
         let q = est.query();
-        let m = q.num_vertices();
-        if m < 2 || !q.is_connected() {
+        if q.num_vertices() < 2 || !q.is_connected() {
             return None;
         }
-        if m == 2 {
-            let edge = q.edges().first().copied()?;
-            let cost = est.scan(edge);
-            return Some(Plan::new(q.clone(), PlanNode::scan(edge), cost.total()));
-        }
-        let table = if m <= self.options.full_enumeration_limit {
-            self.optimize_exhaustive(est)
-        } else {
-            self.optimize_pruned(est)
-        };
+        let (table, ..) = self.search(est);
         // A sub-query's entries are kept cheapest first.
         let best = table.entries_of(q.full_set()).next()?;
         let cost = table.entries[best].cost.total();
         Some(Plan::new(q.clone(), table.materialise(q, best), cost))
     }
 
-    /// Cost of a greedily-built full plan (cheapest scan, then always the cheapest next E/I
-    /// extension), used as the initial upper bound for pruning. The greedy chain respects the
-    /// plan-space restrictions, so its cost is achievable within the space whenever it
-    /// completes; `None` when it dead-ends (e.g. closing a cycle needs a multiway intersection
-    /// in a space that forbids them).
-    fn greedy_upper_bound(&self, est: &mut Estimator<'_>) -> Option<f64> {
+    /// The search of the module doc: its table (the full query's first entry is the plan), the
+    /// last unit committed (empty when every level fit) and whether it finished greedily.
+    fn search(&self, est: &mut Estimator<'_>) -> (Table, VertexSet, bool) {
         let q = est.query();
-        let mut best: Option<(QueryEdge, PlanCost)> = None;
-        for &e in q.edges() {
-            let cost = est.scan(e);
-            if best.is_none_or(|(_, b)| cost.total() < b.total()) {
-                best = Some((e, cost));
+        let nbrs = q.neighbour_sets();
+        let mut table = Table::default();
+        let mut level: Vec<VertexSet> = (0..q.num_vertices()).map(singleton).collect();
+        // The cheapest full plan known: from level 2 on, first the first edge's greedy
+        // completion.
+        let mut best: Option<Completion> = None;
+        let mut unit: VertexSet = 0;
+        let mut work = Work::default();
+        let mut cands: Vec<Candidate> = Vec::new();
+        while set_len(level[0]) < q.num_vertices() {
+            let upper = best
+                .as_ref()
+                .map_or(f64::INFINITY, |b| b.cost.total() * (1.0 + 1e-9));
+            let mut next: Vec<VertexSet> = level
+                .iter()
+                .flat_map(|&set| {
+                    let around = set_iter(set).fold(0, |acc, v| acc | nbrs[v]) & !set;
+                    set_iter(around).map(move |v| set | singleton(v))
+                })
+                .collect();
+            next.sort_unstable();
+            next.dedup();
+            let mark = table.entries.len();
+            let fits = 'level: {
+                for &set in &next {
+                    if work.units > LEVEL_BUDGET {
+                        break 'level false;
+                    }
+                    // (i) a SCAN per edge of a 2-vertex sub-query (antiparallel edges differ
+                    // in order), or every kept (k-1)-vertex sub-plan extended by one E/I.
+                    cands.clear();
+                    for &e in q.edges() {
+                        if singleton(e.src) | singleton(e.dst) == set {
+                            let (op, cost) = (Op::Scan(e), est.scan(e));
+                            cands.push(Candidate { op, cost });
+                        }
+                    }
+                    for target in set_iter(set & !unit) {
+                        let children = table.entries_of(set & !singleton(target));
+                        work.ask(set, !children.is_empty());
+                        for child in children {
+                            let c = &table.entries[child];
+                            if self.extendable(q, c.set, target) {
+                                let op = Op::Extend { child, target };
+                                let cost =
+                                    est.extend(c.cost, &c.layout, c.op.order_class(), target);
+                                cands.push(Candidate { op, cost });
+                            }
+                        }
+                    }
+                    // (ii) binary joins of kept plans of two covering sub-queries, so trees may
+                    // be bushy. A join's order class is `None` and its output cardinality
+                    // depends only on the union, so the cheapest join over all entry pairs
+                    // minimises `total + w·|out|` on each side independently.
+                    if self.options.allow_hash_join {
+                        let pairs = cover_pairs(&table, set, unit, &mut work.units);
+                        work.ask(set, !pairs.is_empty());
+                        for (c1, c2) in pairs {
+                            for (build, probe) in [(c1, c2), (c2, c1)] {
+                                let b = table.cheapest_for_join(build, self.model.w1);
+                                let p = table.cheapest_for_join(probe, self.model.w2);
+                                let (Some(b), Some(p)) = (b, p) else { continue };
+                                if PlanNode::joinable(q, build, probe) {
+                                    let op = Op::Join { build: b, probe: p };
+                                    let (b, p) = (table.entries[b].cost, table.entries[p].cost);
+                                    let cost = est.join(b, p, set);
+                                    cands.push(Candidate { op, cost });
+                                }
+                            }
+                        }
+                    }
+                    work.units += cands.len() * PRICE_WORK;
+                    prune_entries(&mut cands, upper);
+                    if !cands.is_empty() {
+                        table.insert(set, &cands);
+                    }
+                }
+                true
+            };
+            if fits {
+                (level, work) = (next, Work::default());
+                if set_len(level[0]) == 2 {
+                    let e = q.edges()[0];
+                    let first = table.entries_of(singleton(e.src) | singleton(e.dst)).start;
+                    best = self.greedy_completion(est, &table, first, None, &mut Work::default());
+                }
+                continue;
             }
+            // The level does not fit: drop it and commit a unit.
+            table.entries.truncate(mark);
+            table.by_set.retain(|_, r| r.end <= mark);
+            work = Work::default();
+            if level == [unit] {
+                break;
+            }
+            // Rank the last level's entries by greedy completion, cheapest entry first: costs
+            // only accumulate, so none costing as much as the best completion can beat it.
+            let cost = |i: usize| table.entries[i].cost.total();
+            let mut entries: Vec<usize> = level.iter().flat_map(|&s| table.entries_of(s)).collect();
+            entries.sort_by(|&a, &b| cost(a).total_cmp(&cost(b)));
+            for i in entries {
+                let bound = best.as_ref().map(|b| b.cost.total());
+                if work.units > LEVEL_BUDGET || bound.is_some_and(|b| cost(i) >= b) {
+                    break;
+                }
+                best = self
+                    .greedy_completion(est, &table, i, bound, &mut work)
+                    .or(best);
+            }
+            let Some(done) = &best else {
+                break;
+            };
+            let start = table.entries[done.entry].set;
+            let steps = &done.steps[..set_len(level[0]) - set_len(start)];
+            unit = steps.iter().fold(start, |set, &(v, _)| set | singleton(v));
+            level = vec![unit];
         }
-        let (edge, mut cost) = best?;
-        let mut layout = vec![edge.src, edge.dst];
-        let mut covered = singleton(edge.src) | singleton(edge.dst);
-        let full = q.full_set();
-        while covered != full {
+        let greedy = table.entries_of(q.full_set()).is_empty();
+        if let Some(done) = best.filter(|_| greedy) {
+            table.append_chain(done);
+        }
+        (table, unit, greedy)
+    }
+
+    /// Complete entry `entry` by always taking the cheapest next E/I extension (the first on
+    /// a tie), charged to `work`. The chain respects the plan-space restrictions, so its cost
+    /// is achievable within the space; `None` when it dead-ends (e.g. closing a cycle needs a
+    /// multiway intersection in a space that forbids them) or costs `bound` or more.
+    fn greedy_completion(
+        &self,
+        est: &mut Estimator<'_>,
+        table: &Table,
+        entry: usize,
+        bound: Option<f64>,
+        work: &mut Work,
+    ) -> Option<Completion> {
+        let (q, e) = (est.query(), &table.entries[entry]);
+        let (mut cost, mut order, mut covered) = (e.cost, e.op.order_class(), e.set);
+        let mut layout = e.layout.clone();
+        let mut steps = Vec::new();
+        while covered != q.full_set() {
             let mut next: Option<(usize, PlanCost)> = None;
-            for target in set_iter(full & !covered) {
+            for target in set_iter(q.full_set() & !covered) {
                 if !self.extendable(q, covered, target) {
                     continue;
                 }
-                let cand = est.extend(cost, &layout, layout.last().copied(), target);
+                work.units += PRICE_WORK;
+                let asked = work.asked.insert((covered, target));
+                work.ask(covered | singleton(target), asked);
+                let cand = est.extend(cost, &layout, order, target);
                 if next.is_none_or(|(_, b)| cand.total() < b.total()) {
                     next = Some((target, cand));
                 }
             }
-            let (target, cand) = next?;
+            let (target, cand) = next.filter(|(_, c)| bound.is_none_or(|b| c.total() < b))?;
+            (cost, order, covered) = (cand, Some(target), covered | singleton(target));
             layout.push(target);
-            covered |= singleton(target);
-            cost = cand;
+            steps.push((target, cand));
         }
-        Some(cost.total())
-    }
-
-    /// Exhaustive DP over every connected vertex subset.
-    fn optimize_exhaustive(&self, est: &mut Estimator<'_>) -> Table {
-        let q = est.query();
-        let upper = self.greedy_upper_bound(est).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
-        let mut table = Table::default();
-        let mut cands: Vec<Candidate> = Vec::new();
-        self.insert_scans(est, &mut table, upper);
-
-        // Every connected sub-query, once: the DP's subsets, and (through the table) its join
-        // sides. Ascending, so each level below is ascending too.
-        let full = q.full_set();
-        let connected: Vec<VertexSet> = (1..=full)
-            .filter(|&s| set_len(s) >= 3 && q.is_connected_subset(s))
-            .collect();
-
-        // Grow sub-queries one level at a time.
-        for k in 3..=q.num_vertices() {
-            for &set in connected.iter().filter(|&&s| set_len(s) == k) {
-                cands.clear();
-
-                // (i) extend every kept plan of a (k-1)-vertex sub-query by one E/I.
-                for target in set_iter(set) {
-                    for child in table.entries_of(set & !singleton(target)) {
-                        cands.extend(self.extend_candidate(est, &table, child, target));
-                    }
-                }
-
-                // (ii) binary joins of kept plans of two covering sub-queries (bushy trees
-                // arise naturally: either side may itself be join-rooted).
-                if self.options.allow_hash_join {
-                    for (c1, c2) in cover_pairs(&table, set) {
-                        for (build, probe) in [(c1, c2), (c2, c1)] {
-                            cands.extend(self.join_candidate(est, &table, build, probe));
-                        }
-                    }
-                }
-
-                prune_entries(&mut cands, upper);
-                if !cands.is_empty() {
-                    table.insert(set, &cands);
-                }
-            }
-        }
-        table
-    }
-
-    /// Pruned DP for very large queries (Section 4.4): only the cheapest few sub-queries are
-    /// kept per level.
-    ///
-    /// Which sub-queries tie for a level's last places, and which of two equally cheap joins a
-    /// sub-query keeps, is decided by the order candidates are met in, and that order is the
-    /// iteration order of the two hash maps below (deterministic: the hasher is unseeded). A
-    /// tie is the common case — a path's sub-paths are isomorphic — and the choice cascades up
-    /// the levels, so both maps see exactly the key sequence they always have:
-    /// `tests/golden/dp_picks.txt` pins the resulting picks.
-    fn optimize_pruned(&self, est: &mut Estimator<'_>) -> Table {
-        let q = est.query();
-        let m = q.num_vertices();
-        let upper = self.greedy_upper_bound(est).unwrap_or(f64::INFINITY) * (1.0 + 1e-9);
-        let mut table = Table::default();
-        self.insert_scans(est, &mut table, upper);
-        let mut frontier: Vec<VertexSet> = table.by_set.keys().copied().collect();
-
-        for k in 3..=m {
-            let mut level: FxHashMap<VertexSet, Vec<Candidate>> = FxHashMap::default();
-            for &sub in &frontier {
-                for target in set_iter(q.full_set() & !sub) {
-                    for child in table.entries_of(sub) {
-                        if let Some(cand) = self.extend_candidate(est, &table, child, target) {
-                            level.entry(sub | singleton(target)).or_default().push(cand);
-                        }
-                    }
-                }
-            }
-            // Also try joins between retained sub-queries (both already in the table), either
-            // as the build side.
-            if self.options.allow_hash_join {
-                let retained: Vec<VertexSet> = table.by_set.keys().copied().collect();
-                for (i, &a) in retained.iter().enumerate() {
-                    for &b in &retained[i + 1..] {
-                        if set_len(a | b) != k || a | b == a || a | b == b || a & b == 0 {
-                            continue;
-                        }
-                        for (build, probe) in [(a, b), (b, a)] {
-                            if let Some(cand) = self.join_candidate(est, &table, build, probe) {
-                                level.entry(a | b).or_default().push(cand);
-                            }
-                        }
-                    }
-                }
-            }
-
-            // Keep only the cheapest few sub-queries at this level (always keep the full query).
-            let mut kept: Vec<(f64, VertexSet, Vec<Candidate>)> = level
-                .into_iter()
-                .filter_map(|(set, mut cands)| {
-                    prune_entries(&mut cands, upper);
-                    let cheapest = cands.first()?.cost.total();
-                    Some((cheapest, set, cands))
-                })
-                .collect();
-            kept.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            let keep = if k == m {
-                kept.len()
-            } else {
-                self.options.subqueries_kept_per_level.max(1)
-            };
-            frontier.clear();
-            for (_, set, cands) in kept.into_iter().take(keep) {
-                frontier.push(set);
-                table.insert(set, &cands);
-            }
-        }
-        table
-    }
-
-    /// Seed the table with the SCAN sub-plans of every 2-vertex sub-query (kept or not: a
-    /// sub-query whose scans all exceed `upper` is retained with no entries); antiparallel
-    /// edge pairs contribute one entry per orientation (distinct interesting orders).
-    fn insert_scans(&self, est: &mut Estimator<'_>, table: &mut Table, upper: f64) {
-        let mut by_pair: FxHashMap<VertexSet, Vec<Candidate>> = FxHashMap::default();
-        for &e in est.query().edges() {
-            let scan = Candidate {
-                op: Op::Scan(e),
-                cost: est.scan(e),
-            };
-            let pair = singleton(e.src) | singleton(e.dst);
-            by_pair.entry(pair).or_default().push(scan);
-        }
-        for (pair, mut cands) in by_pair {
-            prune_entries(&mut cands, upper);
-            table.insert(pair, &cands);
-        }
+        Some(Completion { entry, cost, steps })
     }
 
     /// Whether an E/I extension of a sub-plan covering `covered` by `target` exists in the
@@ -343,52 +333,33 @@ impl<'a> DpOptimizer<'a> {
         });
         let lists = lists.count();
         covered & singleton(target) == 0
-            && lists >= 1
-            && (lists == 1 || self.options.allow_multiway_extend)
+            && (lists == 1 || lists > 1 && self.options.allow_multiway_extend)
     }
+}
 
-    /// Cost an E/I extension of entry `child` by `target` incrementally; `None` when the
-    /// extension is Cartesian or excluded by the plan-space options.
-    fn extend_candidate(
-        &self,
-        est: &mut Estimator<'_>,
-        table: &Table,
-        child: usize,
-        target: usize,
-    ) -> Option<Candidate> {
-        let entry = &table.entries[child];
-        if !self.extendable(est.query(), entry.set, target) {
-            return None;
-        }
-        Some(Candidate {
-            op: Op::Extend { child, target },
-            cost: est.extend(entry.cost, &entry.layout, entry.op.order_class(), target),
-        })
-    }
+/// Work measured by the search, in units of about one `cover_pairs` mask step: a candidate
+/// priced counts [`PRICE_WORK`], a catalogue question — one per sub-query and target an
+/// extension is priced for, one per sub-query a join is priced for — `k² · QUESTION_WORK` for
+/// a `k`-vertex sub-query, asked or already answered, so a warm table takes the same path.
+#[derive(Default)]
+struct Work {
+    units: usize,
+    /// The `(sub-query, target)` questions greedy completions have asked.
+    asked: FxHashSet<(VertexSet, usize)>,
+}
 
-    /// The cheapest join of one kept plan of sub-query `build` with one of `probe`; `None`
-    /// when either has none or the pair violates the projection constraint.
-    ///
-    /// A join's output order class is always `None` and its output cardinality depends only on
-    /// the union subset, so the cheapest join over all entry pairs is found by independently
-    /// minimising `total + w1·|out|` on the build side and `total + w2·|out|` on the probe side
-    /// — no need to enumerate the cross product.
-    fn join_candidate(
-        &self,
-        est: &mut Estimator<'_>,
-        table: &Table,
-        build: VertexSet,
-        probe: VertexSet,
-    ) -> Option<Candidate> {
-        let b = table.cheapest_for_join(build, self.model.w1)?;
-        let p = table.cheapest_for_join(probe, self.model.w2)?;
-        if !PlanNode::joinable(est.query(), build, probe) {
-            return None;
-        }
-        let cost = est.join(table.entries[b].cost, table.entries[p].cost, build | probe);
-        let op = Op::Join { build: b, probe: p };
-        Some(Candidate { op, cost })
+impl Work {
+    /// Charge a question about the sub-query on `set`, if `asked`.
+    fn ask(&mut self, set: VertexSet, asked: bool) {
+        self.units += usize::from(asked) * set_len(set).pow(2) * QUESTION_WORK;
     }
+}
+
+/// A kept entry's greedy completion: the full plan's cost, and each step's target and cost.
+struct Completion {
+    entry: usize,
+    cost: PlanCost,
+    steps: Vec<(usize, PlanCost)>,
 }
 
 /// The root operator of a DP sub-plan; children are indices into [`Table::entries`].
@@ -476,11 +447,24 @@ impl Table {
             let cost = &self.entries[i].cost;
             cost.total() + w * cost.output_cardinality
         };
-        self.entries_of(set).min_by(|&a, &b| {
-            key(a)
-                .partial_cmp(&key(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
+        self.entries_of(set)
+            .min_by(|&a, &b| key(a).total_cmp(&key(b)))
+    }
+
+    /// Append the steps of completion `done`, one entry each; the last is the full query's.
+    fn append_chain(&mut self, done: Completion) {
+        let (mut child, mut set) = (done.entry, self.entries[done.entry].set);
+        for (target, cost) in done.steps {
+            set |= singleton(target);
+            self.insert(
+                set,
+                &[Candidate {
+                    op: Op::Extend { child, target },
+                    cost,
+                }],
+            );
+            child = self.entries.len() - 1;
+        }
     }
 
     /// Build the operator tree entry `i` stands for.
@@ -508,12 +492,7 @@ impl Table {
 /// accumulate, so they can never complete into the optimum.
 fn prune_entries(cands: &mut Vec<Candidate>, upper: f64) {
     cands.retain(|c| c.cost.total() <= upper);
-    cands.sort_by(|a, b| {
-        a.cost
-            .total()
-            .partial_cmp(&b.cost.total())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    cands.sort_by(|a, b| a.cost.total().total_cmp(&b.cost.total()));
     let mut kept = 0;
     for i in 0..cands.len() {
         if kept >= MAX_ENTRIES_PER_SUBSET {
@@ -534,21 +513,41 @@ fn prune_entries(cands: &mut Vec<Candidate>, upper: f64) {
 }
 
 /// All unordered pairs of retained, proper sub-queries `(C1, C2)` of `set` with
-/// `C1 ∪ C2 = set`, sharing at least one vertex (the HASH-JOIN candidates of Algorithm 1, line
-/// 12), ascending in `C1` then `C2`. The table only ever retains connected sub-queries, so
-/// `C2` is found by running through the sub-masks of `C1` it may share, not through every
-/// mask of `set`.
-fn cover_pairs(table: &Table, set: VertexSet) -> impl Iterator<Item = (VertexSet, VertexSet)> + '_ {
-    let retained = |c: VertexSet| !table.entries_of(c).is_empty();
-    proper_submasks(set)
-        .filter(move |&c1| retained(c1))
-        .flat_map(move |c1| {
-            let rest = set & !c1;
-            proper_submasks(c1)
-                .map(move |shared| rest | shared)
-                .filter(move |&c2| c2 > c1 && retained(c2))
-                .map(move |c2| (c1, c2))
-        })
+/// `C1 ∪ C2 = set`, sharing at least one vertex and holding all of `unit` or none of it (the
+/// HASH-JOIN candidates of Algorithm 1, line 12), counting mask steps in `steps`. The walk runs
+/// over `set` with `unit` packed into its lowest vertex, ascending in `C1` then `C2`; the table
+/// only ever retains connected sub-queries, so `C2` is found by running through the sub-masks
+/// of `C1` it may share, not through every mask of `set`.
+fn cover_pairs(
+    table: &Table,
+    set: VertexSet,
+    unit: VertexSet,
+    steps: &mut usize,
+) -> Vec<(VertexSet, VertexSet)> {
+    let rep = unit & unit.wrapping_neg();
+    let unpack = |p: VertexSet| if p & rep != 0 { p | unit } else { p };
+    let retained = |p: VertexSet| !table.entries_of(unpack(p)).is_empty();
+    let packed = if set & unit == unit {
+        (set & !unit) | rep
+    } else {
+        set
+    };
+    let mut pairs = Vec::new();
+    for c1 in proper_submasks(packed) {
+        *steps += 1;
+        if !retained(c1) {
+            continue;
+        }
+        let rest = packed & !c1;
+        for shared in proper_submasks(c1) {
+            *steps += 1;
+            let c2 = rest | shared;
+            if c2 > c1 && retained(c2) {
+                pairs.push((unpack(c1), unpack(c2)));
+            }
+        }
+    }
+    pairs
 }
 
 /// The non-empty proper sub-masks of `set`, ascending.
@@ -712,28 +711,21 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_mode_covers_twelve_vertex_queries() {
-        // 12 vertices sit inside the (raised) full-enumeration limit: the exhaustive DP with
-        // dominance and upper-bound pruning handles them directly.
-        assert_eq!(PlanSpaceOptions::default().full_enumeration_limit, 12);
-        let g = powerlaw_graph();
-        let cat = Catalogue::with_defaults(g);
-        let opt = DpOptimizer::new(&cat);
-        let q = patterns::directed_path(12);
-        let plan = opt.optimize(&q).expect("exhaustive optimizer finds a plan");
-        assert_eq!(plan.root.vertex_set(), q.full_set());
-        assert!(plan.estimated_cost.is_finite());
-    }
-
-    #[test]
-    fn pruned_mode_handles_larger_queries() {
-        // A 14-vertex path exceeds the full-enumeration limit and exercises the pruned mode.
-        let g = powerlaw_graph();
-        let cat = Catalogue::with_defaults(g);
-        let opt = DpOptimizer::new(&cat);
-        let q = patterns::directed_path(14);
-        let plan = opt.optimize(&q).expect("pruned optimizer finds a plan");
-        assert_eq!(plan.root.vertex_set(), q.full_set());
+    fn queries_of_up_to_nine_vertices_never_commit() {
+        // Every level of every query the plan cache keys fits the budget, so their plans are
+        // the exact DP optimum: the densest 9-vertex query and seeded 7–9-vertex ones.
+        let cat = Catalogue::with_defaults(powerlaw_graph());
+        let mut queries = vec![patterns::directed_clique(9), patterns::directed_path(9)];
+        queries.extend((0..12).map(|i| seeded_pattern(i, 7 + i as usize % 3, 2 * i as usize)));
+        for q in &queries {
+            for space in [PlanSpaceOptions::default(), PlanSpaceOptions::wco_only()] {
+                let opt = DpOptimizer::new(&cat).with_options(space);
+                let est = &mut Estimator::new(q, &cat, CostModel::default());
+                let (table, unit, _) = opt.search(est);
+                assert_eq!(unit, 0, "{q} committed a unit");
+                assert!(!table.entries_of(q.full_set()).is_empty(), "{q}");
+            }
+        }
     }
 
     #[test]
@@ -745,7 +737,7 @@ mod tests {
         let cat = Catalogue::with_defaults(g);
         let opt = DpOptimizer::new(&cat);
         let q = patterns::benchmark_query(8);
-        let table = opt.optimize_exhaustive(&mut Estimator::new(&q, &cat, CostModel::default()));
+        let (table, ..) = opt.search(&mut Estimator::new(&q, &cat, CostModel::default()));
         for (&set, range) in &table.by_set {
             let entries = &table.entries[range.clone()];
             assert!(!entries.is_empty());
@@ -843,6 +835,49 @@ mod tests {
             .collect()
     }
 
+    /// A seeded random connected `n`-vertex pattern over one edge label: a random spanning tree
+    /// plus `extra` random edges (loops skipped), random directions.
+    fn seeded_pattern(seed: u64, n: usize, extra: usize) -> QueryGraph {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut q = QueryGraph::new();
+        for _ in 0..n {
+            q.add_default_vertex();
+        }
+        let tree: Vec<(usize, usize)> = (1..n).map(|v| (next(v), v)).collect();
+        let extra: Vec<(usize, usize)> = (0..extra).map(|_| (next(n), next(n))).collect();
+        for (a, b) in tree.into_iter().chain(extra) {
+            if a != b {
+                let (s, d) = if next(2) == 0 { (a, b) } else { (b, a) };
+                q.add_edge(s, d, graphflow_graph::EdgeLabel(0));
+            }
+        }
+        q
+    }
+
+    /// Seeded patterns the search commits a unit on and then builds further levels for
+    /// (checked where they are used).
+    fn committing_patterns() -> Vec<QueryGraph> {
+        let params = [(100, 13, 0), (102, 14, 1), (103, 14, 0)];
+        params
+            .map(|(seed, n, extra)| seeded_pattern(seed, n, extra))
+            .to_vec()
+    }
+
+    /// Seeded patterns the search commits a unit on and then finishes greedily (checked where
+    /// they are used).
+    fn greedy_finishing_patterns() -> Vec<QueryGraph> {
+        let params = [(101, 14, 0), (100, 14, 1)];
+        params
+            .map(|(seed, n, extra)| seeded_pattern(seed, n, extra))
+            .to_vec()
+    }
+
     #[test]
     fn every_kept_entry_costs_what_its_tree_costs_on_a_fresh_table() {
         // The DP never builds the trees it prices. Whatever it keeps — every subset, not just
@@ -859,7 +894,10 @@ mod tests {
             .into_iter()
             .map(|(_, q)| q);
         let mut entries = 0;
-        for (i, q) in benchmark.chain(random_patterns(200)).enumerate() {
+        let mut committed = 0;
+        let committing = committing_patterns().into_iter().map(|q| (q, true));
+        let small = benchmark.chain(random_patterns(200)).map(|q| (q, false));
+        for (i, (q, commits)) in small.chain(committing).enumerate() {
             // Benchmark queries under every model, random patterns under one each in turn.
             let models = if i < 14 {
                 &models[..]
@@ -868,8 +906,10 @@ mod tests {
             };
             for &model in models {
                 let opt = DpOptimizer::new(&cat).with_cost_model(model);
-                let table = opt.optimize_exhaustive(&mut Estimator::new(&q, &cat, model));
+                let (table, unit, greedy) = opt.search(&mut Estimator::new(&q, &cat, model));
                 assert!(!table.entries_of(q.full_set()).is_empty(), "{q}");
+                assert_eq!((unit != 0, greedy), (commits, false), "{q}");
+                committed += usize::from(commits);
                 let mut fresh = Estimator::new(&q, &cat, model);
                 for (e, entry) in table.entries.iter().enumerate().rev() {
                     let tree = table.materialise(&q, e);
@@ -887,6 +927,10 @@ mod tests {
             }
         }
         assert!(entries > 5_000, "only {entries} entries checked");
+        assert!(
+            committed >= 3,
+            "only {committed} committing searches checked"
+        );
     }
 
     #[test]
@@ -895,7 +939,8 @@ mod tests {
         // exactly one catalogue lookup per filled slot of its estimate table — one per distinct
         // subset asked about (`accessed` sets may be disconnected, so this is not the number
         // of connected subsets) and one per distinct (subset, target) — however many
-        // candidates it prices, in every plan space and in the pruned large-query mode.
+        // candidates it prices, in every plan space, and on searches that commit a unit, rank
+        // greedy completions and finish greedily.
         let cat = Catalogue::with_defaults(labelled_powerlaw_graph());
         let spaces = [
             PlanSpaceOptions::default(),
@@ -911,7 +956,12 @@ mod tests {
                 .into_iter()
                 .filter(|q| q.num_vertices() == 6),
         );
-        queries.push(patterns::directed_path(14)); // pruned mode
+        for q in greedy_finishing_patterns() {
+            let opt = DpOptimizer::new(&cat);
+            let (_, unit, greedy) = opt.search(&mut Estimator::new(&q, &cat, CostModel::default()));
+            assert!(unit != 0 && greedy, "{q} must commit and finish greedily");
+            queries.push(q);
+        }
         for q in &queries {
             for space in spaces {
                 let opt = DpOptimizer::new(&cat).with_options(space);
@@ -939,9 +989,10 @@ mod tests {
     }
 
     #[test]
-    fn cover_pairs_respect_connectivity_and_overlap() {
+    fn cover_pairs_respect_connectivity_overlap_and_the_unit() {
         // With every connected sub-query retained, the sub-mask walk finds exactly the pairs
-        // the definition gives, in ascending (C1, C2) order.
+        // the definition gives — with a unit, only sides holding all of it or none of it — in
+        // ascending (C1, C2) order of the walk.
         let g = powerlaw_graph();
         let cat = Catalogue::with_defaults(g);
         for j in [4usize, 8, 11, 12] {
@@ -956,24 +1007,31 @@ mod tests {
             for s in (1..=full).filter(|&s| set_len(s) >= 2 && q.is_connected_subset(s)) {
                 table.insert(s, &[scan]);
             }
-            let mut expected = Vec::new();
-            for c1 in 1..full {
-                for c2 in c1 + 1..full {
-                    if c1 | c2 == full
-                        && c1 & c2 != 0
-                        && q.is_connected_subset(c1)
-                        && q.is_connected_subset(c2)
-                    {
-                        expected.push((c1, c2));
+            let e = q.edges()[0];
+            for unit in [0, singleton(e.src) | singleton(e.dst)] {
+                let whole = |c: VertexSet| c & unit == 0 || c & unit == unit;
+                let mut expected = Vec::new();
+                for c1 in 1..full {
+                    for c2 in c1 + 1..full {
+                        if c1 | c2 == full
+                            && c1 & c2 != 0
+                            && q.is_connected_subset(c1)
+                            && q.is_connected_subset(c2)
+                            && whole(c1)
+                            && whole(c2)
+                        {
+                            expected.push((c1, c2));
+                        }
                     }
                 }
+                let mut steps = 0;
+                let mut pairs = cover_pairs(&table, full, unit, &mut steps);
+                assert!(steps > 0 && !pairs.is_empty(), "Q{j}");
+                if unit != 0 {
+                    pairs.sort_unstable();
+                }
+                assert_eq!(pairs, expected, "Q{j}, unit {unit:#b}");
             }
-            assert!(!expected.is_empty(), "Q{j}");
-            assert_eq!(
-                cover_pairs(&table, full).collect::<Vec<_>>(),
-                expected,
-                "Q{j}"
-            );
         }
     }
 }

@@ -37,6 +37,8 @@ pub use canonical::{
 pub use extension::{descriptors_for_extension, extension_chain, AdjListDescriptor, ExtensionSpec};
 pub use parser::{parse_query, split_mode, ParseError, QueryMode};
 pub use patterns::benchmark_query;
-pub use querygraph::{CmpOp, PredTarget, Predicate, QueryEdge, QueryGraph, QueryVertex, VertexSet};
+pub use querygraph::{
+    CmpOp, PredTarget, Predicate, QueryEdge, QueryGraph, QueryVertex, VertexSet, MAX_QUERY_VERTICES,
+};
 pub use qvo::{connected_orderings, distinct_orderings};
 pub use returns::{AggFunc, OrderKey, ReturnClause, ReturnExpr, ReturnItem, SortDir};

@@ -47,7 +47,7 @@
 //! assert!(q.return_clause().unwrap().has_aggregates());
 //! ```
 
-use crate::querygraph::{CmpOp, PredTarget, Predicate, QueryGraph};
+use crate::querygraph::{CmpOp, PredTarget, Predicate, QueryGraph, MAX_QUERY_VERTICES};
 use crate::returns::{AggFunc, OrderKey, ReturnClause, ReturnExpr, ReturnItem, SortDir};
 use graphflow_graph::{EdgeLabel, PropType, PropValue, VertexLabel};
 use std::fmt;
@@ -179,6 +179,7 @@ impl<'a> Parser<'a> {
     /// `(name)` or `(name:label)`; returns the vertex index, creating the vertex if unseen.
     fn parse_vertex(&mut self) -> Result<usize, ParseError> {
         self.skip_ws();
+        let start = self.pos;
         self.expect("(")?;
         self.skip_ws();
         let name = self.parse_identifier()?;
@@ -213,6 +214,14 @@ impl<'a> Parser<'a> {
                 }
                 Ok(idx)
             }
+            None if self.query.num_vertices() == MAX_QUERY_VERTICES => Err(ParseError {
+                position: start,
+                message: format!(
+                    "vertex {name} would be vertex {}: a pattern has at most \
+                     {MAX_QUERY_VERTICES} vertices",
+                    MAX_QUERY_VERTICES + 1
+                ),
+            }),
             None => Ok(self.query.add_vertex(name, label)),
         }
     }
@@ -953,6 +962,21 @@ mod tests {
         // Non-ASCII identifiers themselves are fine.
         let q = parse_query("(α)->(β) WHERE α.größe > 1").unwrap();
         assert_eq!(q.predicates().len(), 1);
+    }
+
+    #[test]
+    fn patterns_above_the_vertex_limit_are_rejected_with_a_position() {
+        let path = |n: usize| {
+            let edges: Vec<String> = (1..n).map(|i| format!("(v{i})->(v{})", i + 1)).collect();
+            edges.join(", ")
+        };
+        assert_eq!(parse_query(&path(31)).unwrap().num_vertices(), 31);
+        for n in [32, 33, 40] {
+            let text = path(n);
+            let err = parse_query(&text).unwrap_err();
+            assert!(err.message.contains("at most 31 vertices"), "{err}");
+            assert!(text[err.position..].starts_with("(v32)"), "{err}");
+        }
     }
 
     #[test]

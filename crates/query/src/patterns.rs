@@ -22,6 +22,7 @@ use crate::querygraph::QueryGraph;
 use graphflow_graph::{EdgeLabel, VertexLabel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 fn query_with_vertices(n: usize) -> QueryGraph {
     let mut q = QueryGraph::new();
@@ -166,6 +167,62 @@ pub fn label_query_vertices_randomly(q: &QueryGraph, num_labels: u16, seed: u64)
     assert!(num_labels >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     q.relabel_vertices(|_| VertexLabel(rng.gen_range(0..num_labels)))
+}
+
+/// A random connected pattern of `sizes` vertices: a random spanning tree plus a number of
+/// extra vertex pairs drawn from `extra` (loops skipped), each edge in a random direction with a
+/// label drawn from `0..labels`.
+pub fn random_connected(
+    rng: &mut StdRng,
+    sizes: Range<usize>,
+    labels: u16,
+    extra: Range<usize>,
+) -> QueryGraph {
+    let n = rng.gen_range(sizes);
+    let mut q = query_with_vertices(n);
+    let edge = |q: &mut QueryGraph, a: usize, b: usize, rng: &mut StdRng| {
+        let (s, d) = if rng.gen_range(0..2usize) == 0 {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        q.add_edge(s, d, EdgeLabel(rng.gen_range(0..labels)));
+    };
+    for v in 1..n {
+        let u = rng.gen_range(0..v);
+        edge(&mut q, u, v, rng);
+    }
+    for _ in 0..rng.gen_range(extra) {
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
+        if a != b {
+            edge(&mut q, a, b, rng);
+        }
+    }
+    q
+}
+
+/// Large-query corpus A (one edge label, seeded): the directed paths of 13 and 14 vertices,
+/// eight patterns of 13–15 vertices and forty of 13–17 vertices, each with up to three extra
+/// edges.
+pub fn large_corpus_a() -> Vec<QueryGraph> {
+    let mut corpus = vec![directed_path(13), directed_path(14)];
+    let mut rng = StdRng::seed_from_u64(0xB16);
+    corpus.extend((0..8).map(|_| random_connected(&mut rng, 13..16, 1, 0..4)));
+    let mut rng = StdRng::seed_from_u64(0xC0A);
+    corpus.extend((0..40).map(|_| random_connected(&mut rng, 13..18, 1, 0..4)));
+    corpus
+}
+
+/// Large-query corpus B (one edge label, seeded): the directed paths of 20 and 31 vertices and
+/// fifteen patterns of 18–31 vertices, five each with 2, 8 and 16 extra vertex pairs.
+pub fn large_corpus_b() -> Vec<QueryGraph> {
+    let mut corpus = vec![directed_path(20), directed_path(31)];
+    let mut rng = StdRng::seed_from_u64(0xC0B);
+    for extra in [2, 8, 16] {
+        corpus.extend((0..5).map(|_| random_connected(&mut rng, 18..32, 1, extra..extra + 1)));
+    }
+    corpus
 }
 
 #[cfg(test)]

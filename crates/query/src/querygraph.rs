@@ -7,10 +7,15 @@ use std::fmt;
 /// A set of query vertices, encoded as a bitmask over query-vertex indices.
 ///
 /// Queries in the paper have at most a handful of vertices (Q14, the largest benchmark query,
-/// has 7), so a 32-bit mask is plenty. The planner keys its dynamic-programming table on these
-/// sets because every plan node is labelled with a *projection* of the query onto a vertex
-/// subset (the projection constraint of Section 4.1).
+/// has 7), so a 32-bit mask is plenty; the parser caps patterns at [`MAX_QUERY_VERTICES`]. The
+/// planner keys its dynamic-programming table on these sets because every plan node is labelled
+/// with a *projection* of the query onto a vertex subset (the projection constraint of Section
+/// 4.1).
 pub type VertexSet = u32;
+
+/// The most vertices a parsed pattern may have: one bit of a [`VertexSet`] each, with the full
+/// set `(1 << n) - 1` still representable.
+pub const MAX_QUERY_VERTICES: usize = 31;
 
 /// Iterate the indices contained in a [`VertexSet`], in increasing order.
 pub fn set_iter(mut set: VertexSet) -> impl Iterator<Item = usize> {

@@ -1,9 +1,9 @@
 //! Golden DP picks: the optimizer's chosen plan (structural fingerprint) and its
-//! `estimated_cost`, bit for bit, as recorded **at the commit before the per-query estimate
-//! table existed** (PR 17, `e9a1420`). The estimate table only changes *how often* the
-//! catalogue is asked, never *what* it answers, so every line must stay exactly as it was:
-//! same plans, same costs, same lazily sampled catalogue state behind them. Sampling is
-//! seeded, so the file is deterministic.
+//! `estimated_cost`, bit for bit. The first three sections are as recorded **at the commit
+//! before the per-query estimate table existed** (`e9a1420`): the estimate table only changes
+//! *how often* the catalogue is asked, never *what* it answers, so those lines must stay
+//! exactly as they were: same plans, same costs, same lazily sampled catalogue state behind
+//! them. Sampling is seeded, so the file is deterministic.
 //!
 //! Four sections share one catalogue each, in file order (the order matters: entries are
 //! sampled on first use and memoised):
@@ -13,23 +13,25 @@
 //! * Q1–Q14 on the Epinions profile;
 //! * 120 seeded random connected 4–6-vertex patterns over 3 edge labels on the labelled
 //!   Amazon profile — the shape of the benchmark's `cold_plan` list;
-//! * the pruned large-query mode on the power-law graph, in all three plan spaces:
-//!   `directed_path(13)` and `(14)`, eight seeded random connected 13–15-vertex patterns, and
-//!   Q1–Q14 with `full_enumeration_limit = 3`. Its level selection breaks ties (isomorphic
-//!   sub-queries, the common case) by hash-map order, and the choice cascades — a different
-//!   order once cost `directed_path(14)` a 50× dearer plan and turned plans into `none`.
+//! * large queries on the power-law graph, where the search commits units: the first ten
+//!   patterns of [`patterns::large_corpus_a`] (`directed_path(13)` and `(14)` and eight
+//!   seeded 13–15-vertex patterns) in all three plan spaces, then the rest of corpus A (forty
+//!   13–17-vertex patterns) in the hybrid space. Which level commits depends on the search's
+//!   work budget, so these picks also move when the budget or what it counts changes.
+//!
+//! `large_queries_always_get_a_plan` checks corpus B (18–31 vertices) for a full, finitely
+//! costed plan: in full in release, on a three-pattern slice in debug.
 
 use graphflow_catalog::Catalogue;
 use graphflow_datasets::{with_random_edge_labels, Dataset};
-use graphflow_graph::{EdgeLabel, Graph, GraphBuilder, PropValue};
+use graphflow_graph::{Graph, GraphBuilder, PropValue};
 use graphflow_plan::dp::PlanSpaceOptions;
 use graphflow_plan::{CostModel, DpOptimizer};
 use graphflow_query::querygraph::{CmpOp, PredTarget, Predicate};
 use graphflow_query::{patterns, QueryGraph};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt::Write;
-use std::ops::Range;
 use std::sync::Arc;
 
 const GOLDEN: &str = include_str!("golden/dp_picks.txt");
@@ -39,36 +41,6 @@ fn powerlaw_graph() -> Arc<Graph> {
     let mut b = GraphBuilder::new();
     b.add_edges(edges);
     Arc::new(b.build())
-}
-
-/// A random connected pattern of `sizes` vertices: a random spanning tree plus up to three
-/// extra edges, random directions, labels drawn from `0..labels`.
-fn random_pattern(rng: &mut StdRng, sizes: Range<usize>, labels: u16) -> QueryGraph {
-    let n = rng.gen_range(sizes);
-    let mut q = QueryGraph::new();
-    for _ in 0..n {
-        q.add_default_vertex();
-    }
-    let edge = |q: &mut QueryGraph, a: usize, b: usize, rng: &mut StdRng| {
-        let (s, d) = if rng.gen_range(0..2usize) == 0 {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        q.add_edge(s, d, EdgeLabel(rng.gen_range(0..labels)));
-    };
-    for v in 1..n {
-        let u = rng.gen_range(0..v);
-        edge(&mut q, u, v, rng);
-    }
-    for _ in 0..rng.gen_range(0..4usize) {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
-        if a != b {
-            edge(&mut q, a, b, rng);
-        }
-    }
-    q
 }
 
 fn line(out: &mut String, tag: &str, opt: &DpOptimizer<'_>, q: &QueryGraph) {
@@ -139,31 +111,21 @@ fn render() -> String {
     let opt = DpOptimizer::new(&cat);
     let mut rng = StdRng::seed_from_u64(0x5EED);
     for i in 0..120 {
-        let q = random_pattern(&mut rng, 4..7, 3);
+        let q = patterns::random_connected(&mut rng, 4..7, 3, 0..4);
         line(&mut out, &format!("amazon3 #{i} [{q}]"), &opt, &q);
     }
 
     let cat = Catalogue::with_defaults(powerlaw_graph());
-    let mut rng = StdRng::seed_from_u64(0xB16);
-    let mut large = vec![patterns::directed_path(13), patterns::directed_path(14)];
-    large.extend((0..8).map(|_| random_pattern(&mut rng, 13..16, 1)));
+    let corpus = patterns::large_corpus_a();
     for (space_name, space) in spaces {
         let opt = DpOptimizer::new(&cat).with_options(space);
-        for q in &large {
-            line(&mut out, &format!("pruned {space_name} [{q}]"), &opt, q);
+        for q in &corpus[..10] {
+            line(&mut out, &format!("large {space_name} [{q}]"), &opt, q);
         }
-        let opt = opt.with_options(PlanSpaceOptions {
-            full_enumeration_limit: 3,
-            ..space
-        });
-        for (j, q) in patterns::all_benchmark_queries() {
-            line(
-                &mut out,
-                &format!("pruned limit3 {space_name} Q{j}"),
-                &opt,
-                &q,
-            );
-        }
+    }
+    let opt = DpOptimizer::new(&cat);
+    for (i, q) in corpus.iter().enumerate().skip(10) {
+        line(&mut out, &format!("corpus-a #{i} [{q}]"), &opt, q);
     }
     out
 }
@@ -176,5 +138,23 @@ fn dp_picks_and_costs_match_the_parent_commit() {
             assert_eq!(a, g, "first difference at line {}", i + 1);
         }
         assert_eq!(actual.lines().count(), GOLDEN.lines().count());
+    }
+}
+
+#[test]
+fn large_queries_always_get_a_plan() {
+    let cat = Catalogue::with_defaults(powerlaw_graph());
+    let opt = DpOptimizer::new(&cat);
+    let corpus = patterns::large_corpus_b();
+    // Debug builds check a slice: the two paths and the first seeded pattern.
+    let take = if cfg!(debug_assertions) {
+        3
+    } else {
+        corpus.len()
+    };
+    for q in &corpus[..take] {
+        let plan = opt.optimize(q).unwrap_or_else(|| panic!("no plan for {q}"));
+        assert_eq!(plan.root.vertex_set(), q.full_set(), "{q}");
+        assert!(plan.estimated_cost.is_finite(), "{q}");
     }
 }

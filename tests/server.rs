@@ -117,6 +117,37 @@ fn healthz_query_and_structured_errors() {
     server.shutdown().unwrap();
 }
 
+/// A pattern with more vertices than a `VertexSet` holds is a parse error over the wire: every
+/// worker answers it with a 400 and stays up to serve the next request.
+#[test]
+fn oversized_patterns_get_a_400_and_every_worker_survives() {
+    let mut b = GraphBuilder::new();
+    b.add_edge(0, 1);
+    b.add_edge(1, 2);
+    b.add_edge(0, 2);
+    let config = ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let (server, addr, _db) = start_server(GraphflowDB::from_graph(b.build()), config);
+    let path: Vec<String> = (1..40).map(|i| format!("(v{i})->(v{})", i + 1)).collect();
+    let oversized = format!("{{\"query\":\"{} RETURN COUNT(*)\"}}", path.join(", "));
+    // More oversized requests than workers: a worker lost to one would starve the last.
+    for _ in 0..4 {
+        let (status, body) = post_query(addr, &oversized, &[]);
+        assert_eq!(status, 400, "body: {body}");
+        assert!(body.contains("at most 31 vertices"), "body: {body}");
+    }
+    let (status, body) = post_query(
+        addr,
+        &format!("{{\"query\":\"{TRIANGLE} RETURN COUNT(*)\"}}"),
+        &[],
+    );
+    assert_eq!(status, 200, "body: {body}");
+    assert!(body.contains("\"rows\":[[1]]"), "body: {body}");
+    server.shutdown().unwrap();
+}
+
 /// The PR 5 epoch invariant, over the wire: 7 HTTP readers race 1 HTTP writer whose `/txn`
 /// batches atomically toggle the graph between 0 and 2 triangles. Every response must report
 /// a count of 0 or 2 — a 1 means a reader pinned a half-applied batch.
