@@ -25,7 +25,7 @@ use graphflow_exec::RuntimeStats;
 use graphflow_graph::Graph;
 use graphflow_plan::Plan;
 use graphflow_query::QueryGraph;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -215,12 +215,18 @@ use graphflow_core::json::escape as json_escape;
 use graphflow_core::json::fmt_f64_fixed as json_num;
 
 /// Write the machine-readable result file `BENCH_<name>.json` (into `GF_BENCH_DIR`, default
-/// the current directory) and return its path. The file holds one object per record with the
-/// query, dataset, plan, median and p95 wall time, and the raw samples, so CI and plotting
-/// scripts can diff runs without scraping the human-readable tables.
+/// the current directory, created if missing) and return its path. The file holds one object
+/// per record with the query, dataset, plan, median and p95 wall time, and the raw samples, so
+/// CI and plotting scripts can diff runs without scraping the human-readable tables.
 pub fn bench_report(name: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
     let dir = std::env::var("GF_BENCH_DIR").unwrap_or_else(|_| ".".to_string());
-    let path = PathBuf::from(dir).join(format!("BENCH_{name}.json"));
+    write_report(Path::new(&dir), name, records)
+}
+
+/// [`bench_report`] into `dir`, creating it first.
+fn write_report(dir: &Path, name: &str, records: &[BenchRecord]) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"name\": \"{}\",\n", json_escape(name)));
@@ -307,6 +313,20 @@ mod tests {
         assert_eq!(percentile(&s, 0.0), 1.0);
         assert_eq!(percentile(&[7.5], 50.0), 7.5);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn bench_report_creates_a_missing_directory() {
+        let root = std::env::temp_dir().join(format!("gf_bench_missing_{}", std::process::id()));
+        let dir = root.join("nested");
+        assert!(!root.exists());
+        let record = BenchRecord::new("q", "d", "p", &[Duration::from_millis(1)]);
+        let path = write_report(&dir, "missing_dir", &[record]).unwrap();
+        assert_eq!(path, dir.join("BENCH_missing_dir.json"));
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("\"plan\": \"p\""));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

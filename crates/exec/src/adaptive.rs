@@ -9,6 +9,12 @@
 //! Example 6.2), and routes the match to the cheapest ordering. In WCO plans this means the
 //! first two query vertices are fixed (they come from the SCAN) and the rest are picked
 //! adaptively per scanned edge.
+//!
+//! The stage only picks: each candidate ordering is a list of ordinary E/I stages run by the
+//! pipeline loops (`run_stages`), whose complete extensions come back through one
+//! continuation that restores the fixed plan's layout in a stage-owned buffer (no copy when
+//! the pick is the fixed ordering and nothing follows). The stage books each complete
+//! extension once: as an output, or as an intermediate tuple when later stages follow.
 
 use crate::pipeline::{compile, run_stages, CompiledPipeline, ExecOptions, ExtendStage, Stage};
 use crate::profile::OpCounters;
@@ -34,14 +40,27 @@ pub(crate) struct StepEstimate {
 pub(crate) struct AdaptiveCandidate {
     /// The order in which this candidate binds the chain's targets.
     pub order: Vec<usize>,
-    /// The executable extension steps, in candidate order.
-    pub steps: Vec<ExtendStage>,
+    /// The chain's E/I stages in candidate order, each a [`Stage::Extend`].
+    pub steps: Vec<Stage>,
     /// Per-step catalogue estimates used for per-tuple re-costing.
     pub estimates: Vec<StepEstimate>,
     /// `canonical_to_candidate[i]` = position, within this candidate's appended values, of the
     /// query vertex that the *fixed* plan would have appended at position `i`. Used to restore
     /// the canonical tuple layout expected by later stages and by result collection.
     pub canonical_to_candidate: Vec<usize>,
+    /// Whether this candidate is the fixed plan's own ordering, whose output already has the
+    /// canonical layout.
+    pub is_fixed: bool,
+}
+
+impl AdaptiveCandidate {
+    /// The candidate's steps, as the E/I stages they are.
+    pub(crate) fn steps(&self) -> impl Iterator<Item = &ExtendStage> {
+        self.steps.iter().map(|step| match step {
+            Stage::Extend(e) => e,
+            _ => unreachable!("a candidate step is an E/I stage"),
+        })
+    }
 }
 
 /// A pipeline stage that picks a query-vertex ordering per tuple.
@@ -50,13 +69,16 @@ pub struct AdaptiveStage {
     /// Pre-order id of the top E/I of the plan chain this stage runs.
     pub(crate) id: usize,
     pub(crate) candidates: Vec<AdaptiveCandidate>,
-    /// The stage's own work: selection overhead, routed tuples, canonical re-emits and
-    /// outputs. Step-level work is counted on each candidate's own [`ExtendStage`]s.
+    /// The stage's own work: selection overhead, routed tuples and the chain's complete
+    /// extensions (outputs, or intermediate tuples when later stages follow). Step-level work
+    /// is counted on each candidate's own [`ExtendStage`]s.
     pub(crate) counters: OpCounters,
     /// `chosen[i]` = number of incoming tuples routed to candidate `i`.
     pub(crate) chosen: Vec<u64>,
     /// Read the clock for self-times ([`ExecOptions::profile`]).
     timed: bool,
+    /// The chain's current complete extension in the canonical layout.
+    restored: Vec<VertexId>,
 }
 
 impl AdaptiveStage {
@@ -68,9 +90,7 @@ impl AdaptiveStage {
             *mine += theirs;
         }
         for (mine, theirs) in self.candidates.iter_mut().zip(&worker.candidates) {
-            for (mine, theirs) in mine.steps.iter_mut().zip(&theirs.steps) {
-                mine.counters.merge(&theirs.counters);
-            }
+            crate::pipeline::absorb_stages(&mut mine.steps, &theirs.steps);
         }
     }
 }
@@ -83,7 +103,7 @@ fn recost_candidate<G: GraphView>(
     graph: &G,
     tuple: &[VertexId],
 ) -> f64 {
-    let first = &candidate.steps[0];
+    let first = candidate.steps().next().expect("a candidate has steps");
     let first_est = &candidate.estimates[0];
     let mut actual_sum = 0.0;
     let mut ratio = 1.0;
@@ -106,8 +126,10 @@ fn recost_candidate<G: GraphView>(
     cost
 }
 
-/// Execute one adaptive stage for `tuple`, forwarding complete extensions (restored to the
-/// canonical layout) into the remaining stages `rest`. Returns `false` to stop execution.
+/// Execute one adaptive stage for `tuple`: route it to the cheapest candidate, run that
+/// candidate's steps, and forward every complete extension (in the canonical layout) into the
+/// remaining stages `rest`, or to `on_result` when there are none. Returns `false` to stop
+/// execution.
 pub(crate) fn run_adaptive_stage<G: GraphView>(
     stage: &mut AdaptiveStage,
     rest: &mut [Stage],
@@ -130,91 +152,43 @@ pub(crate) fn run_adaptive_stage<G: GraphView>(
     stage.counters.tuples_in += 1;
     stage.chosen[best] += 1;
     stage.counters.add_elapsed(t0);
-    let base_len = tuple.len();
     let candidate = &mut stage.candidates[best];
-    run_candidate_steps(
-        &mut candidate.steps,
-        &candidate.canonical_to_candidate,
-        base_len,
-        rest,
-        graph,
-        tuple,
-        interrupt,
-        &mut stage.counters,
-        on_result,
-    )
-}
-
-/// Depth-first evaluation of a candidate's extension steps; once all steps have fired, the
-/// appended values are re-ordered into the canonical layout and passed on. `op` is the
-/// adaptive stage's own counters.
-#[allow(clippy::too_many_arguments)]
-fn run_candidate_steps<G: GraphView>(
-    steps: &mut [ExtendStage],
-    canonical_to_candidate: &[usize],
-    base_len: usize,
-    rest: &mut [Stage],
-    graph: &G,
-    tuple: &mut Vec<VertexId>,
-    interrupt: Option<&crate::cancel::Interrupt>,
-    op: &mut OpCounters,
-    on_result: &mut dyn FnMut(&[VertexId]) -> bool,
-) -> bool {
-    if steps.is_empty() {
-        // Restore the canonical layout of the appended values. Outputs and canonical re-emits
-        // are the stage's own work (no single step owns them), so they are counted on the
-        // stage rather than on a candidate step.
-        let mut canonical = Vec::with_capacity(tuple.len());
-        canonical.extend_from_slice(&tuple[..base_len]);
-        for &cand_pos in canonical_to_candidate {
-            canonical.push(tuple[base_len + cand_pos]);
-        }
-        return if rest.is_empty() {
-            op.outputs += 1;
-            on_result(&canonical)
-        } else {
-            op.tuples_out += 1;
-            run_stages(rest, graph, &mut canonical, interrupt, on_result)
-        };
-    }
-    let (first, remaining) = steps.split_at_mut(1);
-    let stage = &mut first[0];
-    let set_len = stage.extension_set(graph, tuple).len();
-    if stage.count_tail {
-        // COUNT(*) fast path (mirrors the fixed pipeline): the candidate's final column is
-        // never read, so its set size is the result count for this prefix.
-        op.outputs += set_len as u64;
-        return true;
-    }
-    for i in 0..set_len {
-        // Same cooperative-interrupt granularity as the fixed pipeline: one candidate value.
-        if let Some(interrupt) = interrupt {
-            if interrupt.should_stop() {
-                return false;
-            }
-        }
-        let v = stage.cache_set_value(i);
-        tuple.push(v);
-        if !remaining.is_empty() || !rest.is_empty() {
-            stage.counters.tuples_out += 1;
-        }
-        let keep_going = run_candidate_steps(
-            remaining,
-            canonical_to_candidate,
-            base_len,
-            rest,
+    let emits = rest.is_empty();
+    let keep_going = if candidate.is_fixed && emits {
+        run_stages(&mut candidate.steps, graph, tuple, interrupt, on_result)
+    } else {
+        let (base_len, restored) = (tuple.len(), &mut stage.restored);
+        restored.clear();
+        restored.extend_from_slice(tuple);
+        let reorder = &candidate.canonical_to_candidate;
+        run_stages(
+            &mut candidate.steps,
             graph,
             tuple,
             interrupt,
-            op,
-            on_result,
-        );
-        tuple.pop();
-        if !keep_going {
-            return false;
-        }
+            &mut |chain| {
+                restored.truncate(base_len);
+                restored.extend(reorder.iter().map(|&p| chain[base_len + p]));
+                if emits {
+                    on_result(restored)
+                } else {
+                    run_stages(rest, graph, restored, interrupt, on_result)
+                }
+            },
+        )
+    };
+    // The candidate's last step booked every complete extension as an output (or, under
+    // COUNT(*), bulk-counted them); they are the stage's, and intermediates when stages follow.
+    let Some(Stage::Extend(last)) = candidate.steps.last_mut() else {
+        unreachable!("a candidate ends in an E/I step")
+    };
+    let complete = std::mem::take(&mut last.counters.outputs);
+    if emits {
+        stage.counters.outputs += complete;
+    } else {
+        stage.counters.tuples_out += complete;
     }
-    true
+    keep_going
 }
 
 /// Compile a plan into a pipeline in which every chain of two or more consecutive E/I operators
@@ -278,13 +252,13 @@ fn adaptive_stage(
             let est = catalogue.extension_estimate(q, &prefix, target)?;
             // Each candidate ordering binds targets at different times, so the pushed-down
             // predicates are recomputed against this ordering's own prefix.
-            steps.push(ExtendStage::new(
+            steps.push(Stage::Extend(ExtendStage::new(
                 id,
                 spec.descriptors,
                 spec.target_label,
                 crate::pipeline::extension_preds(q, &prefix, target),
                 options,
-            ));
+            )));
             estimates.push(StepEstimate {
                 sizes: est.avg_list_sizes,
                 mu: est.mu,
@@ -295,6 +269,7 @@ fn adaptive_stage(
             .map(|t| order.iter().position(|o| o == t).expect("same target set"))
             .collect();
         Some(AdaptiveCandidate {
+            is_fixed: order == targets,
             order,
             steps,
             estimates,
@@ -313,6 +288,7 @@ fn adaptive_stage(
         candidates,
         counters: OpCounters::default(),
         timed: options.profile,
+        restored: Vec::new(),
     }
 }
 
@@ -325,7 +301,8 @@ mod tests {
     use graphflow_graph::{Graph, GraphBuilder};
     use graphflow_plan::cost::CostModel;
     use graphflow_plan::dp::DpOptimizer;
-    use graphflow_plan::wco::wco_plan_for_ordering;
+    use graphflow_plan::plan::Plan;
+    use graphflow_plan::wco::{wco_node_for_ordering, wco_plan_for_ordering};
     use graphflow_query::patterns;
     use std::sync::Arc;
 
@@ -394,6 +371,39 @@ mod tests {
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2]).unwrap();
         let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
         assert!(matches!(pipeline.stages[0], Stage::Extend(_)));
+    }
+
+    /// A chain that feeds a later stage books each complete extension once, on the stage: when
+    /// every tuple takes the fixed ordering, the adaptive run counts exactly what the fixed run
+    /// counts, intermediate tuples included.
+    #[test]
+    fn a_chain_feeding_a_probe_counts_what_the_fixed_chain_counts() {
+        let g = random_graph();
+        let cat = Catalogue::with_defaults(g.clone());
+        // Q9's second triangle, a3 -> a4 extended by a5 and a6, probes the first.
+        let q = patterns::benchmark_query(9);
+        let node = |sigma: &[usize]| wco_node_for_ordering(&q, sigma).unwrap();
+        let root = PlanNode::hash_join(&q, node(&[0, 1, 2]), node(&[2, 3, 4, 5])).unwrap();
+        let plan = Plan::new(q.clone(), root, 0.0);
+        let profiled = ExecOptions {
+            profile: true,
+            ..Default::default()
+        };
+        let mut adaptive = count(&g, &plan, Some(&cat), 1, profiled).stats;
+        let routing = std::mem::take(&mut adaptive.profile);
+        let candidates = &(routing.iter())
+            .find(|node| !node.candidates.is_empty())
+            .expect("the chain ran as an adaptive stage")
+            .candidates;
+        let routed: Vec<_> = candidates
+            .iter()
+            .map(|c| (c.order.clone(), c.chosen))
+            .collect();
+        assert_eq!(routed, vec![(vec![4, 5], 1724), (vec![5, 4], 0)]);
+        adaptive.elapsed = Default::default();
+        let mut fixed = count(&g, &plan, None, 1, ExecOptions::default()).stats;
+        fixed.elapsed = Default::default();
+        assert_eq!(adaptive, fixed);
     }
 
     #[test]

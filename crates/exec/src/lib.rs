@@ -14,7 +14,8 @@
 //!   vertices and probes it with the other side;
 //! * an **adaptive stage** (Section 6) replaces a chain of two or more E/I operators with a
 //!   per-tuple choice among all remaining query-vertex orderings, re-costing each ordering from
-//!   the actual adjacency-list sizes of the tuple at hand.
+//!   the actual adjacency-list sizes of the tuple at hand; each ordering runs as ordinary E/I
+//!   stages.
 //!
 //! There is **one executor**, [`execute_with_sink`], with two orthogonal settings. Whether E/I
 //! chains are compiled fixed or adaptive is a property of the compiled pipeline (pass a

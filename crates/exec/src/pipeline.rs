@@ -423,6 +423,24 @@ impl ExtendStage {
         self.counters.add_elapsed(t0);
         &self.cache_set
     }
+
+    /// Read a value from the cached extension set by index (kept separate from
+    /// [`ExtendStage::extension_set`] so the borrow of the set does not outlive the recursion
+    /// into later stages).
+    #[inline]
+    pub(crate) fn cache_set_value(&self, i: usize) -> VertexId {
+        self.cache_set[i]
+    }
+
+    /// Install an externally-computed candidate set — a stolen heavy-split segment — into this
+    /// stage's set buffer so [`run_extend_candidates`] can drive it. Invalidates the
+    /// last-extension cache: the installed segment is a slice of another worker's set and must
+    /// not be reused for this stage's next tuple.
+    pub(crate) fn install_candidates(&mut self, candidates: &[VertexId]) {
+        self.cache_set.clear();
+        self.cache_set.extend_from_slice(candidates);
+        self.cache_valid = false;
+    }
 }
 
 /// A hash-table probe stage (the probe half of a HASH-JOIN).
@@ -457,6 +475,18 @@ pub(crate) enum Stage {
     Extend(ExtendStage),
     Probe(ProbeStage),
     Adaptive(crate::adaptive::AdaptiveStage),
+}
+
+/// Fold the counters of a worker's clone of `mine` into it, stage by stage.
+pub(crate) fn absorb_stages(mine: &mut [Stage], theirs: &[Stage]) {
+    for (mine, theirs) in mine.iter_mut().zip(theirs) {
+        match (mine, theirs) {
+            (Stage::Extend(a), Stage::Extend(b)) => a.counters.merge(&b.counters),
+            (Stage::Probe(a), Stage::Probe(b)) => a.counters.merge(&b.counters),
+            (Stage::Adaptive(a), Stage::Adaptive(b)) => a.absorb(b),
+            _ => unreachable!("a worker's pipeline is a clone of this one"),
+        }
+    }
 }
 
 /// A compiled, executable pipeline.
@@ -650,7 +680,8 @@ fn materialize<G: GraphView>(
     (builder.table, BuildSide { pipeline, stats })
 }
 
-/// Recursive depth-first evaluation of the stage pipeline. Returns `false` to stop.
+/// Recursive depth-first evaluation of a list of stages: a pipeline's, or the steps of the
+/// candidate an adaptive stage picked. Returns `false` to stop.
 pub(crate) fn run_stages<G: GraphView>(
     stages: &mut [Stage],
     graph: &G,
@@ -766,26 +797,6 @@ pub(crate) fn run_extend_candidates<G: GraphView>(
     true
 }
 
-impl ExtendStage {
-    /// Read a value from the cached extension set by index (kept separate from
-    /// [`ExtendStage::extension_set`] so the borrow of the set does not outlive the recursion
-    /// into later stages).
-    #[inline]
-    pub(crate) fn cache_set_value(&self, i: usize) -> VertexId {
-        self.cache_set[i]
-    }
-
-    /// Install an externally-computed candidate set — a stolen heavy-split segment — into this
-    /// stage's set buffer so [`run_extend_candidates`] can drive it. Invalidates the
-    /// last-extension cache: the installed segment is a slice of another worker's set and must
-    /// not be reused for this stage's next tuple.
-    pub(crate) fn install_candidates(&mut self, candidates: &[VertexId]) {
-        self.cache_set.clear();
-        self.cache_set.extend_from_slice(candidates);
-        self.cache_valid = false;
-    }
-}
-
 impl CompiledPipeline {
     /// Switch the operator that emits result tuples to bulk counting
     /// ([`ExecOptions::count_tail`]) where it is an E/I extension — a fixed stage, or the final
@@ -795,7 +806,9 @@ impl CompiledPipeline {
             Some(Stage::Extend(e)) => e.count_tail = true,
             Some(Stage::Adaptive(a)) => {
                 for step in a.candidates.iter_mut().filter_map(|c| c.steps.last_mut()) {
-                    step.count_tail = true;
+                    if let Stage::Extend(e) = step {
+                        e.count_tail = true;
+                    }
                 }
             }
             _ => {}
@@ -808,14 +821,7 @@ impl CompiledPipeline {
     /// merged — this pipeline keeps the only copy that is folded.
     pub(crate) fn absorb(&mut self, worker: &CompiledPipeline) {
         self.scan.counters.merge(&worker.scan.counters);
-        for (mine, theirs) in self.stages.iter_mut().zip(&worker.stages) {
-            match (mine, theirs) {
-                (Stage::Extend(a), Stage::Extend(b)) => a.counters.merge(&b.counters),
-                (Stage::Probe(a), Stage::Probe(b)) => a.counters.merge(&b.counters),
-                (Stage::Adaptive(a), Stage::Adaptive(b)) => a.absorb(b),
-                _ => unreachable!("a worker's pipeline is a clone of this one"),
-            }
-        }
+        absorb_stages(&mut self.stages, &worker.stages);
     }
 
     /// The counters of the operator that emits result tuples (the last stage, or the scan of a
@@ -877,7 +883,7 @@ impl CompiledPipeline {
                 }
                 Stage::Adaptive(a) => {
                     add(stats, &a.counters);
-                    for step in a.candidates.iter().flat_map(|c| &c.steps) {
+                    for step in a.candidates.iter().flat_map(|c| c.steps()) {
                         add_extend(stats, step);
                     }
                     (a.id, &a.counters)
@@ -893,7 +899,7 @@ impl CompiledPipeline {
                     .map(|(cand, &chosen)| CandidateProfile {
                         order: cand.order.clone(),
                         chosen,
-                        steps: cand.steps.iter().map(|st| st.counters.clone()).collect(),
+                        steps: cand.steps().map(|st| st.counters.clone()).collect(),
                     })
                     .collect();
                 stage_time += (node.candidates.iter().flat_map(|c| &c.steps))
