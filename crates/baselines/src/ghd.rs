@@ -209,7 +209,7 @@ fn bag_node(q: &QueryGraph, ordering: &[usize]) -> Option<PlanNode> {
 /// All executable orderings of the vertices of `bag` (prefixes connected, first two share an
 /// edge).
 fn executable_orderings(q: &QueryGraph, bag: VertexSet) -> Vec<Vec<usize>> {
-    graphflow_query::qvo::orderings_extending(q, 0, bag)
+    graphflow_query::qvo::orderings_extending(q, 0, bag, usize::MAX)
         .into_iter()
         .filter(|sigma| {
             sigma.len() >= 2

@@ -23,10 +23,11 @@ fn main() {
             .with_cost_model(CostModel::default().cache_oblivious())
             .optimize(&q)
             .unwrap();
-        let (_, sc, tc) = run_plan(&db, &conscious, QueryOptions::default());
-        let (_, so, to) = run_plan(&db, &oblivious, QueryOptions::default());
-        report.push(BenchRecord::new(name, "amazon", "cache_conscious", &[tc]).with_stats(&sc));
-        report.push(BenchRecord::new(name, "amazon", "cache_oblivious", &[to]).with_stats(&so));
+        let c = measure(&db, &conscious, &QueryOptions::default());
+        let o = measure(&db, &oblivious, &QueryOptions::default());
+        report.push(c.record(name, "amazon", "cache_conscious"));
+        report.push(o.record(name, "amazon", "cache_oblivious"));
+        let (tc, sc, to, so) = (c.best(), c.stats, o.best(), o.stats);
         rows.push(vec![
             name.to_string(),
             secs(tc),

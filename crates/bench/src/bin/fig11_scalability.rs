@@ -21,16 +21,9 @@ fn main() {
         let mut rows = Vec::new();
         let mut base = None;
         for threads in thread_sweep() {
-            let (count, stats, t) = run_plan(&db, &plan, QueryOptions::new().threads(threads));
-            report.push(
-                BenchRecord::new(
-                    format!("Q{j}"),
-                    ds.name(),
-                    format!("threads={threads}"),
-                    &[t],
-                )
-                .with_stats(&stats),
-            );
+            let m = measure(&db, &plan, &QueryOptions::new().threads(threads));
+            report.push(m.record(format!("Q{j}"), ds.name(), format!("threads={threads}")));
+            let (count, t) = (m.count, m.best());
             let speedup = base.get_or_insert(t.as_secs_f64()).max(1e-9) / t.as_secs_f64().max(1e-9);
             rows.push(vec![
                 threads.to_string(),

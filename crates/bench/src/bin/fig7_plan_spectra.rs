@@ -56,16 +56,15 @@ fn main() {
             let mut rows = Vec::new();
             let mut best = f64::INFINITY;
             let mut worst: f64 = 0.0;
-            let mut chosen_time = None;
+            let mut chosen_samples = None;
             let mut times = Vec::with_capacity(spectrum.len());
             for (sp_i, sp) in spectrum.iter().enumerate() {
-                let (_, stats, t) = run_plan(&db, &sp.plan, QueryOptions::default());
+                let m = measure(&db, &sp.plan, &QueryOptions::default());
                 report.push(
-                    BenchRecord::new(&query_name, ds.name(), format!("{}#{sp_i}", sp.class), &[t])
-                        .with_stats(&stats)
+                    m.record(&query_name, ds.name(), format!("{}#{sp_i}", sp.class))
                         .with_estimated_cost(sp.plan.estimated_cost),
                 );
-                let t = t.as_secs_f64();
+                let t = m.best().as_secs_f64();
                 times.push(t);
                 best = best.min(t);
                 worst = worst.max(t);
@@ -75,25 +74,18 @@ fn main() {
                     ""
                 };
                 if sp.plan.root.fingerprint() == chosen_fp {
-                    chosen_time = Some(t);
+                    chosen_samples = Some(m.samples);
                 }
                 rows.push(vec![format!("{}", sp.class), format!("{t:.3}{marker}")]);
             }
             // The optimizer's plan may use an operator order not present in the capped spectrum;
             // measure it directly in that case.
-            let chosen_time = chosen_time.unwrap_or_else(|| {
-                run_plan(&db, &chosen, QueryOptions::default())
-                    .2
-                    .as_secs_f64()
-            });
+            let chosen_samples = chosen_samples
+                .unwrap_or_else(|| measure(&db, &chosen, &QueryOptions::default()).samples);
+            let chosen_time = chosen_samples.iter().min().unwrap().as_secs_f64();
             report.push(
-                BenchRecord::new(
-                    &query_name,
-                    ds.name(),
-                    "optimizer_pick",
-                    &[std::time::Duration::from_secs_f64(chosen_time)],
-                )
-                .with_estimated_cost(chosen.estimated_cost),
+                BenchRecord::new(&query_name, ds.name(), "optimizer_pick", &chosen_samples)
+                    .with_estimated_cost(chosen.estimated_cost),
             );
             rows.sort();
             print_table(

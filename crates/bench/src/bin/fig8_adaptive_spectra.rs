@@ -5,32 +5,10 @@
 //! pick's adaptive ÷ fixed.
 
 use graphflow_bench::*;
-use graphflow_core::{GraphflowDB, QueryOptions};
+use graphflow_core::QueryOptions;
 use graphflow_datasets::Dataset;
-use graphflow_exec::RuntimeStats;
 use graphflow_plan::wco::wco_plan_for_ordering;
-use graphflow_plan::Plan;
 use graphflow_query::patterns;
-use std::time::Duration;
-
-/// Run `plan` `sample_count()` times: the stats of one run, every sample, and the best one in
-/// seconds.
-fn measure(
-    db: &GraphflowDB,
-    plan: &Plan,
-    options: &QueryOptions,
-) -> (RuntimeStats, Vec<Duration>, f64) {
-    let mut stats = RuntimeStats::default();
-    let samples: Vec<Duration> = (0..sample_count())
-        .map(|_| {
-            let (_, s, t) = run_plan(db, plan, options.clone());
-            stats = s;
-            t
-        })
-        .collect();
-    let best = samples.iter().min().copied().unwrap_or_default();
-    (stats, samples, best.as_secs_f64())
-}
 
 fn main() {
     let datasets = [Dataset::Amazon, Dataset::Epinions, Dataset::Google];
@@ -56,16 +34,9 @@ fn main() {
                 let name = ordering_name(&q, &sigma);
                 let mut best = [0.0; 3];
                 for (c, (config, options)) in configs.iter().enumerate() {
-                    let (stats, samples, t) = measure(&db, &plan, options);
-                    report.push(
-                        BenchRecord::new(
-                            format!("Q{j}"),
-                            ds.name(),
-                            format!("{name} {config}"),
-                            &samples,
-                        )
-                        .with_stats(&stats),
-                    );
+                    let m = measure(&db, &plan, options);
+                    report.push(m.record(format!("Q{j}"), ds.name(), format!("{name} {config}")));
+                    let t = m.best().as_secs_f64();
                     best[c] = t;
                     let (lo, hi, sum) = &mut spread[c];
                     *lo = lo.min(t);
@@ -99,8 +70,8 @@ fn main() {
                 &rows,
             );
             let pick = db.plan(&q).expect("benchmark queries plan");
-            let (_, _, pick_fixed) = measure(&db, &pick, &configs[0].1);
-            let (_, _, pick_adaptive) = measure(&db, &pick, &configs[1].1);
+            let pick_fixed = measure(&db, &pick, &configs[0].1).best().as_secs_f64();
+            let pick_adaptive = measure(&db, &pick, &configs[1].1).best().as_secs_f64();
             println!(
                 "Q{j} on {}: sum adaptive / sum fixed = {:.2}, optimizer pick adaptive / fixed = {:.2}",
                 ds.name(),

@@ -33,17 +33,9 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, sp)| {
-                let (_, stats, t) = run_plan(&db, &sp.plan, QueryOptions::default());
-                report.push(
-                    BenchRecord::new(
-                        format!("Q{j}"),
-                        ds.name(),
-                        format!("GF {}#{i}", sp.class),
-                        &[t],
-                    )
-                    .with_stats(&stats),
-                );
-                t.as_secs_f64()
+                let m = measure(&db, &sp.plan, &QueryOptions::default());
+                report.push(m.record(format!("Q{j}"), ds.name(), format!("GF {}#{i}", sp.class)));
+                m.best().as_secs_f64()
             })
             .collect();
 
@@ -54,12 +46,9 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, p)| {
-                let (_, stats, t) = run_plan(&db, p, QueryOptions::default());
-                report.push(
-                    BenchRecord::new(format!("Q{j}"), ds.name(), format!("EH#{i}"), &[t])
-                        .with_stats(&stats),
-                );
-                t.as_secs_f64()
+                let m = measure(&db, p, &QueryOptions::default());
+                report.push(m.record(format!("Q{j}"), ds.name(), format!("EH#{i}")));
+                m.best().as_secs_f64()
             })
             .collect();
 

@@ -12,7 +12,7 @@
 //! (the "after"). Both files carry identical `output_count`s — the plans compute the same
 //! query — so `bench_compare` can gate on result drift and wall time across the flip.
 
-use graphflow_bench::{bench_report, print_table, run_plan, sample_count, secs, BenchRecord};
+use graphflow_bench::{bench_report, measure, print_table, secs, BenchRecord};
 use graphflow_catalog::Catalogue;
 use graphflow_core::{GraphflowDB, QueryOptions};
 use graphflow_graph::{GraphBuilder, PropValue};
@@ -23,23 +23,15 @@ use graphflow_query::querygraph::{CmpOp, PredTarget, Predicate};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn measure(db: &GraphflowDB, plan: &Plan, samples: usize) -> (Vec<Duration>, u64, BenchRecord) {
-    let mut times = Vec::with_capacity(samples);
-    let mut last = None;
-    for _ in 0..samples {
-        let (count, stats, elapsed) = run_plan(db, plan, QueryOptions::new());
-        times.push(elapsed);
-        last = Some((count, stats));
-    }
-    let (count, stats) = last.expect("at least one sample");
-    let record = BenchRecord::new(
+/// `plan`'s samples, its count and its record.
+fn run(db: &GraphflowDB, plan: &Plan) -> (Vec<Duration>, u64, BenchRecord) {
+    let m = measure(db, plan, &QueryOptions::new());
+    let record = m.record(
         "tailed-triangle WHERE tail.age = 7",
         "powerlaw-props",
         "measured",
-        &times,
-    )
-    .with_stats(&stats);
-    (times, count, record)
+    );
+    (m.samples, m.count, record)
 }
 
 fn main() {
@@ -78,9 +70,8 @@ fn main() {
         println!("note: both cost models picked the same plan at this scale");
     }
 
-    let samples = sample_count();
-    let (aware_times, aware_count, aware_rec) = measure(&db, &aware_plan, samples);
-    let (blind_times, blind_count, blind_rec) = measure(&db, &blind_plan, samples);
+    let (aware_times, aware_count, aware_rec) = run(&db, &aware_plan);
+    let (blind_times, blind_count, blind_rec) = run(&db, &blind_plan);
     assert_eq!(
         aware_count, blind_count,
         "both plans must compute the same result"

@@ -19,6 +19,13 @@
 //! ([`patterns::large_corpus_a`], 13–17 vertices, and [`patterns::large_corpus_b`], 18–31)
 //! over the power-law graph the plan golden file uses, on a warm catalogue: one record per
 //! corpus and vertex count, one sample per pattern (its best of `GF_SAMPLES` optimizes).
+//!
+//! Beneath the planner, `canonical_form` (the plan-cache key and, pinned, the catalogue key)
+//! is timed over five query sets: 300 `cold_plan`-like patterns (4–6 vertices, 3 edge
+//! labels), the pinned extension questions the catalogue may ask about them, Q1–Q14, the
+//! directed 9-cycle with the 15-leaf star, and both large-query corpora. A record's output
+//! count is the number of distinct codes in its set, so a change in which patterns share a
+//! code shows as drift.
 
 use graphflow_bench::{bench_report, print_table, sample_count, BenchRecord};
 use graphflow_catalog::Catalogue;
@@ -26,8 +33,10 @@ use graphflow_exec::RuntimeStats;
 use graphflow_graph::intersect::{block, scalar};
 use graphflow_graph::{intersect_sorted_into, select_kernel, simd_active, GraphBuilder, VertexId};
 use graphflow_plan::DpOptimizer;
-use graphflow_query::patterns;
-use std::collections::BTreeMap;
+use graphflow_query::canonical::{canonical_form, canonical_form_pinned};
+use graphflow_query::{patterns, QueryGraph};
+use rand::SeedableRng;
+use std::collections::{BTreeMap, HashSet};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,6 +160,79 @@ fn optimize_records() -> Vec<BenchRecord> {
     records
 }
 
+/// The extension questions the catalogue may ask about `q` (paper Section 5): every connected
+/// vertex set of 2 to `h + 1 = 4` vertices, projected, with a vertex whose removal leaves it
+/// connected pinned.
+fn pinned_questions(q: &QueryGraph) -> Vec<(QueryGraph, Option<usize>)> {
+    let sets = (1..q.full_set()).filter(|s| (2..=4).contains(&s.count_ones()));
+    let connected = sets.filter(|&s| q.is_connected_subset(s));
+    let pinned = connected.flat_map(|s| {
+        let members = (0..q.num_vertices()).filter(move |&v| s & (1 << v) != 0);
+        members.enumerate().filter_map(move |(rank, v)| {
+            let rest = s & !(1 << v);
+            q.is_connected_subset(rest)
+                .then(|| (q.project(s).0, Some(rank)))
+        })
+    });
+    pinned.collect()
+}
+
+/// `canonical_form` records (see the module doc): each sample runs `iters` passes over a set.
+fn canonical_records() -> Vec<BenchRecord> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED);
+    let cold: Vec<QueryGraph> = (0..300)
+        .map(|_| patterns::random_connected(&mut rng, 4..7, 3, 0..4))
+        .collect();
+    let mut ring = QueryGraph::new();
+    for _ in 0..9 {
+        ring.add_default_vertex();
+    }
+    for i in 0..9 {
+        ring.add_edge(i, (i + 1) % 9, graphflow_graph::EdgeLabel(0));
+    }
+    let whole = |qs: Vec<QueryGraph>| qs.into_iter().map(|q| (q, None)).collect::<Vec<_>>();
+    let mut large = patterns::large_corpus_a();
+    large.extend(patterns::large_corpus_b());
+    let sets = [
+        (
+            "cold_plan-like",
+            cold.iter().flat_map(pinned_questions).collect(),
+            2,
+        ),
+        ("cold_plan-like", whole(cold), 20),
+        (
+            "Q1-Q14",
+            whole((1..=14).map(patterns::benchmark_query).collect()),
+            200,
+        ),
+        (
+            "9-cycle, 15-leaf star",
+            whole(vec![ring, patterns::out_star(16)]),
+            10,
+        ),
+        ("corpora A+B", whole(large), 2),
+    ];
+    let code = |(q, pinned): &(QueryGraph, Option<usize>)| match *pinned {
+        Some(v) => canonical_form_pinned(q, v).0,
+        None => canonical_form(q).0,
+    };
+    let mut records = Vec::new();
+    for (name, set, iters) in sets {
+        let pinned = if set[0].1.is_some() { " pinned" } else { "" };
+        let (samples, _) =
+            run_samples(iters, |_| set.iter().for_each(|i| drop(black_box(code(i)))));
+        let stats = RuntimeStats {
+            output_count: set.iter().map(code).collect::<HashSet<_>>().len() as u64,
+            ..Default::default()
+        };
+        let query = format!("canonical_form {name}{pinned} ({} queries)", set.len());
+        records.push(
+            BenchRecord::new(query, "query-patterns", "canonical", &samples).with_stats(&stats),
+        );
+    }
+    records
+}
+
 fn main() {
     let mut records = Vec::new();
     let mut rows = Vec::new();
@@ -222,5 +304,22 @@ fn main() {
         &rows,
     );
     records.extend(optimize);
+    let canonical = canonical_records();
+    let rows: Vec<Vec<String>> = (canonical.iter())
+        .map(|r| {
+            let codes = r.stats.map_or(0, |s| s.output_count);
+            vec![
+                r.query.clone(),
+                format!("{:.3}", r.median_ms()),
+                codes.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "canonical_form (per-sample wall time)",
+        &["query set", "median_ms", "codes"],
+        &rows,
+    );
+    records.extend(canonical);
     bench_report("kernel_microbench", &records).expect("write benchmark report");
 }

@@ -32,8 +32,9 @@ fn main() {
                     i as u64 * 31 + n as u64,
                 );
                 let Ok(plan) = db.plan(&q) else { continue };
-                let (_, stats, gf_t) =
-                    run_plan(&db, &plan, QueryOptions::new().limit(output_limit));
+                let m = measure(&db, &plan, &QueryOptions::new().limit(output_limit));
+                // The baseline runs once: compare the first run with it.
+                let (stats, gf_t) = (m.stats, m.samples[0]);
                 let (_, cfl_t) = time(|| {
                     backtracking_count(
                         &graph,

@@ -16,11 +16,10 @@ fn main() {
         for j in [1usize, 2, 4] {
             let q = patterns::benchmark_query(j);
             let plan = db.plan(&q).unwrap();
-            let (count, stats, gf_time) = run_plan(&db, &plan, QueryOptions::default());
-            report.push(
-                BenchRecord::new(format!("Q{j}"), ds.name(), "graphflow", &[gf_time])
-                    .with_stats(&stats),
-            );
+            let m = measure(&db, &plan, &QueryOptions::default());
+            report.push(m.record(format!("Q{j}"), ds.name(), "graphflow"));
+            // The BJ engine runs once: compare the first run with it.
+            let (count, gf_time) = (m.count, m.samples[0]);
             let (bj, bj_time) = time(|| {
                 bj_engine_count(
                     &db.graph(),

@@ -15,26 +15,12 @@ fn main() {
     let mut report = Vec::new();
     for sigma in executable_orderings(&q) {
         let plan = wco_plan_for_ordering(&q, &db.catalogue(), &model, &sigma).unwrap();
-        let (_, s_on, t_on) = run_plan(&db, &plan, QueryOptions::default());
-        let (_, s_off, t_off) = run_plan(&db, &plan, QueryOptions::new().intersection_cache(false));
-        report.push(
-            BenchRecord::new(
-                "diamond_x",
-                "amazon",
-                format!("{} cache_on", ordering_name(&q, &sigma)),
-                &[t_on],
-            )
-            .with_stats(&s_on),
-        );
-        report.push(
-            BenchRecord::new(
-                "diamond_x",
-                "amazon",
-                format!("{} cache_off", ordering_name(&q, &sigma)),
-                &[t_off],
-            )
-            .with_stats(&s_off),
-        );
+        let on = measure(&db, &plan, &QueryOptions::default());
+        let off = measure(&db, &plan, &QueryOptions::new().intersection_cache(false));
+        let name = ordering_name(&q, &sigma);
+        report.push(on.record("diamond_x", "amazon", format!("{name} cache_on")));
+        report.push(off.record("diamond_x", "amazon", format!("{name} cache_off")));
+        let (t_on, s_on, t_off, s_off) = (on.best(), on.stats, off.best(), off.stats);
         rows.push(vec![
             ordering_name(&q, &sigma),
             secs(t_on),

@@ -10,7 +10,6 @@ use graphflow_query::patterns;
 
 fn main() {
     let q = patterns::asymmetric_triangle();
-    let samples = sample_count();
     let mut report = Vec::new();
     for ds in [Dataset::BerkStan, Dataset::LiveJournal] {
         let db = db_for(ds);
@@ -18,28 +17,14 @@ fn main() {
         let mut rows = Vec::new();
         for sigma in [vec![0, 1, 2], vec![1, 2, 0], vec![0, 2, 1]] {
             let plan = wco_plan_for_ordering(&q, &db.catalogue(), &model, &sigma).unwrap();
-            let mut times = Vec::with_capacity(samples);
-            let (mut count, mut stats, mut t) = run_plan(&db, &plan, QueryOptions::default());
-            times.push(t);
-            for _ in 1..samples {
-                (count, stats, t) = run_plan(&db, &plan, QueryOptions::default());
-                times.push(t);
-            }
-            report.push(
-                BenchRecord::new(
-                    "asymmetric_triangle",
-                    ds.name(),
-                    ordering_name(&q, &sigma),
-                    &times,
-                )
-                .with_stats(&stats),
-            );
+            let m = measure(&db, &plan, &QueryOptions::default());
+            report.push(m.record("asymmetric_triangle", ds.name(), ordering_name(&q, &sigma)));
             rows.push(vec![
                 ordering_name(&q, &sigma),
-                secs(t),
-                stats.intermediate_tuples.to_string(),
-                stats.icost.to_string(),
-                count.to_string(),
+                secs(m.best()),
+                m.stats.intermediate_tuples.to_string(),
+                m.stats.icost.to_string(),
+                m.count.to_string(),
             ]);
         }
         print_table(

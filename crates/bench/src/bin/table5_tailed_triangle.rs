@@ -26,12 +26,9 @@ fn main() {
             let Some(plan) = wco_plan_for_ordering(&q, &db.catalogue(), &model, sigma) else {
                 continue;
             };
-            let (count, stats, t) =
-                run_plan(&db, &plan, QueryOptions::new().intersection_cache(false));
-            report.push(
-                BenchRecord::new("tailed_triangle", ds.name(), ordering_name(&q, sigma), &[t])
-                    .with_stats(&stats),
-            );
+            let m = measure(&db, &plan, &QueryOptions::new().intersection_cache(false));
+            report.push(m.record("tailed_triangle", ds.name(), ordering_name(&q, sigma)));
+            let (t, count, stats) = (m.best(), m.count, m.stats);
             let kind = if sigma[2] == 2 || (sigma[2] != 3 && sigma[3] == 3) {
                 "EDGE-TRIANGLE"
             } else {

@@ -18,16 +18,9 @@ fn main() {
             let Some(plan) = wco_plan_for_ordering(&q, &db.catalogue(), &model, &sigma) else {
                 continue;
             };
-            let (count, stats, t) = run_plan(&db, &plan, QueryOptions::default());
-            report.push(
-                BenchRecord::new(
-                    "symmetric_diamond_x",
-                    ds.name(),
-                    ordering_name(&q, &sigma),
-                    &[t],
-                )
-                .with_stats(&stats),
-            );
+            let m = measure(&db, &plan, &QueryOptions::default());
+            report.push(m.record("symmetric_diamond_x", ds.name(), ordering_name(&q, &sigma)));
+            let (t, count, stats) = (m.best(), m.count, m.stats);
             rows.push(vec![
                 ordering_name(&q, &sigma),
                 secs(t),

@@ -16,20 +16,14 @@ fn run_cell(
 ) -> (String, String, String) {
     let catalogue = db.catalogue();
     let planner = GhdPlanner::new(&catalogue);
-    let mut measure = |plan: Option<graphflow_plan::Plan>, label: &str| {
-        let (stats, t) = match plan {
-            Some(p) => {
-                let (_, stats, t) = run_plan(db, &p, QueryOptions::default());
-                (stats, t)
-            }
-            None => return None,
-        };
-        report.push(BenchRecord::new(query_name, ds_name, label, &[t]).with_stats(&stats));
-        Some(t)
+    let mut cell = |plan: Option<graphflow_plan::Plan>, label: &str| {
+        let m = measure(db, &plan?, &QueryOptions::default());
+        report.push(m.record(query_name, ds_name, label));
+        Some(m.best())
     };
-    let gf = measure(db.plan(q).ok(), "graphflow");
-    let ehg = measure(planner.plan(q, OrderingPolicy::BestCost), "eh_good");
-    let ehb = measure(planner.plan(q, OrderingPolicy::WorstCost), "eh_bad");
+    let gf = cell(db.plan(q).ok(), "graphflow");
+    let ehg = cell(planner.plan(q, OrderingPolicy::BestCost), "eh_good");
+    let ehb = cell(planner.plan(q, OrderingPolicy::WorstCost), "eh_bad");
     let fmt = |x: Option<std::time::Duration>| x.map(secs).unwrap_or_else(|| "-".into());
     (fmt(ehb), fmt(ehg), fmt(gf))
 }

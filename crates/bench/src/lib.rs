@@ -51,16 +51,47 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, start.elapsed())
 }
 
-/// Run one plan on a database and report `(count, stats, wall time)`.
+/// A plan run [`sample_count`] times by [`measure`]: the count and executor counters of the
+/// last run, and every wall-time sample.
+pub struct Measured {
+    pub count: u64,
+    pub stats: RuntimeStats,
+    pub samples: Vec<Duration>,
+}
+
+impl Measured {
+    /// The fastest sample.
+    pub fn best(&self) -> Duration {
+        self.samples.iter().min().copied().unwrap_or_default()
+    }
+
+    /// The record of every sample, with the run's counters attached.
+    pub fn record(
+        &self,
+        query: impl Into<String>,
+        dataset: impl Into<String>,
+        plan: impl Into<String>,
+    ) -> BenchRecord {
+        BenchRecord::new(query, dataset, plan, &self.samples).with_stats(&self.stats)
+    }
+}
+
+/// Run one plan on a database [`sample_count`] times — the one way a harness times a record.
 ///
 /// Panics on invalid option combinations — bench harnesses construct their options statically.
-pub fn run_plan(
-    db: &GraphflowDB,
-    plan: &Plan,
-    options: QueryOptions,
-) -> (u64, RuntimeStats, Duration) {
-    let (result, elapsed) = time(|| db.run_plan(plan, options).expect("bench options are valid"));
-    (result.count, result.stats, elapsed)
+pub fn measure(db: &GraphflowDB, plan: &Plan, options: &QueryOptions) -> Measured {
+    let mut measured = Measured {
+        count: 0,
+        stats: RuntimeStats::default(),
+        samples: Vec::with_capacity(sample_count()),
+    };
+    for _ in 0..sample_count() {
+        let (result, elapsed) =
+            time(|| (db.run_plan(plan, options.clone())).expect("bench options are valid"));
+        (measured.count, measured.stats) = (result.count, result.stats);
+        measured.samples.push(elapsed);
+    }
+    measured
 }
 
 /// Format a duration in seconds with three decimals.

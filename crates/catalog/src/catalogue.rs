@@ -499,26 +499,11 @@ impl Catalogue {
         proj_target: usize,
         perm: &[usize],
     ) -> CatalogueEntry {
-        // Any connected ordering of the prefix works for sampling; prefer one starting from a
-        // query edge (guaranteed because the prefix is connected and has >= 2 vertices).
-        let prefix_set: VertexSet = (0..proj.num_vertices())
-            .filter(|&v| v != proj_target)
-            .fold(0, |acc, v| acc | singleton(v));
-        let orderings = graphflow_query::qvo::orderings_extending(proj, 0, prefix_set);
-        let ordering = orderings
-            .into_iter()
-            .find(|sigma| {
-                sigma.len() < 2
-                    || proj.edges().iter().any(|e| {
-                        (e.src == sigma[0] && e.dst == sigma[1])
-                            || (e.src == sigma[1] && e.dst == sigma[0])
-                    })
-            })
-            .unwrap_or_else(|| {
-                (0..proj.num_vertices())
-                    .filter(|&v| v != proj_target)
-                    .collect()
-            });
+        // Any connected ordering of the prefix works for sampling; the first one starts from a
+        // query edge (its second vertex attaches to the first).
+        let prefix_set = proj.full_set() & !singleton(proj_target);
+        let first = graphflow_query::qvo::orderings_extending(proj, 0, prefix_set, 1).pop();
+        let ordering = first.unwrap_or_else(|| set_iter(prefix_set).collect());
 
         let stats = sample_extension_stats(
             &self.snap,
@@ -636,11 +621,6 @@ impl Catalogue {
             };
         }
         let (proj, _mapping) = q.project(set);
-        // Canonical codes are for small sub-queries; larger projections (the optimizer asks
-        // about them for queries of more than eight vertices) are estimated uncached.
-        if proj.num_vertices() > 8 {
-            return self.estimate_cardinality_uncached(q, set, &proj);
-        }
         let code = canonical_code(&proj);
         let cached = self.caches.lock().cardinalities.get(&code).copied();
         if let Some((c, tick)) = cached {
@@ -648,7 +628,7 @@ impl Catalogue {
                 return c;
             }
         }
-        let card = self.estimate_cardinality_uncached(q, set, &proj);
+        let card = self.sampled_cardinality(q, set, &proj);
         let mut caches = self.caches.lock();
         if cached.is_some() {
             caches.refreshes += 1;
@@ -657,28 +637,18 @@ impl Catalogue {
         card
     }
 
-    fn estimate_cardinality_uncached(
-        &self,
-        q: &QueryGraph,
-        set: VertexSet,
-        proj: &QueryGraph,
-    ) -> f64 {
+    /// The estimate `cardinality` caches; `proj` is `q` projected onto `set`.
+    fn sampled_cardinality(&self, q: &QueryGraph, set: VertexSet, proj: &QueryGraph) -> f64 {
         if !q.is_connected_subset(set) {
             // Disconnected sub-queries are Cartesian products of their components.
             return self.cartesian_cardinality(q, set);
         }
-        let vertices: Vec<usize> = set_iter(set).collect();
-        if vertices.len() == 2 {
+        if set_len(set) == 2 {
             return self.two_vertex_cardinality(proj);
         }
-        // Pick a connected ordering (its first two vertices then share a query edge): the
-        // lexicographically first one, or for sub-queries of more than eight vertices the
-        // greedy one from the first query edge.
-        let sigma = if proj.num_vertices() > 8 {
-            greedy_ordering(proj)
-        } else {
-            graphflow_query::qvo::first_connected_ordering(proj)
-        };
+        // Pick the lexicographically first connected ordering: its first two vertices share a
+        // query edge.
+        let sigma = graphflow_query::qvo::first_connected_ordering(proj);
 
         // Seed with the exact count of the first edge, then multiply the µ of each extension.
         let first_set = singleton(sigma[0]) | singleton(sigma[1]);
@@ -759,47 +729,6 @@ impl Catalogue {
         let (proj, _) = q.project(set);
         count_matches(&self.snap, &proj)
     }
-}
-
-/// A single connected ordering of a query graph built greedily: start from the first query
-/// edge, then repeatedly append any vertex adjacent to the covered prefix.
-fn greedy_ordering(q: &QueryGraph) -> Vec<usize> {
-    let m = q.num_vertices();
-    let mut order = Vec::with_capacity(m);
-    let mut covered: VertexSet = 0;
-    if let Some(e) = q.edges().first() {
-        order.push(e.src);
-        order.push(e.dst);
-        covered = singleton(e.src) | singleton(e.dst);
-    } else if m > 0 {
-        order.push(0);
-        covered = singleton(0);
-    }
-    while order.len() < m {
-        let next = (0..m).find(|&v| {
-            covered & singleton(v) == 0
-                && q.edges().iter().any(|e| {
-                    (e.src == v && covered & singleton(e.dst) != 0)
-                        || (e.dst == v && covered & singleton(e.src) != 0)
-                })
-        });
-        match next {
-            Some(v) => {
-                order.push(v);
-                covered |= singleton(v);
-            }
-            None => {
-                // Disconnected remainder: append arbitrarily.
-                for v in 0..m {
-                    if covered & singleton(v) == 0 {
-                        order.push(v);
-                        covered |= singleton(v);
-                    }
-                }
-            }
-        }
-    }
-    order
 }
 
 /// Advance `combo` (ascending indices below `n`) to the next combination in lexicographic

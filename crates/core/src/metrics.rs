@@ -466,7 +466,7 @@ impl Metrics {
         render_histogram_header(
             &mut out,
             name,
-            "Optimizer time on plan-cache misses and bypasses, catalogue sampling included.",
+            "Optimizer time on plan-cache misses, catalogue sampling included.",
         );
         render_histogram_series(&mut out, name, "", &self.optimize_latency);
         out

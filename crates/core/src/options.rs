@@ -75,6 +75,10 @@ impl QueryOptions {
 
     /// Compile chains of E/I operators into adaptive stages (per-tuple query-vertex-ordering
     /// selection, paper Section 6). Composes with any [`threads`](QueryOptions::threads) count.
+    ///
+    /// A stage holds at most 120 candidate orderings (5!, what the 7-clique Q14 needs, the most
+    /// of the paper's benchmark queries). A chain with more connected orderings of its targets,
+    /// such as the leaves of a large star (14! for a 16-vertex one), runs fixed.
     pub fn adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
         self

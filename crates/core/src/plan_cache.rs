@@ -56,8 +56,9 @@ struct Inner {
     /// First-level index: the cheap identity-permutation encoding of a query
     /// ([`graphflow_query::exact_code`]) mapped to its canonical code and canonicalising
     /// permutation. A repeated byte-identical pattern resolves through this map and skips the
-    /// `O(n!)` canonical search entirely; only novel vertex numberings pay for
-    /// canonicalisation. Bounded by `4 * capacity` (cleared wholesale when exceeded).
+    /// canonical search (about half a microsecond for a small pattern); only novel vertex
+    /// numberings pay for canonicalisation. Bounded by `4 * capacity` (cleared wholesale when
+    /// exceeded).
     exact_index: HashMap<Vec<u64>, (CanonicalCode, Vec<usize>)>,
     tick: u64,
     evictions: u64,

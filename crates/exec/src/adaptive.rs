@@ -2,7 +2,8 @@
 //!
 //! A fixed plan picks one query-vertex ordering for each chain of E/I operators based on
 //! *average* statistics. Adaptive compilation replaces every chain of two or more consecutive
-//! E/I operators with an [`AdaptiveStage`] — a stage kind any worker of the
+//! E/I operators (with at most 120 connected orderings, `MAX_CANDIDATES`) with an
+//! [`AdaptiveStage`] — a stage kind any worker of the
 //! [driver](crate::driver) runs like any other: for each incoming partial match it
 //! re-estimates the i-cost of every ordering of the remaining query vertices using the
 //! *actual* adjacency-list sizes of the vertices bound by that match (the scaling rule of
@@ -23,6 +24,7 @@ use graphflow_graph::{GraphView, VertexId};
 use graphflow_plan::plan::PlanNode;
 use graphflow_query::extension::descriptors_for_extension;
 use graphflow_query::querygraph::set_of;
+use graphflow_query::qvo::orderings_extending;
 use graphflow_query::QueryGraph;
 use std::time::Instant;
 
@@ -205,23 +207,29 @@ pub(crate) fn compile_adaptive<G: GraphView>(
     let nodes = node.preorder();
     let fixed = std::mem::take(&mut pipeline.stages);
     for run in fixed.chunk_by(|a, b| matches!((a, b), (Stage::Extend(_), Stage::Extend(_)))) {
-        let stage = match run {
+        let adaptive = match run {
             [Stage::Extend(_), .., Stage::Extend(top)] => {
                 adaptive_stage(q, nodes[top.id], top.id, run.len(), catalogue, options)
             }
-            _ => {
-                pipeline.stages.extend_from_slice(run);
-                continue;
-            }
+            _ => None,
         };
-        pipeline.stages.push(Stage::Adaptive(stage));
+        match adaptive {
+            Some(stage) => pipeline.stages.push(Stage::Adaptive(stage)),
+            None => pipeline.stages.extend_from_slice(run),
+        }
     }
     pipeline
 }
 
+/// The most candidate orderings an adaptive stage holds: 5!, what the 7-clique Q14's chain of
+/// five extensions has, the most of any benchmark query. A chain with more (a 16-vertex star
+/// has 14!) stays fixed, so compiling it enumerates at most one more ordering than this.
+pub(crate) const MAX_CANDIDATES: usize = 120;
+
 /// The adaptive stage for the chain of `len` E/I operators whose top is plan node `top`
 /// (pre-order id `id`): one candidate per ordering of the chain's targets that keeps every
-/// prefix connected — the fixed plan's own ordering among them, so there is always one.
+/// prefix connected — the fixed plan's own ordering among them, so there is always one. `None`
+/// when there are more than [`MAX_CANDIDATES`] such orderings.
 fn adaptive_stage(
     q: &QueryGraph,
     top: &PlanNode,
@@ -229,7 +237,7 @@ fn adaptive_stage(
     len: usize,
     catalogue: &Catalogue,
     options: &ExecOptions,
-) -> AdaptiveStage {
+) -> Option<AdaptiveStage> {
     // The chain's targets in the fixed plan's (canonical) order, bottom first, and the layout
     // the chain extends.
     let mut targets = Vec::with_capacity(len);
@@ -277,19 +285,19 @@ fn adaptive_stage(
         })
     };
     let (base_set, target_set) = (set_of(base), set_of(base) | set_of(&targets));
-    let candidates: Vec<AdaptiveCandidate> =
-        graphflow_query::qvo::orderings_extending(q, base_set, target_set)
-            .into_iter()
-            .filter_map(candidate)
-            .collect();
-    AdaptiveStage {
+    let orders = orderings_extending(q, base_set, target_set, MAX_CANDIDATES + 1);
+    if orders.len() > MAX_CANDIDATES {
+        return None;
+    }
+    let candidates: Vec<AdaptiveCandidate> = orders.into_iter().filter_map(candidate).collect();
+    Some(AdaptiveStage {
         id,
         chosen: vec![0; candidates.len()],
         candidates,
         counters: OpCounters::default(),
         timed: options.profile,
         restored: Vec::new(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -404,6 +412,60 @@ mod tests {
         let mut fixed = count(&g, &plan, None, 1, ExecOptions::default()).stats;
         fixed.elapsed = Default::default();
         assert_eq!(adaptive, fixed);
+    }
+
+    /// A chain with more than [`MAX_CANDIDATES`] connected orderings compiles fixed: the
+    /// 16-vertex out-star (14! orderings of the leaves its scan leaves open) counts what the
+    /// fixed plan counts. Every chain of a benchmark query keeps all its orderings.
+    #[test]
+    fn chains_beyond_the_candidate_bound_stay_fixed() {
+        let adaptive_stages = |g: &Graph, cat: &Catalogue, q: &QueryGraph, plan: &Plan| {
+            let pipeline = compile_adaptive(g, q, &plan.root, cat, &ExecOptions::default());
+            let stages = pipeline.stages.into_iter();
+            stages.filter_map(|s| match s {
+                Stage::Adaptive(a) => Some(a),
+                _ => None,
+            })
+        };
+        // Out-degrees of 1 and 2 keep the star's count (the sum of out-degree^15) small.
+        let mut b = GraphBuilder::new();
+        for v in 0..20 {
+            b.add_edge(v, (v + 1) % 20);
+            if v % 2 == 0 {
+                b.add_edge(v, (v + 7) % 20);
+            }
+        }
+        let g = Arc::new(b.build());
+        let cat = Catalogue::with_defaults(g.clone());
+        let q = patterns::out_star(16);
+        let plan = DpOptimizer::new(&cat).optimize(&q).unwrap();
+        assert_eq!(adaptive_stages(&g, &cat, &q, &plan).count(), 0);
+        let adaptive = count(&g, &plan, Some(&cat), 1, ExecOptions::default());
+        assert_eq!(adaptive.count, execute(&g, &plan).count);
+        assert_eq!(adaptive.count, 10 + 10 * (1 << 15));
+
+        let g = random_graph();
+        let cat = Catalogue::with_defaults(g.clone());
+        let mut most = 0;
+        for (j, q) in patterns::all_benchmark_queries() {
+            let plan = DpOptimizer::new(&cat).optimize(&q).unwrap();
+            let nodes = plan.root.preorder();
+            for stage in adaptive_stages(&g, &cat, &q, &plan) {
+                // The chain below the stage's top node, and the layout it extends.
+                let mut below = nodes[stage.id];
+                for _ in &stage.candidates[0].order {
+                    let PlanNode::Extend(n) = below else {
+                        unreachable!("an adaptive chain is made of E/I nodes")
+                    };
+                    below = &n.child;
+                }
+                let (base, top) = (set_of(below.out()), nodes[stage.id].vertex_set());
+                let all = orderings_extending(&q, base, top, usize::MAX).len();
+                assert_eq!(stage.candidates.len(), all, "Q{j}");
+                most = most.max(all);
+            }
+        }
+        assert_eq!(most, MAX_CANDIDATES, "Q14's chain of five extensions");
     }
 
     #[test]

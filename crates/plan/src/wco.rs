@@ -7,8 +7,9 @@
 //! reuse can make an extension of a worse prefix cheaper overall (Section 4.3). The DP
 //! optimizer's per-(subset, order class) table subsumes that phase (see [`crate::dp`]).
 //!
-//! [`all_wco_plans`] returns one complete plan per distinct query-vertex ordering (used by the
-//! plan-spectrum experiments and by the WCO-only optimizer mode).
+//! [`all_wco_plans`] returns one complete plan per distinct query-vertex ordering: the WCO part
+//! of the plan-spectrum experiments, and the exhaustive baseline the DP's tests check its picks
+//! against. The DP's own WCO-only space (`PlanSpaceOptions::wco_only`) does not enumerate them.
 
 use crate::cost::{CostModel, Estimator};
 use crate::plan::{Plan, PlanNode};

@@ -1,23 +1,25 @@
-//! Canonical codes and automorphism groups of small query graphs.
+//! Canonical codes and automorphism groups of query graphs.
 //!
 //! The subgraph catalogue (paper Section 5) keys its entries on *canonicalised* subgraphs —
 //! Table 7 shows query vertices renamed to canonical integers — and the planner de-duplicates
 //! query-vertex orderings that are equivalent under an automorphism of the query (the paper's
 //! Section 3.2.3 observes that symmetric orderings "will perform exactly the same operations").
 //!
-//! A code is the smallest encoding of the graph over a set of vertex permutations. The set is
-//! not "all `n!`": vertices are first split into an **isomorphism-invariant ordered partition**
-//! (vertex label, then colour refinement over the multiset of `(direction, edge label,
-//! neighbour colour)` of the incident edges, which subsumes in-/out-degree and incident edge
-//! labels), and only permutations that keep every cell on its own run of canonical positions
-//! are searched — `Π |cell|!` candidates, one for a pattern without symmetric-looking
-//! vertices. Because an isomorphism maps cells onto equally-keyed cells, two isomorphic
-//! graphs search corresponding permutations and find the same minimum; because the encoding
-//! spells out the whole graph, equal codes imply isomorphism. The search enumerates in place
-//! and encodes into one reused buffer, so its allocation is bounded by the graph, not by the
-//! number of candidates.
+//! A code is the smallest leaf of an **individualisation–refinement** search (McKay & Piperno,
+//! "Practical Graph Isomorphism, II", 2014). The root orders the vertices into cells by label,
+//! then by colour refinement over the multiset of `(direction, edge label, neighbour colour)`
+//! of their incident edges. A node individualises each vertex of its first cell of several
+//! vertices in turn (the vertex takes the cell's first position) and refines again; a
+//! partition of singletons is a leaf, a numbering, encoded as the sorted edges under it. Every
+//! step is isomorphism-invariant, so isomorphic graphs share their smallest leaf, and the
+//! encoding spells out the whole graph, so equal codes imply isomorphism. Two leaves that
+//! spell the same edges give an automorphism: the search records it, returns to the leaves'
+//! common ancestor (the branch it leaves is an image of a searched one), and skips every vertex
+//! that the recorded automorphisms fixing a node's path map onto an explored sibling. An
+//! asymmetric pattern is one leaf, a directed cycle two, a `k`-vertex star `k − 1`. Vertex
+//! sets are [`VertexSet`] masks, so a query has at most 32 vertices.
 
-use crate::querygraph::{PredTarget, QueryGraph};
+use crate::querygraph::{set_iter, singleton, PredTarget, QueryGraph, VertexSet};
 use std::hash::{Hash, Hasher};
 
 /// A canonical, permutation-invariant encoding of a query graph.
@@ -34,146 +36,216 @@ fn edge_code(src: usize, dst: usize, label: u16) -> u64 {
     ((src as u64) << 32) | ((dst as u64) << 16) | label as u64
 }
 
-/// Largest query (in vertices) the canonicalisation routines accept; callers with bigger
-/// queries must use [`exact_code`] or skip canonicalisation. Highly symmetric patterns (a
-/// 9-cycle, an 8-leaf star) still cost `Π |cell|!` candidates.
-pub const MAX_CANONICAL_VERTICES: usize = 9;
-
-/// The in-place search over the permutations that respect the invariant partition.
-struct CellSearch<'a> {
+/// The individualisation–refinement search of one query (see the module doc).
+struct Search<'a> {
     q: &'a QueryGraph,
-    /// `order[position] = vertex`; cells occupy consecutive positions, in invariant order.
+    n: usize,
+    /// The partitions along the current path, `n` entries a depth: the first position of each
+    /// vertex's cell. A leaf's partition is its numbering, `perm[v] = position`.
+    colours: Vec<usize>,
+    /// The vertex individualised at each depth of the current path.
+    path: Vec<usize>,
+    /// Scratch: vertices in partition order, their signatures, refined colours, leaf edges.
     order: Vec<usize>,
-    /// `cell_end[p]`: one past the last position of the cell position `p` lies in.
-    cell_end: Vec<usize>,
-    /// `perm[vertex] = position`, filled at each leaf.
-    perm: Vec<usize>,
-    /// The sorted edge codes under `perm`, rewritten at each leaf.
+    sigs: Vec<(usize, u64)>,
+    next: Vec<usize>,
     edges: Vec<u64>,
-    /// Leaves visited so far.
-    visits: usize,
+    /// The first leaf and the smallest leaf so far.
+    first: Leaf,
+    best: Leaf,
+    /// The automorphisms found (`a[v]` = image of `v`); they generate the group.
+    autos: Vec<Vec<usize>>,
+    leaves: usize,
 }
 
-impl<'a> CellSearch<'a> {
-    /// Partition the vertices of `q`; a `pinned` vertex forms the last cell on its own.
-    fn new(q: &'a QueryGraph, pinned: Option<usize>) -> Self {
+/// A visited leaf: its numbering, its sorted edge codes and the path that reached it.
+#[derive(Clone, Default)]
+struct Leaf {
+    perm: Vec<usize>,
+    edges: Vec<u64>,
+    path: Vec<usize>,
+}
+
+impl<'a> Search<'a> {
+    /// Search the tree of `q`; a `pinned` vertex forms the last cell on its own.
+    fn run(q: &'a QueryGraph, pinned: Option<usize>) -> Self {
         let n = q.num_vertices();
         let seed = |v: usize| (Some(v) == pinned, q.vertex(v).label.0);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&v| seed(v));
-        let mut colour = vec![0usize; n];
-        let mut cells = rank(&order, &mut colour, |a, b| seed(a) == seed(b));
+        let mut colours = vec![0; n];
+        let cells = rank(&order, &mut colours, |a, b| seed(a) == seed(b));
+        let mut search = Search {
+            q,
+            n,
+            colours,
+            path: Vec::new(),
+            order,
+            sigs: Vec::with_capacity(2 * q.num_edges()),
+            next: vec![0; n],
+            edges: Vec::with_capacity(q.num_edges()),
+            first: Leaf::default(),
+            best: Leaf::default(),
+            autos: Vec::new(),
+            leaves: 0,
+        };
+        search.refine(0, cells);
+        search.node(0);
+        search
+    }
 
-        // Colour refinement to a fixed point. `sigs` holds, per vertex, the sorted multiset of
-        // (direction, edge label, neighbour colour) over its incident edges.
-        let mut sigs: Vec<(usize, u64)> = Vec::with_capacity(2 * q.num_edges());
-        let mut next = vec![0usize; n];
-        while cells < n {
+    /// Colour refinement of the partition at `depth`, which has `cells` cells, to a fixed
+    /// point: a cell splits by the sorted multiset of (direction, edge label, neighbour
+    /// colour) over its vertices' incident edges, in order.
+    fn refine(&mut self, depth: usize, mut cells: usize) {
+        let colour = &mut self.colours[depth * self.n..];
+        while cells < self.n {
+            let sigs = &mut self.sigs;
             sigs.clear();
-            for e in q.edges() {
+            for e in self.q.edges() {
                 let label = (e.label.0 as u64) << 16;
                 sigs.push((e.src, label | colour[e.dst] as u64));
                 sigs.push((e.dst, 1 << 32 | label | colour[e.src] as u64));
             }
             sigs.sort_unstable();
+            let sigs = &*sigs;
             let sig = |v: usize| {
                 let run = &sigs[sigs.partition_point(|s| s.0 < v)..];
                 run.iter().take_while(move |s| s.0 == v).map(|s| s.1)
             };
-            order.sort_by(|&a, &b| colour[a].cmp(&colour[b]).then_with(|| sig(a).cmp(sig(b))));
-            let refined = rank(&order, &mut next, |a, b| {
-                colour[a] == colour[b] && sig(a).eq(sig(b))
-            });
-            std::mem::swap(&mut colour, &mut next);
+            let by_sig =
+                |&a: &usize, &b: &usize| colour[a].cmp(&colour[b]).then_with(|| sig(a).cmp(sig(b)));
+            self.order.sort_by(by_sig);
+            let refined = rank(&self.order, &mut self.next, |a, b| by_sig(&a, &b).is_eq());
+            colour.copy_from_slice(&self.next);
             if refined == cells {
                 break;
             }
             cells = refined;
         }
-
-        let mut cell_end = vec![n; n];
-        for p in (0..n.saturating_sub(1)).rev() {
-            let last_of_cell = colour[order[p]] != colour[order[p + 1]];
-            cell_end[p] = if last_of_cell { p + 1 } else { cell_end[p + 1] };
-        }
-        CellSearch {
-            q,
-            order,
-            cell_end,
-            perm: vec![0; n],
-            edges: Vec::with_capacity(q.num_edges()),
-            visits: 0,
-        }
     }
 
-    /// Call `leaf(perm, sorted edge codes under perm)` for every permutation that keeps each
-    /// cell on its own positions, with positions `..p` already fixed.
-    fn visit(&mut self, p: usize, leaf: &mut impl FnMut(&[usize], &[u64])) {
-        if p == self.order.len() {
-            for (pos, &v) in self.order.iter().enumerate() {
-                self.perm[v] = pos;
+    /// Search the subtree of the node at `depth`. Returns the depth of the ancestor to resume
+    /// at when a leaf proved the rest of the branch redundant, `usize::MAX` otherwise.
+    fn node(&mut self, depth: usize) -> usize {
+        let n = self.n;
+        let colour = &self.colours[depth * n..];
+        let (mut starts, mut shared): (VertexSet, VertexSet) = (0, 0);
+        for &c in colour {
+            shared |= starts & singleton(c);
+            starts |= singleton(c);
+        }
+        if shared == 0 {
+            return self.leaf(depth);
+        }
+        let start = shared.trailing_zeros() as usize;
+        let cell = (0..n)
+            .filter(|&v| colour[v] == start)
+            .fold(0, |c, v| c | singleton(v));
+        let mut explored: VertexSet = 0;
+        for v in set_iter(cell) {
+            if self.orbit(v, depth) & explored != 0 {
+                continue;
             }
-            self.edges.clear();
-            let perm = &self.perm;
-            self.edges.extend(
-                self.q
-                    .edges()
-                    .iter()
-                    .map(|e| edge_code(perm[e.src], perm[e.dst], e.label.0)),
-            );
-            self.edges.sort_unstable();
-            self.visits += 1;
-            leaf(&self.perm, &self.edges);
-            return;
+            explored |= singleton(v);
+            self.path.truncate(depth);
+            self.path.push(v);
+            self.colours.truncate((depth + 1) * n);
+            self.colours.extend_from_within(depth * n..);
+            for u in set_iter(cell & !singleton(v)) {
+                self.colours[(depth + 1) * n + u] = start + 1;
+            }
+            self.refine(depth + 1, starts.count_ones() as usize + 1);
+            let resume = self.node(depth + 1);
+            if resume < depth {
+                return resume;
+            }
         }
-        for i in p..self.cell_end[p] {
-            self.order.swap(p, i);
-            self.visit(p + 1, leaf);
-            self.order.swap(p, i);
+        usize::MAX
+    }
+
+    /// The orbit of `v` under the recorded automorphisms that fix the path to `depth`.
+    fn orbit(&self, v: usize, depth: usize) -> VertexSet {
+        let path = &self.path[..depth];
+        let mut orbit = singleton(v);
+        loop {
+            let fixing = (self.autos.iter()).filter(|a| path.iter().all(|&p| a[p] == p));
+            let grown = fixing.fold(orbit, |o, a| {
+                set_iter(orbit).fold(o, |o, u| o | singleton(a[u]))
+            });
+            if grown == orbit {
+                return orbit;
+            }
+            orbit = grown;
         }
+    }
+
+    /// Visit the leaf at `depth`. One that spells the first or the smallest leaf's edges gives
+    /// an automorphism: record it and return the depth of the two leaves' common ancestor.
+    fn leaf(&mut self, depth: usize) -> usize {
+        self.leaves += 1;
+        let (q, perm) = (self.q, &self.colours[depth * self.n..]);
+        self.edges.clear();
+        for e in q.edges() {
+            self.edges
+                .push(edge_code(perm[e.src], perm[e.dst], e.label.0));
+        }
+        self.edges.sort_unstable();
+        let path = &self.path[..depth];
+        if self.leaves == 2 {
+            self.first = self.best.clone();
+        }
+        if self.leaves > 1 {
+            for known in [&self.first, &self.best] {
+                if known.edges == self.edges {
+                    // `v` and the known leaf's vertex at `v`'s position: an automorphism.
+                    let mut at = vec![0; self.n];
+                    for (u, &pos) in known.perm.iter().enumerate() {
+                        at[pos] = u;
+                    }
+                    self.autos.push(perm.iter().map(|&pos| at[pos]).collect());
+                    let common = path.iter().zip(&known.path).take_while(|(a, b)| a == b);
+                    return common.count();
+                }
+            }
+            if self.edges >= self.best.edges {
+                return usize::MAX;
+            }
+        }
+        let edges = std::mem::take(&mut self.edges);
+        self.best = Leaf {
+            perm: perm.to_vec(),
+            edges,
+            path: path.to_vec(),
+        };
+        usize::MAX
     }
 }
 
-/// Write into `colour` the dense rank of every vertex along `order` (equal neighbours share a
-/// rank) and return the number of distinct ranks.
+/// Write into `colour` the first position along `order` of every vertex's run of equal
+/// neighbours (its cell) and return the number of cells.
 fn rank(order: &[usize], colour: &mut [usize], same: impl Fn(usize, usize) -> bool) -> usize {
-    let mut cells = 0;
+    let (mut start, mut cells) = (0, 0);
     for (i, &v) in order.iter().enumerate() {
-        if i > 0 && !same(order[i - 1], v) {
-            cells += 1;
+        if i == 0 || !same(order[i - 1], v) {
+            (start, cells) = (i, cells + 1);
         }
-        colour[v] = cells;
+        colour[v] = start;
     }
-    cells + usize::from(!order.is_empty())
+    cells
 }
 
-/// The smallest code over the partition-respecting permutations, a permutation achieving it,
-/// and the number of permutations tried.
-fn canonical_search(q: &QueryGraph, pinned: Option<usize>) -> (CanonicalCode, Vec<usize>, usize) {
-    let n = q.num_vertices();
-    assert!(
-        n <= MAX_CANONICAL_VERTICES,
-        "canonical codes are for small queries; got {n} vertices"
-    );
-    let mut search = CellSearch::new(q, pinned);
-    let mut best_perm: Vec<usize> = Vec::with_capacity(n);
-    let mut best_edges: Vec<u64> = Vec::with_capacity(q.num_edges());
-    search.visit(0, &mut |perm, edges| {
-        if best_perm.is_empty() || edges < best_edges.as_slice() {
-            best_perm.clear();
-            best_perm.extend_from_slice(perm);
-            best_edges.clear();
-            best_edges.extend_from_slice(edges);
-        }
-    });
-    // Cells are label-homogeneous, so every candidate spells the same vertex-label prefix.
-    let mut code = vec![0u64; 1 + n];
-    code[0] = n as u64;
-    for (v, &pos) in best_perm.iter().enumerate() {
+/// The smallest leaf's code and its permutation.
+fn canonical_search(q: &QueryGraph, pinned: Option<usize>) -> (CanonicalCode, Vec<usize>) {
+    let best = Search::run(q, pinned).best;
+    // Cells are label-homogeneous, so every leaf spells the same vertex-label prefix.
+    let mut code = vec![0u64; 1 + q.num_vertices()];
+    code[0] = q.num_vertices() as u64;
+    for (v, &pos) in best.perm.iter().enumerate() {
         code[1 + pos] = q.vertex(v).label.0 as u64;
     }
-    code.extend_from_slice(&best_edges);
-    (CanonicalCode(code), best_perm, search.visits)
+    code.extend_from_slice(&best.edges);
+    (CanonicalCode(code), best.perm)
 }
 
 /// Compute the canonical code of a query graph.
@@ -203,12 +275,8 @@ pub fn exact_code(q: &QueryGraph) -> Vec<u64> {
 /// corresponds to the vertex `w` of `b` with `pb[w] == pa[v]`. The facade's plan cache uses
 /// this to reuse a cached plan (expressed over `a`'s vertex numbering) for a later isomorphic
 /// query `b`, renumbering the plan's operator tree into `b`'s numbering once, at prepare time.
-///
-/// # Panics
-/// Panics above [`MAX_CANONICAL_VERTICES`] vertices.
 pub fn canonical_form(q: &QueryGraph) -> (CanonicalCode, Vec<usize>) {
-    let (code, perm, _) = canonical_search(q, None);
-    (code, perm)
+    canonical_search(q, None)
 }
 
 /// [`canonical_form`] with one vertex **pinned** to the last canonical position: two
@@ -217,8 +285,7 @@ pub fn canonical_form(q: &QueryGraph) -> (CanonicalCode, Vec<usize>) {
 /// `Q_{k-1} → Q_k` on this code with the new vertex pinned.
 pub fn canonical_form_pinned(q: &QueryGraph, pinned: usize) -> (CanonicalCode, Vec<usize>) {
     assert!(pinned < q.num_vertices());
-    let (code, perm, _) = canonical_search(q, Some(pinned));
-    (code, perm)
+    canonical_search(q, Some(pinned))
 }
 
 /// A permutation-normalised encoding of the query's predicate **structure** — targets (mapped
@@ -260,28 +327,21 @@ pub fn predicate_structure_code(q: &QueryGraph, perm: &[usize]) -> Vec<u64> {
 /// All automorphisms of the query graph: permutations `p` (as `p[original] = image`) that map
 /// the query onto itself preserving directions and labels. Always contains the identity.
 ///
-/// # Panics
-/// Panics above [`MAX_CANONICAL_VERTICES`] vertices.
+/// The canonical search records generators of the group; this closes them under composition,
+/// so it returns the whole group (`k!` permutations for a star of `k` leaves).
 pub fn automorphisms(q: &QueryGraph) -> Vec<Vec<usize>> {
-    let n = q.num_vertices();
-    assert!(
-        n <= MAX_CANONICAL_VERTICES,
-        "automorphisms are for small queries; got {n} vertices"
-    );
-    // An automorphism maps every vertex into its own cell, so the partition-respecting
-    // permutations cover the group. The first leaf is the partition's own arrangement; a
-    // leaf spelling the same edges as it is that arrangement moved by an automorphism.
-    let mut search = CellSearch::new(q, None);
-    let base = search.order.clone();
-    let mut reference: Option<Vec<u64>> = None;
-    let mut autos = Vec::new();
-    search.visit(0, &mut |perm, edges| {
-        let reference = reference.get_or_insert_with(|| edges.to_vec());
-        if edges == reference.as_slice() {
-            autos.push(perm.iter().map(|&pos| base[pos]).collect());
-        }
-    });
-    autos
+    let generators = Search::run(q, None).autos;
+    let mut group = vec![(0..q.num_vertices()).collect::<Vec<usize>>()];
+    let mut seen: std::collections::HashSet<Vec<usize>> = group.iter().cloned().collect();
+    let mut i = 0;
+    while let Some(a) = group.get(i) {
+        let images: Vec<Vec<usize>> = (generators.iter())
+            .map(|g| a.iter().map(|&v| g[v]).collect())
+            .collect();
+        group.extend(images.into_iter().filter(|b| seen.insert(b.clone())));
+        i += 1;
+    }
+    group
 }
 
 /// Whether two query graphs are isomorphic (respecting labels and directions).
@@ -617,19 +677,138 @@ mod tests {
         // The search is bounded by the partition, not by n!: a 9-vertex directed path (distance
         // from the ends tells every vertex apart) tries one permutation, where the brute force
         // tried 362 880 and allocated three vectors for each.
-        let (_, perm, visits) = canonical_search(&patterns::directed_path(9), None);
-        assert_eq!(visits, 1);
-        assert_eq!(perm.len(), 9);
+        let path = patterns::directed_path(9);
+        let search = Search::run(&path, None);
+        assert_eq!(search.leaves, 1);
+        assert_eq!(search.best.perm.len(), 9);
         for j in 1..=14 {
             let q = patterns::benchmark_query(j);
-            let (_, _, visits) = canonical_search(&q, None);
+            let visits = Search::run(&q, None).leaves;
             let orbit_bound: usize = automorphisms(&q).len().max(1) * 24;
             assert!(visits <= orbit_bound, "Q{j}: {visits} candidates");
         }
-        // A symmetric pattern pays for its symmetry only: refinement cannot split the leaves
-        // of a star, and the search is the 5! arrangements of that one cell.
-        let (_, _, visits) = canonical_search(&patterns::out_star(6), None);
-        assert_eq!(visits, 120);
+        // A symmetric pattern pays for its symmetry only, linearly: refinement cannot split a
+        // star's leaves, a cycle's or a clique's vertices, and automorphisms prune the
+        // arrangements of that one cell.
+        for n in 3..=crate::MAX_QUERY_VERTICES {
+            let leaves = |q: &QueryGraph| Search::run(q, None).leaves;
+            assert!(leaves(&ring(n)) <= 2, "{n}-cycle");
+            assert!(leaves(&patterns::out_star(n)) <= n, "{n}-vertex star");
+            assert!(leaves(&bidirectional_clique(n)) <= n, "{n}-clique");
+        }
+    }
+
+    /// The directed cycle `0 -> 1 -> ... -> k-1 -> 0`: `k` rotations, no other symmetry.
+    fn ring(k: usize) -> QueryGraph {
+        let mut q = QueryGraph::new();
+        for _ in 0..k {
+            q.add_default_vertex();
+        }
+        for i in 0..k {
+            q.add_edge(i, (i + 1) % k, EdgeLabel(0));
+        }
+        q
+    }
+
+    /// `k` vertices with an edge each way between every two: every permutation is an automorphism.
+    fn bidirectional_clique(k: usize) -> QueryGraph {
+        let mut q = QueryGraph::new();
+        for _ in 0..k {
+            q.add_default_vertex();
+        }
+        for a in 0..k {
+            for b in (0..k).filter(|&b| b != a) {
+                q.add_edge(a, b, EdgeLabel(0));
+            }
+        }
+        q
+    }
+
+    /// `copies` copies of a random digraph on `n / copies` vertices, each vertex joined to its
+    /// twin in the next copy round a cycle: rotating the copies is an automorphism, so large
+    /// patterns with many equivalent leaves are common.
+    fn random_symmetric(rng: &mut rand::rngs::StdRng, n: usize) -> QueryGraph {
+        use rand::Rng;
+        let copies = rng.gen_range(2..5usize);
+        let base = random_digraph(rng, (n / copies).max(2));
+        let m = base.num_vertices();
+        let mut q = QueryGraph::new();
+        for i in 0..m * copies {
+            q.add_vertex(format!("v{i}"), base.vertex(i % m).label);
+        }
+        for c in 0..copies {
+            for e in base.edges() {
+                q.add_edge(c * m + e.src, c * m + e.dst, e.label);
+            }
+            for v in 0..m {
+                q.add_edge(c * m + v, (c + 1) % copies * m + v, EdgeLabel(0));
+            }
+        }
+        q
+    }
+
+    /// The edges of `q` renumbered by `map[vertex]`, sorted.
+    fn mapped_edges(q: &QueryGraph, map: &[usize]) -> Vec<(usize, usize, u16)> {
+        let mut edges: Vec<_> = (q.edges().iter())
+            .map(|e| (map[e.src], map[e.dst], e.label.0))
+            .collect();
+        edges.sort_unstable();
+        edges
+    }
+
+    #[test]
+    fn large_patterns_agree_with_the_relabelling_oracle() {
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashMap;
+        // 8–31 vertices, beyond the brute force: a code must survive random relabelling, the
+        // returned permutation must achieve it, and graphs sharing a code must map onto one
+        // another, edge for edge, through their composed permutations.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1A86E);
+        let mut by_code: HashMap<Vec<u64>, (QueryGraph, Vec<usize>)> = HashMap::new();
+        for i in 0..400 {
+            let n = rng.gen_range(8..=crate::MAX_QUERY_VERTICES);
+            let q = if i % 2 == 0 {
+                random_digraph(&mut rng, n)
+            } else {
+                random_symmetric(&mut rng, n)
+            };
+            let copy = shuffled(&mut rng, &q);
+            assert_eq!(canonical_code(&copy), canonical_code(&q), "relabelled: {q}");
+            for g in [copy, q] {
+                let (code, perm) = canonical_form(&g);
+                assert_eq!(
+                    encode_under(&g, &perm),
+                    code.0,
+                    "perm achieves the code: {g}"
+                );
+                let Some((h, h_perm)) = by_code.get(&code.0) else {
+                    by_code.insert(code.0, (g, perm));
+                    continue;
+                };
+                // h's vertex at each canonical position, then g's vertex -> h's vertex.
+                let mut at = vec![0; perm.len()];
+                for (v, &pos) in h_perm.iter().enumerate() {
+                    at[pos] = v;
+                }
+                let map: Vec<usize> = perm.iter().map(|&pos| at[pos]).collect();
+                let identity: Vec<usize> = (0..h.num_vertices()).collect();
+                assert_eq!(
+                    mapped_edges(&g, &map),
+                    mapped_edges(h, &identity),
+                    "{g} vs {h}"
+                );
+            }
+        }
+        // The group sizes of two shapes whose groups are known.
+        for k in 1..=7 {
+            assert_eq!(
+                automorphisms(&patterns::out_star(k + 1)).len(),
+                (1..=k).product()
+            );
+        }
+        for k in 3..=crate::MAX_QUERY_VERTICES {
+            assert_eq!(automorphisms(&ring(k)).len(), k, "{k}-cycle");
+        }
     }
 
     #[test]

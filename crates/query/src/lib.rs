@@ -17,7 +17,7 @@
 //!   queries differing only in what they return share one cached plan;
 //! * [`qvo`] — enumeration of query-vertex orderings (QVOs), i.e. connected orders of `V_Q`,
 //!   with automorphism-based de-duplication;
-//! * [`canonical`] — canonical codes and automorphism groups of small query graphs, used for
+//! * [`canonical`] — canonical codes and automorphism groups of query graphs, used for
 //!   catalogue keys and for recognising symmetric sub-plans.
 
 #![warn(missing_docs)]
@@ -32,7 +32,7 @@ pub mod returns;
 
 pub use canonical::{
     automorphisms, canonical_code, canonical_form, exact_code, predicate_structure_code,
-    CanonicalCode, MAX_CANONICAL_VERTICES,
+    CanonicalCode,
 };
 pub use extension::{descriptors_for_extension, extension_chain, AdjListDescriptor, ExtensionSpec};
 pub use parser::{parse_query, split_mode, ParseError, QueryMode};

@@ -8,12 +8,12 @@
 //! representative per equivalence class.
 
 use crate::canonical::automorphisms;
-use crate::querygraph::{singleton, QueryGraph, VertexSet};
+use crate::querygraph::{set_iter, singleton, QueryGraph, VertexSet};
 
 /// Enumerate every ordering of all query vertices whose every prefix is connected.
 pub fn connected_orderings(q: &QueryGraph) -> Vec<Vec<usize>> {
     let full = q.full_set();
-    orderings_extending(q, 0, full)
+    orderings_extending(q, 0, full, usize::MAX)
 }
 
 /// The first of [`connected_orderings`] (they come in lexicographic order) without enumerating
@@ -41,41 +41,44 @@ pub fn first_connected_ordering(q: &QueryGraph) -> Vec<usize> {
 /// (assumed connected or empty) set `start`, every prefix stays connected inside `target`.
 ///
 /// With `start = 0` the first vertex may be any vertex of `target`. The returned orderings list
-/// only the *newly added* vertices, in order.
-pub fn orderings_extending(q: &QueryGraph, start: VertexSet, target: VertexSet) -> Vec<Vec<usize>> {
-    let mut results = Vec::new();
-    let mut current = Vec::new();
+/// only the *newly added* vertices, in lexicographic order, and stop at the first `limit` of
+/// them (there are up to `|target \ start|!`).
+pub fn orderings_extending(
+    q: &QueryGraph,
+    start: VertexSet,
+    target: VertexSet,
+    limit: usize,
+) -> Vec<Vec<usize>> {
     fn rec(
-        q: &QueryGraph,
+        nbrs: &[VertexSet],
         covered: VertexSet,
         target: VertexSet,
+        limit: usize,
         current: &mut Vec<usize>,
         results: &mut Vec<Vec<usize>>,
     ) {
         if covered == target {
-            results.push(current.clone());
-            return;
+            return results.push(current.clone());
         }
-        for v in 0..q.num_vertices() {
-            let bit = singleton(v);
-            if target & bit == 0 || covered & bit != 0 {
-                continue;
-            }
+        for v in set_iter(target & !covered) {
             // The next vertex must attach to the already-covered set, unless nothing is covered.
-            let connected = covered == 0
-                || q.edges().iter().any(|e| {
-                    (e.src == v && covered & singleton(e.dst) != 0)
-                        || (e.dst == v && covered & singleton(e.src) != 0)
-                });
-            if !connected {
-                continue;
+            if results.len() < limit && (covered == 0 || nbrs[v] & covered != 0) {
+                current.push(v);
+                rec(
+                    nbrs,
+                    covered | singleton(v),
+                    target,
+                    limit,
+                    current,
+                    results,
+                );
+                current.pop();
             }
-            current.push(v);
-            rec(q, covered | bit, target, current, results);
-            current.pop();
         }
     }
-    rec(q, start, target, &mut current, &mut results);
+    let mut results = Vec::new();
+    let nbrs = q.neighbour_sets();
+    rec(&nbrs, start, target, limit, &mut Vec::new(), &mut results);
     results
 }
 
@@ -187,7 +190,7 @@ mod tests {
         // Fix the first two vertices to {a2, a3} (the shared edge); the remaining orderings
         // append a1 and a4 in either order.
         let set_a2a3 = singleton(1) | singleton(2);
-        let exts = orderings_extending(&dx, set_a2a3, dx.full_set());
+        let exts = orderings_extending(&dx, set_a2a3, dx.full_set(), usize::MAX);
         assert_eq!(exts.len(), 2);
         assert!(exts.contains(&vec![0, 3]));
         assert!(exts.contains(&vec![3, 0]));
