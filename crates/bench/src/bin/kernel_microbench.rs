@@ -26,9 +26,19 @@
 //! directed 9-cycle with the 15-leaf star, and both large-query corpora. A record's output
 //! count is the number of distinct codes in its set, so a change in which patterns share a
 //! code shows as drift.
+//!
+//! Beside the executor, the hash-join table of a join-rooted plan is timed in its two phases:
+//! the build, and the probes. Its tuples are shaped like Q4's (diamond-X, two triangles
+//! joined on an edge): a key of two vertices and one payload vertex, two build tuples per key
+//! on average, half the probes hitting. The build side holds 2^16 tuples (about 1 MiB of table,
+//! inside any last-level cache) or 2^23 (about 120 MiB of table, above it; 200 MiB at the
+//! build's peak).
+//! Each phase runs with payloads (an enumerating join) and counts only (`COUNT(*)` at the
+//! root). Output counts are the distinct keys of a build and the joined tuples of a probe.
 
 use graphflow_bench::{bench_report, print_table, sample_count, BenchRecord};
 use graphflow_catalog::Catalogue;
+use graphflow_exec::join::{JoinTable, JoinTableBuilder};
 use graphflow_exec::RuntimeStats;
 use graphflow_graph::intersect::{block, scalar};
 use graphflow_graph::{intersect_sorted_into, select_kernel, simd_active, GraphBuilder, VertexId};
@@ -233,6 +243,77 @@ fn canonical_records() -> Vec<BenchRecord> {
     records
 }
 
+/// Join-table records (see the module doc): per build-side size and mode, one build record
+/// and one probe record.
+fn join_records() -> Vec<BenchRecord> {
+    // A well-mixed 64-bit stream, so keys arrive in no useful order.
+    let mix = |i: u64| {
+        let z = (i ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut records = Vec::new();
+    for log2 in [16u32, 23] {
+        let tuples = 1u64 << log2;
+        let keys = tuples / 2;
+        // Key number k is the vertex pair (k mod 2^10, k div 2^10); numbers >= `keys` were
+        // never built, so they miss.
+        let key = |k: u64| [(k & 1023) as VertexId, (k >> 10) as VertexId];
+        let build = |counts_only: bool| {
+            let mut builder = JoinTableBuilder::new(2, 1, counts_only);
+            for i in 0..tuples {
+                builder.insert(&key(mix(i) & (keys - 1)), [i as VertexId]);
+            }
+            builder.finish()
+        };
+        let probe = |table: &JoinTable| {
+            let mut joined = 0u64;
+            for i in 0..tuples {
+                let Some(id) = table.find(&key(mix(!i) & (2 * keys - 1))) else {
+                    continue;
+                };
+                if table.counts_only() {
+                    joined += table.count(id) as u64;
+                } else {
+                    let payloads = table.payloads(id);
+                    joined += payloads.len() as u64;
+                    black_box(payloads.iter().fold(0, |a, &v| a ^ v));
+                }
+            }
+            joined
+        };
+        let dataset = format!("synthetic 2^{log2} build tuples");
+        for (plan, counts_only) in [("table", false), ("counts", true)] {
+            let timed = |f: &mut dyn FnMut() -> u64| {
+                let output = f();
+                let samples: Vec<Duration> = (0..sample_count())
+                    .map(|_| {
+                        let start = Instant::now();
+                        black_box(f());
+                        start.elapsed()
+                    })
+                    .collect();
+                (samples, output)
+            };
+            let (build_samples, distinct) = timed(&mut || build(counts_only).num_keys() as u64);
+            let table = build(counts_only);
+            let (probe_samples, joined) = timed(&mut || probe(&table));
+            for (phase, samples, output_count) in [
+                ("build", build_samples, distinct),
+                ("probe", probe_samples, joined),
+            ] {
+                let stats = RuntimeStats {
+                    output_count,
+                    ..Default::default()
+                };
+                let query = format!("join {phase} 2^{log2} tuples");
+                records.push(BenchRecord::new(query, &dataset, plan, &samples).with_stats(&stats));
+            }
+        }
+    }
+    records
+}
+
 fn main() {
     let mut records = Vec::new();
     let mut rows = Vec::new();
@@ -321,5 +402,23 @@ fn main() {
         &rows,
     );
     records.extend(canonical);
+    let join = join_records();
+    let rows: Vec<Vec<String>> = (join.iter())
+        .map(|r| {
+            let output = r.stats.map_or(0, |s| s.output_count);
+            vec![
+                r.query.clone(),
+                r.plan.clone(),
+                format!("{:.3}", r.median_ms()),
+                output.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "hash-join table, build and probe (per-sample wall time)",
+        &["phase / build side", "mode", "median_ms", "output"],
+        &rows,
+    );
+    records.extend(join);
     bench_report("kernel_microbench", &records).expect("write benchmark report");
 }

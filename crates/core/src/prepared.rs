@@ -434,7 +434,10 @@ impl PreparedQuery {
     /// The query runs to completion under `options` (with
     /// [`profile`](QueryOptions::profile) forced on), so cancellation, timeouts and output
     /// limits all behave as in [`run`](PreparedQuery::run) — except that a cancelled or
-    /// timed-out run surfaces as its usual error rather than a partial profile.
+    /// timed-out run surfaces as its usual error rather than a partial profile. A
+    /// `RETURN COUNT(*)` query that collects no tuples counts in bulk where
+    /// [`execute`](PreparedQuery::execute) would, so the profile reports the work the query
+    /// really does.
     pub fn profile(&self, options: QueryOptions) -> Result<QueryProfile, Error> {
         self.profile_on(&self.db.snapshot(), options)
     }
@@ -443,8 +446,9 @@ impl PreparedQuery {
     pub fn profile_on(
         &self,
         snapshot: &Snapshot,
-        options: QueryOptions,
+        mut options: QueryOptions,
     ) -> Result<QueryProfile, Error> {
+        options.count_tail = !options.collect_tuples && self.counts_in_bulk(&options);
         let result = self.run_on(snapshot, options.profile(true))?;
         let catalogue = self.db.catalogue();
         let model = *self.db.shared.cost_model.read();
@@ -469,9 +473,10 @@ impl PreparedQuery {
     /// `RETURN *`.
     ///
     /// Aggregates fold **streamingly** — memory is O(groups), never O(matches) — and
-    /// `RETURN COUNT(*)` composes with the planner's fast path so the final extension column
-    /// is bulk-counted instead of materialised
-    /// (`ResultSet::stats.bulk_counted_extensions` counts the shortcut firing).
+    /// `RETURN COUNT(*)` composes with the planner's fast path so the root operator's results
+    /// are counted in bulk instead of materialised — an E/I root's extension sets, a HASH-JOIN
+    /// root's probed keys (`ResultSet::stats.bulk_counted_extensions` counts the shortcut
+    /// firing).
     pub fn execute(&self, options: QueryOptions) -> Result<ResultSet, Error> {
         self.execute_on(&self.db.snapshot(), options)
     }
@@ -487,12 +492,7 @@ impl PreparedQuery {
         let columns = clause.column_names(self.query());
         let spec = self.row_spec();
         let (rows, stats) = if spec.has_aggregates() {
-            // `RETURN COUNT(*)` + a plan ending in an E/I extension: the executor adds the
-            // final extension-set sizes in bulk and the sink only ever sees counts — no
-            // per-match tuple is allocated anywhere.
-            options.count_tail = clause.is_count_star_only()
-                && self.plan.count_fast_path_eligible()
-                && options.output_limit.is_none();
+            options.count_tail = self.counts_in_bulk(&options);
             let mut sink = AggregatingSink::new(snapshot.clone(), spec);
             let stats = self.run_into(snapshot, options, &mut sink)?;
             (sink.finish(), stats)
@@ -520,6 +520,17 @@ impl PreparedQuery {
     pub fn run_on(&self, snapshot: &Snapshot, options: QueryOptions) -> Result<QueryResult, Error> {
         self.db
             .run_to_result(snapshot, self.plan.clone(), Some(self.cache_hit), options)
+    }
+
+    /// Whether a run under `options` counts this query's `RETURN COUNT(*)` in bulk: the clause
+    /// asks for nothing else, the plan's root can count without producing tuples (an E/I root
+    /// adds its extension-set sizes, a HASH-JOIN root adds the build-tuple count of each
+    /// probed key from a counts-only table), and no limit caps the run. The sink then only
+    /// ever sees counts — no per-match tuple is allocated anywhere.
+    fn counts_in_bulk(&self, options: &QueryOptions) -> bool {
+        self.return_clause().is_count_star_only()
+            && self.plan.count_fast_path_eligible()
+            && options.output_limit.is_none()
     }
 
     /// This query's `RETURN` clause; a missing one counts as `RETURN *`.

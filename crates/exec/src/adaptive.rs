@@ -194,22 +194,31 @@ pub(crate) fn run_adaptive_stage<G: GraphView>(
 }
 
 /// Compile a plan into a pipeline in which every chain of two or more consecutive E/I operators
-/// is replaced by an adaptive stage.
+/// is replaced by an adaptive stage. Under `count` (see [`compile`]) a chain at the root
+/// bulk-counts in the last step of every candidate.
 pub(crate) fn compile_adaptive<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     node: &PlanNode,
     catalogue: &Catalogue,
     options: &ExecOptions,
+    count: bool,
 ) -> CompiledPipeline {
     // First compile normally to materialise hash tables and get the fixed pipeline.
-    let mut pipeline = compile(graph, q, node, 0, options);
+    let mut pipeline = compile(graph, q, node, 0, options, count);
     let nodes = node.preorder();
     let fixed = std::mem::take(&mut pipeline.stages);
     for run in fixed.chunk_by(|a, b| matches!((a, b), (Stage::Extend(_), Stage::Extend(_)))) {
         let adaptive = match run {
             [Stage::Extend(_), .., Stage::Extend(top)] => {
-                adaptive_stage(q, nodes[top.id], top.id, run.len(), catalogue, options)
+                let mut stage =
+                    adaptive_stage(q, nodes[top.id], top.id, run.len(), catalogue, options);
+                for candidate in stage.iter_mut().flat_map(|s| &mut s.candidates) {
+                    if let Some(Stage::Extend(last)) = candidate.steps.last_mut() {
+                        last.count_tail = top.count_tail;
+                    }
+                }
+                stage
             }
             _ => None,
         };
@@ -362,7 +371,7 @@ mod tests {
         let model = CostModel::default();
         let q = patterns::diamond_x();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2, 3]).unwrap();
-        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
+        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default(), false);
         assert_eq!(pipeline.stages.len(), 1);
         match &pipeline.stages[0] {
             Stage::Adaptive(a) => assert_eq!(a.candidates.len(), 2),
@@ -377,7 +386,7 @@ mod tests {
         let model = CostModel::default();
         let q = patterns::asymmetric_triangle();
         let plan = wco_plan_for_ordering(&q, &cat, &model, &[0, 1, 2]).unwrap();
-        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default());
+        let pipeline = compile_adaptive(&g, &q, &plan.root, &cat, &ExecOptions::default(), false);
         assert!(matches!(pipeline.stages[0], Stage::Extend(_)));
     }
 
@@ -420,7 +429,7 @@ mod tests {
     #[test]
     fn chains_beyond_the_candidate_bound_stay_fixed() {
         let adaptive_stages = |g: &Graph, cat: &Catalogue, q: &QueryGraph, plan: &Plan| {
-            let pipeline = compile_adaptive(g, q, &plan.root, cat, &ExecOptions::default());
+            let pipeline = compile_adaptive(g, q, &plan.root, cat, &ExecOptions::default(), false);
             let stages = pipeline.stages.into_iter();
             stages.filter_map(|s| match s {
                 Stage::Adaptive(a) => Some(a),

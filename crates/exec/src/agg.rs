@@ -14,7 +14,8 @@
 //! an empty twin that folds its share of the matches **thread-locally**, and the partials are
 //! merged once at the join barrier. A `RETURN COUNT(*)` clause reports
 //! `needs_tuples() == false`, composing with the executors' counting fast path (and the
-//! planner's last-extension bulk-count shortcut) so no per-match tuple is ever materialised.
+//! planner's bulk-count shortcut at an E/I or HASH-JOIN root) so no per-match tuple is ever
+//! materialised.
 
 use crate::sink::{MatchSink, PartialSink};
 use graphflow_graph::{EdgeLabel, GraphView, PropValue, VertexId};

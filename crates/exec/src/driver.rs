@@ -114,17 +114,15 @@ pub fn execute_with_sink<G: GraphView>(
 ) -> RuntimeStats {
     let start = Instant::now();
     let q = &plan.query;
-    // Hash-join build sides are materialised here, once, on the calling thread.
-    let mut pipeline = match adaptive {
-        Some(catalogue) => compile_adaptive(graph, q, &plan.root, catalogue, &options),
-        None => compile(graph, q, &plan.root, 0, &options),
-    };
     // The limit is claimed slot by slot in the driver; the bulk-count fast path delivers no
     // tuples to claim slots for, so it stands down under a limit.
     let limit = options.output_limit;
-    if options.count_tail && limit.is_none() {
-        pipeline.enable_count_tail();
-    }
+    let count = options.count_tail && limit.is_none();
+    // Hash-join build sides are materialised here, once, on the calling thread.
+    let mut pipeline = match adaptive {
+        Some(catalogue) => compile_adaptive(graph, q, &plan.root, catalogue, &options, count),
+        None => compile(graph, q, &plan.root, 0, &options, count),
+    };
     let mut stats = drive(
         &mut pipeline,
         graph,

@@ -10,8 +10,13 @@
 //! * **EXTEND/INTERSECT** extends each partial match by one query vertex by intersecting
 //!   label-partitioned, sorted adjacency lists, with a *last-extension cache* that reuses the
 //!   previous extension set when consecutive tuples access the same lists;
-//! * **HASH-JOIN** materialises its build side into a hash table keyed on the shared query
-//!   vertices and probes it with the other side;
+//! * **HASH-JOIN** materialises its build side into a [`JoinTable`](join::JoinTable) keyed on
+//!   the shared query vertices and probes it with the other side. The table is one arena of
+//!   distinct keys behind an open-addressing index of `u32` key ids, with the payload columns
+//!   grouped by key in a second arena; building and probing allocate nothing per tuple. Under
+//!   `RETURN COUNT(*)` a HASH-JOIN at the root of the plan keeps only the number of build
+//!   tuples per key, and each probe adds its key's count to the output (eager aggregation,
+//!   Yan & Larson 1995);
 //! * an **adaptive stage** (Section 6) replaces a chain of two or more E/I operators with a
 //!   per-tuple choice among all remaining query-vertex orderings, re-costing each ordering from
 //!   the actual adjacency-list sizes of the tuple at hand; each ordering runs as ordinary E/I
@@ -46,6 +51,7 @@ pub mod adaptive;
 pub mod agg;
 pub mod cancel;
 pub mod driver;
+pub mod join;
 pub mod pipeline;
 pub mod profile;
 pub mod sink;

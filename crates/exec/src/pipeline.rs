@@ -8,6 +8,7 @@
 //! ever materialised outside of hash tables — the same discipline as the paper's
 //! Volcano-style engine.
 
+use crate::join::{JoinTable, JoinTableBuilder};
 use crate::profile::{CandidateProfile, OpCounters, OpProfile};
 use crate::sink::MatchSink;
 use crate::stats::RuntimeStats;
@@ -19,7 +20,6 @@ use graphflow_plan::plan::{HashJoinNode, PlanNode};
 use graphflow_query::extension::AdjListDescriptor;
 use graphflow_query::querygraph::singleton;
 use graphflow_query::{CmpOp, PredTarget, QueryEdge, QueryGraph};
-use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -144,14 +144,17 @@ pub struct ExecOptions {
     /// compilation and hash-join build time count against the budget too (query *planning*
     /// happens upstream of the executors and does not).
     pub deadline: Option<std::time::Instant>,
-    /// The `COUNT(*)` fast path: when the final pipeline stage is an E/I extension, add the
-    /// extension-set *size* to the output count in bulk instead of materialising one tuple
-    /// per element (the set is computed — and predicate-filtered — either way; only the
-    /// per-element tuple loop is skipped). Only sound when the sink reports
-    /// `needs_tuples() == false` and no `output_limit` is set; the driver additionally guards
-    /// on the latter, and hash-join build sides always ignore the flag (their tuples feed
-    /// the join table, not the output). `RuntimeStats::bulk_counted_extensions` counts the
-    /// shortcut firing.
+    /// The `COUNT(*)` fast path: the plan's root operator counts its results in bulk instead
+    /// of producing one tuple per result. An E/I root adds each extension set's *size* (the
+    /// set is computed — and predicate-filtered — either way; only the per-element tuple
+    /// loop is skipped). A HASH-JOIN root builds a counts-only table, which keeps the number
+    /// of build tuples per key and no payload columns, and each probe adds its key's count. A
+    /// scan-only plan ignores the flag. Only sound when the sink reports
+    /// `needs_tuples() == false`; the driver stands the path down under an `output_limit`
+    /// (results must claim their slots one by one), and hash-join build sides never count in
+    /// bulk (their tuples feed the join table, not the output). The mode is fixed when the
+    /// pipeline is compiled. `RuntimeStats::bulk_counted_extensions` counts the shortcut
+    /// firing.
     pub count_tail: bool,
     /// Return the per-operator profile through [`RuntimeStats::profile`]: the operators' own
     /// counters (i-cost, tuples in/out, cache hits/misses, predicate evals/drops, delta merges
@@ -189,20 +192,6 @@ pub struct ExecOutput {
     pub count: u64,
     /// Runtime counters (actual i-cost, intermediate matches, cache hits, ...).
     pub stats: RuntimeStats,
-}
-
-/// A materialised hash-join build side: key columns -> flattened payload columns.
-#[derive(Debug, Clone, Default)]
-pub struct JoinTable {
-    pub map: FxHashMap<Vec<VertexId>, Vec<VertexId>>,
-    pub payload_width: usize,
-}
-
-impl JoinTable {
-    /// Whether the build side materialised no tuples at all (no probe can ever succeed).
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// The driver scan of a pipeline.
@@ -309,8 +298,9 @@ pub(crate) struct ExtendStage {
     use_cache: bool,
     /// Read the clock for self-times ([`ExecOptions::profile`]).
     timed: bool,
-    /// Set on the final stage of a run under [`ExecOptions::count_tail`]: every extension set
-    /// is bulk-counted, so the stage's `tuples_in` is also the number of bulk counts.
+    /// Set on the root E/I of a run under [`ExecOptions::count_tail`] (at compile time): every
+    /// extension set is bulk-counted, so the stage's `tuples_in` is also the number of bulk
+    /// counts.
     pub(crate) count_tail: bool,
 }
 
@@ -451,6 +441,8 @@ pub(crate) struct ProbeStage {
     pub table: Arc<JoinTable>,
     /// Positions of the join-key query vertices within the incoming tuple.
     pub key_positions: Vec<usize>,
+    /// The current probe key, gathered from those positions.
+    key: Vec<VertexId>,
     /// What this operator did; `tuples_in` is the number of probes.
     pub(crate) counters: OpCounters,
     /// Read the clock for self-times ([`ExecOptions::profile`]).
@@ -501,30 +493,39 @@ pub(crate) struct CompiledPipeline {
 /// Compile a plan (sub)tree whose root has pre-order id `id` into a pipeline, stamping every
 /// stage with the id of the plan node it runs and materialising every hash-join build side
 /// along the way (each probe stage keeps its build side's books).
+///
+/// `count` puts the pipeline's root operator in bulk-counting mode
+/// ([`ExecOptions::count_tail`]): an E/I root adds each extension set's size to its outputs,
+/// and a hash-join root gets a counts-only table and adds each probed key's tuple count. The
+/// operators below the root, and every build side, produce their tuples as usual.
 pub(crate) fn compile<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     node: &PlanNode,
     mut id: usize,
     options: &ExecOptions,
+    mut count: bool,
 ) -> CompiledPipeline {
     let mut stages_top_down: Vec<Stage> = Vec::new();
     let mut current = node;
     loop {
         match current {
             PlanNode::Extend(n) => {
-                stages_top_down.push(Stage::Extend(ExtendStage::new(
+                let mut stage = ExtendStage::new(
                     id,
                     n.descriptors.clone(),
                     n.target_label,
                     extension_preds(q, n.child.out(), n.target_vertex),
                     options,
-                )));
+                );
+                stage.count_tail = std::mem::take(&mut count);
+                stages_top_down.push(Stage::Extend(stage));
                 current = &n.child;
                 id += 1;
             }
             PlanNode::HashJoin(n) => {
-                let (table, build) = materialize(graph, q, n, id + 1, options);
+                let counts_only = std::mem::take(&mut count);
+                let (table, build) = materialize(graph, q, n, id + 1, options, counts_only);
                 let key_positions: Vec<usize> = n
                     .key_vertices
                     .iter()
@@ -539,6 +540,7 @@ pub(crate) fn compile<G: GraphView>(
                 stages_top_down.push(Stage::Probe(ProbeStage {
                     id,
                     table: Arc::new(table),
+                    key: Vec::with_capacity(key_positions.len()),
                     key_positions,
                     counters: OpCounters::default(),
                     timed: options.profile,
@@ -616,26 +618,30 @@ pub(crate) fn compile<G: GraphView>(
 struct TableBuilder {
     key_vertices: Vec<usize>,
     payload_vertices: Vec<usize>,
-    table: JoinTable,
+    /// The current build tuple's key, gathered from `key_vertices`.
+    key: Vec<VertexId>,
+    table: JoinTableBuilder,
 }
 
 impl MatchSink for TableBuilder {
     fn on_match(&mut self, tuple: &[VertexId]) -> bool {
-        let key = self.key_vertices.iter().map(|&v| tuple[v]).collect();
-        let payloads = self.table.map.entry(key).or_default();
-        payloads.extend(self.payload_vertices.iter().map(|&v| tuple[v]));
+        self.key.clear();
+        self.key.extend(self.key_vertices.iter().map(|&v| tuple[v]));
+        (self.table).insert(&self.key, self.payload_vertices.iter().map(|&v| tuple[v]));
         true
     }
 }
 
 /// Execute the build side of a hash join, whose root has pre-order id `id`, and materialise it
-/// into a [`JoinTable`]; the second return value is what the build counted.
+/// into a [`JoinTable`] (a counts-only one under `counts_only`); the second return value is
+/// what the build counted.
 fn materialize<G: GraphView>(
     graph: &G,
     q: &QueryGraph,
     join: &HashJoinNode,
     id: usize,
     options: &ExecOptions,
+    counts_only: bool,
 ) -> (JoinTable, BuildSide) {
     let (build, probe) = (&*join.build, &*join.probe);
     let in_set = |set: u32, v: usize| set & singleton(v) != 0;
@@ -643,26 +649,24 @@ fn materialize<G: GraphView>(
     // addressed by query vertex. Key = vertices shared with the probe side, in probe layout
     // order (the probe stage builds its key in that order); payload = build-only vertices in
     // build layout order (the order the probe appends them in).
-    let key_vertices = (probe.out().iter().copied())
+    let key_vertices: Vec<usize> = (probe.out().iter().copied())
         .filter(|&v| in_set(build.vertex_set(), v))
         .collect();
     let payload_vertices: Vec<usize> = (build.out().iter().copied())
         .filter(|&v| !in_set(probe.vertex_set(), v))
         .collect();
     let mut builder = TableBuilder {
-        table: JoinTable {
-            map: FxHashMap::default(),
-            payload_width: payload_vertices.len(),
-        },
+        table: JoinTableBuilder::new(key_vertices.len(), payload_vertices.len(), counts_only),
+        key: Vec::with_capacity(key_vertices.len()),
         key_vertices,
         payload_vertices,
     };
 
-    // No limit, and no bulk counting (nobody switches it on for this pipeline): every build
-    // tuple must reach the table. A tripped interrupt leaves the table incomplete; its flag
-    // rides up in the totals, so the facade surfaces the run as cancelled/timed out instead
-    // of returning partial counts (the probe pipeline's own check stops the rest).
-    let mut pipeline = compile(graph, q, build, id, options);
+    // No limit, and no bulk counting: every build tuple must reach the table. A tripped
+    // interrupt leaves the table incomplete; its flag rides up in the totals, so the facade
+    // surfaces the run as cancelled/timed out instead of returning partial counts (the probe
+    // pipeline's own check stops the rest).
+    let mut pipeline = compile(graph, q, build, id, options, false);
     let mut stats = crate::driver::drive(
         &mut pipeline,
         graph,
@@ -677,7 +681,7 @@ fn materialize<G: GraphView>(
     let root = pipeline.emitter_mut();
     stats.hash_build_tuples = std::mem::take(&mut root.outputs);
     root.tuples_out += stats.hash_build_tuples;
-    (builder.table, BuildSide { pipeline, stats })
+    (builder.table.finish(), BuildSide { pipeline, stats })
 }
 
 /// Recursive depth-first evaluation of a list of stages: a pipeline's, or the steps of the
@@ -708,27 +712,32 @@ pub(crate) fn run_stages<G: GraphView>(
             let ProbeStage {
                 table,
                 key_positions,
+                key,
                 counters,
                 ..
             } = stage;
             counters.tuples_in += 1;
-            let key: Vec<VertexId> = key_positions.iter().map(|&i| tuple[i]).collect();
-            let lookup = table.map.get(&key);
+            key.clear();
+            key.extend(key_positions.iter().map(|&i| tuple[i]));
+            let found = table.find(key);
             counters.add_elapsed(t0);
-            let Some(payloads) = lookup else {
+            let Some(id) = found else {
                 return true;
             };
-            let width = table.payload_width;
-            let groups = payloads.len().checked_div(width).unwrap_or(1);
-            for g in 0..groups {
+            if table.counts_only() {
+                // COUNT(*) at the root: the joined tuples are never read, so the number of
+                // build tuples under the key is the number of results.
+                counters.outputs += table.count(id) as u64;
+                return true;
+            }
+            let (payloads, width, base) = (table.payloads(id), table.payload_width(), tuple.len());
+            for g in 0..table.count(id) {
                 if let Some(interrupt) = interrupt {
                     if interrupt.should_stop() {
                         return false;
                     }
                 }
-                for j in 0..width {
-                    tuple.push(payloads[g * width + j]);
-                }
+                tuple.extend_from_slice(&payloads[g * width..][..width]);
                 let keep_going = if is_last {
                     counters.outputs += 1;
                     on_result(tuple)
@@ -736,9 +745,7 @@ pub(crate) fn run_stages<G: GraphView>(
                     counters.tuples_out += 1;
                     run_stages(rest, graph, tuple, interrupt, on_result)
                 };
-                for _ in 0..width {
-                    tuple.pop();
-                }
+                tuple.truncate(base);
                 if !keep_going {
                     return false;
                 }
@@ -798,23 +805,6 @@ pub(crate) fn run_extend_candidates<G: GraphView>(
 }
 
 impl CompiledPipeline {
-    /// Switch the operator that emits result tuples to bulk counting
-    /// ([`ExecOptions::count_tail`]) where it is an E/I extension — a fixed stage, or the final
-    /// step of every candidate of an adaptive one.
-    pub(crate) fn enable_count_tail(&mut self) {
-        match self.stages.last_mut() {
-            Some(Stage::Extend(e)) => e.count_tail = true,
-            Some(Stage::Adaptive(a)) => {
-                for step in a.candidates.iter_mut().filter_map(|c| c.steps.last_mut()) {
-                    if let Stage::Extend(e) = step {
-                        e.count_tail = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Fold the counters of a worker's clone of this pipeline into this one, position by
     /// position (the join barrier; same fork/absorb discipline as partial sinks). Hash-join
     /// build totals are compile-time state every clone shares unchanged, so they are not
@@ -877,6 +867,9 @@ impl CompiledPipeline {
                 Stage::Probe(p) => {
                     add(stats, &p.counters);
                     stats.hash_probe_tuples += p.counters.tuples_in;
+                    if p.table.counts_only() {
+                        stats.bulk_counted_extensions += p.counters.tuples_in;
+                    }
                     stats.merge(&p.build.stats);
                     p.build.pipeline.fold_into(stats, profile);
                     (p.id, &p.counters)

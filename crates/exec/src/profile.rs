@@ -21,7 +21,8 @@
 //!   `intermediate_tuples` and `outputs` to `output_count` (COUNT(*) bulk adds included); a
 //!   build side's result tuples are hash-table entries, so its root books them as
 //!   `tuples_out`. Two totals are read off `tuples_in`: probes performed
-//!   (`hash_probe_tuples`) and, on a bulk-counting final E/I, `bulk_counted_extensions`.
+//!   (`hash_probe_tuples`) and, on a bulk-counting root E/I or HASH-JOIN,
+//!   `bulk_counted_extensions`.
 //! * **Times are self-times.** An E/I operator's time is the time spent computing (or
 //!   cache-reusing) its extension sets; a probe's is its hash lookups; the SCAN absorbs the
 //!   remaining drive time of the pipeline, so the SCAN time approximates the whole run. Times

@@ -31,10 +31,12 @@ pub struct RuntimeStats {
     /// Tuples / extension candidates discarded by a pushed-down predicate before they could
     /// produce any downstream work.
     pub predicate_drops: u64,
-    /// Extension sets whose *sizes* were added to the output count in bulk by the `COUNT(*)`
-    /// fast path ([`ExecOptions::count_tail`](crate::ExecOptions::count_tail)) instead of
-    /// materialising one tuple per element — the observable proof that a counting query
-    /// never allocated per-match tuples for its final extension column.
+    /// Results counted in bulk by the `COUNT(*)` fast path
+    /// ([`ExecOptions::count_tail`](crate::ExecOptions::count_tail)), one per answer: an E/I
+    /// root's extension sets, whose *sizes* were added to the output count, and a HASH-JOIN
+    /// root's probe lookups, each answered with its key's build-tuple count from a
+    /// counts-only table. Each stands for a loop that produced no tuple per result — the
+    /// observable proof that a counting query never materialised its final column.
     pub bulk_counted_extensions: u64,
     /// Two-way intersections executed by the scalar merge kernel (see
     /// [`graphflow_graph::intersect::select_kernel`]).

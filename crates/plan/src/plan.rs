@@ -411,15 +411,17 @@ impl Plan {
         }
     }
 
-    /// Whether the `COUNT(*)` fast path applies to this plan: its **final operator is an E/I
-    /// extension**, so the last output column is produced as an (already predicate-filtered)
-    /// extension set whose *size* alone determines the result count. A counting execution —
-    /// one whose sink reports `needs_tuples() == false`, e.g. `RETURN COUNT(*)` — can then
-    /// skip materialising the final column entirely and add the set size in bulk
-    /// (`ExecOptions::count_tail` in `graphflow-exec`). Scan-only and probe-rooted plans
-    /// produce their last column row by row, so nothing can be skipped for them.
+    /// Whether the `COUNT(*)` fast path applies to this plan: its root operator can count its
+    /// results without producing them (`ExecOptions::count_tail` in `graphflow-exec`). An
+    /// **E/I root** produces its last column as an (already predicate-filtered) extension set
+    /// whose *size* alone is the number of results. A **HASH-JOIN root** builds a counts-only
+    /// table — the number of build tuples per join key, no payload columns — and each probe
+    /// adds its key's count: the eager aggregation of Yan & Larson (VLDB 1995) applied to the
+    /// build side. A counting execution — one whose sink reports `needs_tuples() == false`,
+    /// e.g. `RETURN COUNT(*)` — then skips the per-result loop. A scan-only plan produces its
+    /// one pair per data edge, so nothing can be skipped for it.
     pub fn count_fast_path_eligible(&self) -> bool {
-        matches!(self.root, PlanNode::Extend(_))
+        !matches!(self.root, PlanNode::Scan(_))
     }
 
     /// The query-vertex ordering of a WCO plan (None for plans containing hash joins).
@@ -594,12 +596,12 @@ mod tests {
         let q = patterns::diamond_x();
         let root = wco_plan_for(&q, &[0, 1, 2, 3]);
         assert!(Plan::new(q.clone(), root, 0.0).count_fast_path_eligible());
-        // Hash-join roots emit their last column row by row: nothing to skip.
+        // Hash-join roots count through a counts-only table.
         let left = wco_plan_for(&q, &[0, 1, 2]);
         let right = wco_plan_for(&q, &[1, 2, 3]);
         let join = PlanNode::hash_join(&q, left, right).unwrap();
-        assert!(!Plan::new(q, join, 0.0).count_fast_path_eligible());
-        // Scan-only plans too.
+        assert!(Plan::new(q, join, 0.0).count_fast_path_eligible());
+        // Scan-only plans emit one pair per data edge: nothing to skip.
         let path = patterns::directed_path(2);
         let scan = PlanNode::scan(path.edges()[0]);
         assert!(!Plan::new(path, scan, 0.0).count_fast_path_eligible());

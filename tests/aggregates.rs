@@ -542,3 +542,67 @@ fn count_star_is_exact_and_tuple_free_across_executors() {
     let stats = db.plan_cache_stats();
     assert_eq!(stats.misses, 1, "one optimizer run for all RETURN variants");
 }
+
+/// `RETURN COUNT(*)` through a plan rooted at a HASH-JOIN (in the binary-join plan space a
+/// cycle can only be closed by a join): the root probe answers each lookup with its
+/// key's build-tuple count from a counts-only table. The count equals the enumerated one
+/// serially, at two workers, adaptively and on a dirty snapshot; a limit stands the bulk path
+/// down; and `PROFILE` arms it just as the run does.
+#[test]
+fn count_star_through_a_join_root_equals_the_enumerated_count() {
+    let mut rng = StdRng::seed_from_u64(0x7AB1E);
+    let mut b = GraphBuilder::new();
+    let n = 120u32;
+    for _ in 0..5 * n {
+        b.add_edge(rng.gen_range(0..n), rng.gen_range(0..n));
+    }
+    let mut db = GraphflowDB::from_graph(b.build());
+    db.set_plan_space(graphflow_rs::plan::dp::PlanSpaceOptions::binary_only());
+    let patterns = [
+        "(a)->(b), (b)->(d), (a)->(c), (c)->(d)",
+        "(a)->(b), (b)->(c), (c)->(d), (a)->(d)",
+        "(a)->(b), (b)->(c), (c)->(d), (d)->(e), (a)->(e)",
+    ];
+    for phase in ["frozen", "dirty"] {
+        if phase == "dirty" {
+            random_updates(&mut db, &mut rng);
+            assert!(db.snapshot().has_pending_deltas());
+        }
+        for pattern in patterns {
+            let prepared = db.prepare(&format!("{pattern} RETURN COUNT(*)")).unwrap();
+            assert!(
+                matches!(
+                    prepared.plan().root,
+                    graphflow_rs::plan::PlanNode::HashJoin(_)
+                ),
+                "{pattern}: a join closes the cycle"
+            );
+            let expected = prepared.count().unwrap();
+            assert!(expected > 10, "{pattern}: enough matches to limit");
+            for (name, options) in [
+                ("serial", QueryOptions::new()),
+                ("threads(2)", QueryOptions::new().threads(2)),
+                ("adaptive", QueryOptions::new().adaptive(true)),
+            ] {
+                let rs = prepared.execute(options).unwrap();
+                let label = format!("{pattern} ({phase}) {name}");
+                assert_eq!(rs.scalar_count(), Some(expected), "{label}");
+                assert!(rs.stats.bulk_counted_extensions > 0, "{label}");
+            }
+            let limited = prepared.execute(QueryOptions::new().limit(10)).unwrap();
+            assert_eq!(
+                limited.scalar_count(),
+                Some(10),
+                "{pattern} ({phase}) limit"
+            );
+            assert_eq!(limited.stats.bulk_counted_extensions, 0, "{pattern} limit");
+            let profiled = prepared.profile(QueryOptions::new()).unwrap();
+            let stats = profiled.stats.expect("a profile carries actuals");
+            assert_eq!(stats.output_count, expected, "{pattern} ({phase}) PROFILE");
+            assert!(
+                stats.bulk_counted_extensions > 0,
+                "{pattern} PROFILE counts in bulk"
+            );
+        }
+    }
+}

@@ -1,13 +1,15 @@
-//! Matching allocates per intersection, not per match. This binary counts heap allocations on
-//! the calling thread through its own global allocator, runs one-worker plans whose results far
-//! outnumber their intersection-cache misses, and bounds the allocations by the results. The
-//! counts are deterministic, so the guard needs no clock.
+//! Matching allocates per intersection, not per match, and a hash join allocates per table,
+//! not per build or probe tuple. This binary counts heap allocations on the calling thread
+//! through its own global allocator, runs one-worker plans whose results far outnumber their
+//! intersection-cache misses (or their hash tables), and bounds the allocations by the tuples.
+//! The counts are deterministic, so the guard needs no clock.
 
 use graphflow_catalog::Catalogue;
 use graphflow_exec::{execute_with_sink, CountingSink, ExecOptions, RuntimeStats};
 use graphflow_graph::{Graph, GraphBuilder};
 use graphflow_plan::cost::CostModel;
-use graphflow_plan::wco::wco_plan_for_ordering;
+use graphflow_plan::plan::{Plan, PlanNode};
+use graphflow_plan::wco::{wco_node_for_ordering, wco_plan_for_ordering};
 use graphflow_query::patterns;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -101,6 +103,53 @@ fn matching_allocates_per_intersection_not_per_match() {
             allocations < stats.output_count / 10,
             "{label}: {allocations} allocations for {} outputs",
             stats.output_count
+        );
+    }
+}
+
+#[test]
+fn hash_joins_allocate_per_table_not_per_tuple() {
+    let g = complete_graph(20);
+    // Diamond-X as the two triangles (a1, a2, a3) and (a2, a3, a4) joined on (a2, a3): every
+    // build and probe tuple is a triangle, and each probe joins 18 build tuples.
+    let q = patterns::diamond_x();
+    let build = wco_node_for_ordering(&q, &[1, 2, 3]).unwrap();
+    let probe = wco_node_for_ordering(&q, &[0, 1, 2]).unwrap();
+    let plan = Plan::new(
+        q.clone(),
+        PlanNode::hash_join(&q, build, probe).unwrap(),
+        0.0,
+    );
+    for count_tail in [false, true] {
+        let label = if count_tail {
+            "counting"
+        } else {
+            "enumerating"
+        };
+        let (stats, allocations) = allocations_during(|| {
+            let mut sink = CountingSink::new();
+            let options = ExecOptions {
+                count_tail,
+                ..Default::default()
+            };
+            execute_with_sink(&*g, &plan, None, 1, options, &mut sink)
+        });
+        assert_eq!(stats.output_count, 20 * 19 * 18 * 18, "{label}");
+        assert_eq!(stats.hash_build_tuples, 20 * 19 * 18, "{label}");
+        assert_eq!(stats.hash_probe_tuples, 20 * 19 * 18, "{label}");
+        assert_eq!(
+            stats.bulk_counted_extensions,
+            if count_tail {
+                stats.hash_probe_tuples
+            } else {
+                0
+            },
+            "{label}: every probe is answered in bulk when counting"
+        );
+        let tuples = stats.hash_build_tuples + stats.hash_probe_tuples;
+        assert!(
+            allocations < tuples / 10,
+            "{label}: {allocations} allocations for {tuples} build and probe tuples"
         );
     }
 }

@@ -149,6 +149,7 @@ fn spectrum_classes_match_query_shapes() {
 // adaptive and parallel executors, on both the frozen CSR and a dirty (mid-update) snapshot.
 // ---------------------------------------------------------------------------------------------
 
+use graphflow_exec::{execute_with_sink, CountingSink, ExecOptions, RuntimeStats};
 use graphflow_rs::graph::EdgeLabel;
 use graphflow_rs::{GraphflowDB, QueryOptions};
 use rand::rngs::StdRng;
@@ -286,6 +287,81 @@ fn every_bushy_and_hybrid_plan_matches_the_serial_wco_oracle() {
         bushy_checked > 0,
         "at least one bushy join tree was covered"
     );
+}
+
+/// `COUNT(*)` through a join-rooted plan: the root HASH-JOIN is compiled with a counts-only
+/// table and each probe adds its key's build-tuple count. The first join-rooted plans of the
+/// four-vertex spectra (Q2–Q5: the square, the tailed triangle and both diamond-Xs) must count
+/// what the enumerating run counts — serial, at two workers, adaptive, on the frozen CSR and
+/// on a dirty snapshot — and stand down under a limit. Serial fixed runs also do the same work: bulk
+/// counting changes no i-cost, intermediate, build or probe counter.
+#[test]
+fn join_rooted_bulk_counts_equal_enumerated_counts() {
+    let scale = if cfg!(debug_assertions) { 0.02 } else { 0.05 };
+    let db = GraphflowDB::with_config(Dataset::Amazon.generate(scale), Default::default());
+    let model = CostModel::default();
+    let mut rng = StdRng::seed_from_u64(0xC0A7);
+    let mut checked = 0usize;
+    for j in [2usize, 3, 4, 5] {
+        let q = patterns::benchmark_query(j);
+        let spectrum = enumerate_spectrum(&q, &db.catalogue(), &model, SpectrumLimits::default());
+        let plans: Vec<Plan> = (spectrum.into_iter())
+            .filter(|sp| matches!(sp.plan.root, PlanNode::HashJoin(_)))
+            .map(|sp| sp.plan)
+            .take(4)
+            .collect();
+        assert!(!plans.is_empty(), "Q{j} spectrum has join-rooted plans");
+        for phase in ["frozen", "dirty"] {
+            if phase == "dirty" {
+                dirty_up(&db, &mut rng);
+            }
+            let (snapshot, cat) = (db.snapshot(), db.catalogue());
+            for plan in &plans {
+                let run = |adaptive: bool, threads: usize, count_tail: bool, limit| {
+                    let options = ExecOptions {
+                        count_tail,
+                        output_limit: limit,
+                        ..Default::default()
+                    };
+                    let adaptive = adaptive.then_some(&*cat);
+                    let mut sink = CountingSink::new();
+                    execute_with_sink(&snapshot, plan, adaptive, threads, options, &mut sink)
+                };
+                let label = format!("Q{j} ({phase}) {}", plan.root.fingerprint());
+                let enumerated = run(false, 1, false, None);
+                assert_eq!(enumerated.bulk_counted_extensions, 0, "{label}");
+                for (name, adaptive, threads) in [
+                    ("serial", false, 1),
+                    ("threads(2)", false, 2),
+                    ("adaptive", true, 1),
+                    ("adaptive threads(2)", true, 2),
+                ] {
+                    let counted = run(adaptive, threads, true, None);
+                    assert_eq!(
+                        counted.output_count, enumerated.output_count,
+                        "{label}: {name}"
+                    );
+                    assert!(counted.bulk_counted_extensions > 0, "{label}: {name}");
+                    if name == "serial" {
+                        for (what, pick) in [
+                            ("icost", (|s| s.icost) as fn(&RuntimeStats) -> u64),
+                            ("intermediate", |s| s.intermediate_tuples),
+                            ("build", |s| s.hash_build_tuples),
+                            ("probe", |s| s.hash_probe_tuples),
+                        ] {
+                            assert_eq!(pick(&counted), pick(&enumerated), "{label}: {what}");
+                        }
+                    }
+                }
+                let limit = enumerated.output_count / 2;
+                let limited = run(false, 2, true, Some(limit));
+                assert_eq!(limited.output_count, limit, "{label}: limited");
+                assert_eq!(limited.bulk_counted_extensions, 0, "{label}: limited");
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, 4 * 4 * 2, "join-rooted plans checked");
 }
 
 // ---------------------------------------------------------------------------------------------
